@@ -2,8 +2,7 @@
 
 from .core import (AggregatedOutput, FuzzyError, FuzzyRule, FuzzySubsystem,
                    LinguisticVariable, MembershipFunction, NoRuleFiredError,
-                   OutOfUniverseError, UnknownTermError, defuzzify_centroid,
-                   fuzzify, infer, membership_degree, rule_activation)
+                   OutOfUniverseError, UnknownTermError)
 from .cascade import (Cascade, CascadeBuildError, DecisionTrace,
                       WiringMismatchError, build_cascade, bundled_cascade,
                       decide, load_manifest)

@@ -5,7 +5,7 @@ re-quantized. The cascade is immutable after build and evaluation is pure.
 """
 from __future__ import annotations
 
-import os
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -105,11 +105,12 @@ class Cascade:
         intermediates: dict[str, float] = {}
 
         def run(node: str, fs: FuzzySubsystem, node_inputs: dict[str, float]) -> float:
-            for rule, act in zip(fs.rules, fs.activations(node_inputs)):
+            agg = fs.infer(node_inputs)
+            for rule, act in zip(fs.rules, agg.activations):
                 if act > 0.0:
                     fired.append(FiredRule(node, rule.antecedents, rule.consequent, act))
             try:
-                return fs.infer(node_inputs).defuzzify_centroid()
+                return agg.defuzzify_centroid()
             except NoRuleFiredError:
                 raise NoRuleFiredError(f"{node}.{fs.output.name}") from None
 
@@ -139,10 +140,15 @@ def build_cascade(fs1: FuzzySubsystem, fs2: FuzzySubsystem, fs3: FuzzySubsystem,
                   tie_send: bool = True) -> Cascade:
     """Wire FS1 and FS2 outputs into FS3 and bind the four externals.
 
-    Raises WiringMismatchError when an FS3 input does not match the name and
-    universe of the corresponding producer output, and CascadeBuildError for
-    bad external bindings.
+    Without `externals`, DEFAULT_EXTERNALS bind by position to the FS1 then
+    FS2 inputs. Raises WiringMismatchError when an FS3 input does not match
+    the name and universe of the corresponding producer output, and
+    CascadeBuildError for bad external bindings or a non-finite threshold.
     """
+    if not math.isfinite(threshold):
+        # A NaN threshold would label every record NotSend.
+        raise CascadeBuildError(
+            f"decision threshold must be a finite number, got {threshold!r}")
     fs3_inputs = {v.name: v for v in fs3.inputs}
     for producer in (fs1, fs2):
         out = producer.output
@@ -192,15 +198,15 @@ def build_cascade(fs1: FuzzySubsystem, fs2: FuzzySubsystem, fs3: FuzzySubsystem,
     return Cascade(fs1, fs2, fs3, dict(externals), threshold, tie_send)
 
 
-def bundled_fis_dir() -> Path:
-    """Directory holding the bundled definition files.
+#: The manifest that wires the bundled definition files.
+BUNDLED_MANIFEST = Path(__file__).parent / "data" / "cascade.manifest"
 
-    FUZZGATE_FIS_DIR overrides the packaged copies.
-    """
-    override = os.environ.get("FUZZGATE_FIS_DIR")
-    if override:
-        return Path(override)
-    return Path(__file__).parent / "data"
+FIS_KEYS = ("fis1", "fis2", "fis3")
+
+
+def bundled_fis_dir() -> Path:
+    """Directory holding the bundled definition files and manifest."""
+    return BUNDLED_MANIFEST.parent
 
 
 def _load_or_raise(path: Path) -> FuzzySubsystem:
@@ -211,46 +217,65 @@ def _load_or_raise(path: Path) -> FuzzySubsystem:
     return subsystem
 
 
-def load_manifest(path: str | Path) -> Cascade:
-    """Build a cascade from a line-oriented key/value manifest file."""
+def parse_manifest(path: str | Path
+                   ) -> tuple[dict[str, Path], dict[str, tuple[str, str]], float]:
+    """Read a key/value manifest file: its definition file paths (relative
+    to its directory), external bindings and threshold."""
     path = Path(path)
-    base = path.parent
     fis_paths: dict[str, Path] = {}
     externals: dict[str, tuple[str, str]] = {}
     threshold = DEFAULT_THRESHOLD
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise CascadeBuildError(f"{path}:{lineno}: expected 'key = value'")
-            key, value = (part.strip() for part in line.split("=", 1))
-            if key in ("fis1", "fis2", "fis3"):
-                fis_paths[key] = base / value
-            elif key == "threshold":
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise CascadeBuildError(f"{path}: {exc}") from None
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise CascadeBuildError(f"{path}:{lineno}: expected 'key = value'")
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key in FIS_KEYS:
+            fis_paths[key] = path.parent / value
+        elif key == "threshold":
+            try:
                 threshold = float(value)
-            elif key.startswith("external "):
-                name = key.split(None, 1)[1]
-                if "." not in value:
-                    raise CascadeBuildError(
-                        f"{path}:{lineno}: external binding must be <node>.<variable>")
-                node, var = value.split(".", 1)
-                externals[name] = (node, var)
-            else:
-                raise CascadeBuildError(f"{path}:{lineno}: unknown key {key!r}")
-    for key in ("fis1", "fis2", "fis3"):
-        if key not in fis_paths:
+            except ValueError:
+                raise CascadeBuildError(
+                    f"{path}:{lineno}: threshold must be a number, got {value!r}"
+                ) from None
+        elif key.startswith("external "):
+            name = key.split(None, 1)[1]
+            if "." not in value:
+                raise CascadeBuildError(
+                    f"{path}:{lineno}: external binding must be <node>.<variable>")
+            node, var = value.split(".", 1)
+            externals[name] = (node, var)
+        else:
+            raise CascadeBuildError(f"{path}:{lineno}: unknown key {key!r}")
+    return fis_paths, externals, threshold
+
+
+def load_manifest(path: str | Path, *, fis1: str | Path | None = None,
+                  fis2: str | Path | None = None, fis3: str | Path | None = None,
+                  threshold: float | None = None) -> Cascade:
+    """Build a cascade from a manifest file.
+
+    A given fis1/fis2/fis3 path or threshold overrides the manifest's entry.
+    """
+    fis_paths, externals, manifest_threshold = parse_manifest(path)
+    for key, override in zip(FIS_KEYS, (fis1, fis2, fis3)):
+        if override is not None:
+            fis_paths[key] = Path(override)
+        elif key not in fis_paths:
             raise CascadeBuildError(f"manifest {path} is missing '{key}'")
-    subsystems = {key: _load_or_raise(p) for key, p in fis_paths.items()}
-    return build_cascade(subsystems["fis1"], subsystems["fis2"], subsystems["fis3"],
-                         externals=externals or None, threshold=threshold)
+    fs1, fs2, fs3 = (_load_or_raise(fis_paths[key]) for key in FIS_KEYS)
+    return build_cascade(fs1, fs2, fs3, externals=externals or None,
+                         threshold=manifest_threshold if threshold is None
+                         else threshold)
 
 
-def bundled_cascade(threshold: float = DEFAULT_THRESHOLD) -> Cascade:
-    """The three bundled subsystems wired with default externals."""
-    fis_dir = bundled_fis_dir()
-    fs1 = _load_or_raise(fis_dir / "fs1_apparent_temperature.fis.txt")
-    fs2 = _load_or_raise(fis_dir / "fs2_appliance_usage.fis.txt")
-    fs3 = _load_or_raise(fis_dir / "fs3_sending_decision.fis.txt")
-    return build_cascade(fs1, fs2, fs3, threshold=threshold)
+def bundled_cascade(threshold: float | None = None) -> Cascade:
+    """The cascade the bundled manifest describes."""
+    return load_manifest(BUNDLED_MANIFEST, threshold=threshold)

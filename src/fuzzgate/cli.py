@@ -1,7 +1,7 @@
 """Command-line front door: `fuzzgate check|eval|simulate`.
 
 Exit codes are stable across subcommands: 0 success, 1 domain/validation
-error, 2 I/O failure.
+error, 2 I/O failure. `main` maps the package's exceptions to them.
 """
 from __future__ import annotations
 
@@ -10,10 +10,9 @@ import json
 import sys
 from pathlib import Path
 
-from . import cascade as cascade_mod
-from .cascade import (CascadeBuildError, bundled_fis_dir, build_cascade,
-                      load_manifest)
-from .core import FuzzyError, NoRuleFiredError, OutOfUniverseError
+from .cascade import (BUNDLED_MANIFEST, FIS_KEYS, CascadeBuildError,
+                      load_manifest, parse_manifest)
+from .core import FuzzyError
 from .dsl import load_subsystem
 from .energy import EnergyMode, PacketSpec, RadioSpec
 from .sim import ColumnMapping, TelemetryError, compare, load_telemetry, \
@@ -23,16 +22,13 @@ EXIT_OK = 0
 EXIT_DOMAIN = 1
 EXIT_IO = 2
 
-BUNDLED_FILES = ("fs1_apparent_temperature.fis.txt",
-                 "fs2_appliance_usage.fis.txt",
-                 "fs3_sending_decision.fis.txt")
-
 
 def _add_fis_options(parser: argparse.ArgumentParser):
     parser.add_argument("--fis1", help="FS1 definition file (apparent temperature)")
     parser.add_argument("--fis2", help="FS2 definition file (appliance usage time)")
     parser.add_argument("--fis3", help="FS3 definition file (sending decision)")
-    parser.add_argument("--manifest", help="cascade manifest file")
+    parser.add_argument("--manifest", help="cascade manifest file (default: "
+                        "the bundled one); --fisN and --threshold override it")
     parser.add_argument("--threshold", type=float, default=None,
                         help="send/not-send decision threshold (default 50)")
 
@@ -70,27 +66,8 @@ def _build_energy_mode(args) -> EnergyMode:
 
 
 def _build_cascade(args):
-    threshold = args.threshold
-    if args.manifest:
-        c = load_manifest(args.manifest)
-        if threshold is not None:
-            c = build_cascade(c.fs1, c.fs2, c.fs3, externals=c.externals,
-                              threshold=threshold)
-        return c
-    fis_dir = bundled_fis_dir()
-    paths = [args.fis1 or fis_dir / BUNDLED_FILES[0],
-             args.fis2 or fis_dir / BUNDLED_FILES[1],
-             args.fis3 or fis_dir / BUNDLED_FILES[2]]
-    subsystems = []
-    for path in paths:
-        subsystem, diags = load_subsystem(path)
-        if subsystem is None:
-            errors = "\n".join(d.format(str(path)) for d in diags)
-            raise CascadeBuildError(f"invalid definition file:\n{errors}")
-        subsystems.append(subsystem)
-    return build_cascade(*subsystems,
-                         threshold=threshold if threshold is not None
-                         else cascade_mod.DEFAULT_THRESHOLD)
+    return load_manifest(args.manifest or BUNDLED_MANIFEST, fis1=args.fis1,
+                         fis2=args.fis2, fis3=args.fis3, threshold=args.threshold)
 
 
 def _build_mapping(args) -> ColumnMapping:
@@ -103,17 +80,13 @@ def _build_mapping(args) -> ColumnMapping:
 def cmd_check(args) -> int:
     paths = [args.fis1, args.fis2, args.fis3]
     if not any(paths) and not args.paths:
-        fis_dir = bundled_fis_dir()
-        args.paths = [str(fis_dir / name) for name in BUNDLED_FILES]
+        fis_paths, _, _ = parse_manifest(BUNDLED_MANIFEST)
+        args.paths = [str(fis_paths[key]) for key in FIS_KEYS]
     targets = [p for p in paths if p] + list(args.paths)
     had_error = False
     rule_counts = []
     for path in targets:
-        try:
-            subsystem, diags = load_subsystem(path)
-        except OSError as exc:
-            print(f"{path}: {exc.strerror or exc}", file=sys.stderr)
-            return EXIT_IO
+        subsystem, diags = load_subsystem(path)
         for d in diags:
             print(d.format(str(path)))
         if subsystem is None:
@@ -128,21 +101,10 @@ def cmd_check(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    try:
-        c = _build_cascade(args)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except CascadeBuildError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
+    c = _build_cascade(args)
     inputs = {"temperature": args.temp, "humidity": args.humidity,
               "appliance_energy": args.energy, "time_of_day": args.time}
-    try:
-        trace = c.evaluate(inputs, clamp=args.clamp)
-    except (OutOfUniverseError, NoRuleFiredError, FuzzyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
+    trace = c.evaluate(inputs, clamp=args.clamp)
     if args.json:
         payload = {
             "inputs": trace.inputs,
@@ -177,25 +139,11 @@ def cmd_eval(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    try:
-        c = _build_cascade(args)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except CascadeBuildError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
+    c = _build_cascade(args)
     mode = _build_energy_mode(args)
     mapping = _build_mapping(args)
     policy = "strict" if args.strict else "skip-bad"
-    try:
-        records, report = load_telemetry(args.dataset, mapping, policy)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except TelemetryError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
+    records, report = load_telemetry(args.dataset, mapping, policy)
 
     traditional = run_traditional(records, mode, skipped=report.skipped)
     fuzzy = run_fuzzy(records, c, mode, failsafe=args.failsafe,
@@ -308,7 +256,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_IO
+    except (CascadeBuildError, FuzzyError, TelemetryError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_DOMAIN
 
 
 if __name__ == "__main__":

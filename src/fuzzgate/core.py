@@ -127,11 +127,6 @@ class MembershipFunction:
         return out
 
 
-def membership_degree(mf: MembershipFunction, x: float) -> float:
-    """Degree of a crisp value under one membership function."""
-    return mf(x)
-
-
 @dataclass(frozen=True)
 class LinguisticVariable:
     """Named universe of discourse with an ordered set of named terms."""
@@ -190,10 +185,6 @@ class LinguisticVariable:
         return [float(x) for x in xs[best <= 0.0]]
 
 
-def fuzzify(var: LinguisticVariable, x: float) -> dict[str, float]:
-    return var.fuzzify(x)
-
-
 @dataclass(frozen=True)
 class FuzzyRule:
     """IF <var> IS <term> [AND ...] THEN <var> IS <term>."""
@@ -214,17 +205,15 @@ class FuzzyRule:
         return degree
 
 
-def rule_activation(rule: FuzzyRule, fuzzified: dict[str, dict[str, float]]) -> float:
-    return rule.activation(fuzzified)
-
-
 @dataclass(frozen=True)
 class AggregatedOutput:
-    """Pre-defuzzification fuzzy output sampled on a uniform grid."""
+    """Pre-defuzzification fuzzy output sampled on a uniform grid, with the
+    rule activations that produced it in rule-bank order."""
 
     variable: str
     xs: np.ndarray
     degrees: np.ndarray
+    activations: tuple[float, ...] = ()
 
     def defuzzify_centroid(self) -> float:
         """Center of gravity over the sample grid, summed in ascending-x order.
@@ -237,10 +226,6 @@ class AggregatedOutput:
             raise NoRuleFiredError(self.variable)
         weighted = float(np.sum(self.xs * self.degrees))
         return weighted / total
-
-
-def defuzzify_centroid(agg: AggregatedOutput) -> float:
-    return agg.defuzzify_centroid()
 
 
 @dataclass(frozen=True)
@@ -279,18 +264,15 @@ class FuzzySubsystem:
 
     def infer(self, crisp_inputs: dict[str, float]) -> AggregatedOutput:
         """Clip each consequent at its rule's activation, combine by max."""
+        acts = tuple(self.activations(crisp_inputs))
         aggregate = np.zeros(GRID_POINTS)
-        for rule, act in zip(self.rules, self.activations(crisp_inputs)):
+        for rule, act in zip(self.rules, acts):
             if act <= 0.0:
                 continue
             clipped = np.minimum(act, self._consequent_samples[rule.consequent[1]])
             np.maximum(aggregate, clipped, out=aggregate)
-        return AggregatedOutput(self.output.name, self._grid, aggregate)
+        return AggregatedOutput(self.output.name, self._grid, aggregate, acts)
 
     def evaluate(self, crisp_inputs: dict[str, float]) -> float:
         """infer + centroid defuzzification in one step."""
         return self.infer(crisp_inputs).defuzzify_centroid()
-
-
-def infer(fs: FuzzySubsystem, crisp_inputs: dict[str, float]) -> AggregatedOutput:
-    return fs.infer(crisp_inputs)

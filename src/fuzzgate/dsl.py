@@ -13,6 +13,7 @@ reported as diagnostics with 1-based line/column spans, never exceptions.
 """
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 
@@ -187,10 +188,13 @@ def parse(text: str) -> tuple[FisDocument | None, list[Diagnostic]]:
             error(f"expected {what}, found end of line", lp.eol_span())
             return None
         try:
-            return float(tok)
+            value = float(tok)
         except ValueError:
-            error(f"expected {what}, found {tok!r}", lp.last_span())
+            value = math.nan
+        if not math.isfinite(value):
+            error(f"expected {what} (a finite number), found {tok!r}", lp.last_span())
             return None
+        return value
 
     def expect_keyword(lp: _LineParser, keyword: str) -> bool:
         tok = lp.next()
@@ -327,10 +331,8 @@ def parse(text: str) -> tuple[FisDocument | None, list[Diagnostic]]:
         error("missing 'system' declaration", SourceSpan(1, 1, 1))
         return None, diagnostics
 
-    doc = FisDocument(system_name, tuple(variables), tuple(rules), system_span)
-    if any(d.severity == "error" for d in diagnostics):
-        return doc, diagnostics
-    return doc, diagnostics
+    return FisDocument(system_name, tuple(variables), tuple(rules),
+                       system_span), diagnostics
 
 
 def validate(doc: FisDocument) -> tuple[FuzzySubsystem | None, list[Diagnostic]]:
@@ -414,9 +416,17 @@ def validate(doc: FisDocument) -> tuple[FuzzySubsystem | None, list[Diagnostic]]
 
 
 def load_subsystem(path) -> tuple[FuzzySubsystem | None, list[Diagnostic]]:
-    """Parse + validate a .fis.txt file."""
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
+    """Parse + validate a .fis.txt file; bytes that are not UTF-8 give an
+    error diagnostic at the first bad one."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lines = data[:exc.start].decode("utf-8").split("\n")
+        span = SourceSpan(len(lines), len(lines[-1]) + 1, 1)
+        return None, [Diagnostic(
+            "error", f"invalid UTF-8 byte 0x{data[exc.start]:02x}", span)]
     doc, diags = parse(text)
     if doc is None or any(d.severity == "error" for d in diags):
         return None, diags

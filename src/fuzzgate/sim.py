@@ -232,28 +232,25 @@ def run_fuzzy(records: list[TelemetryRecord], cascade: Cascade, mode: EnergyMode
         }
         try:
             trace = cascade.evaluate(inputs, clamp=True)
-            send = trace.label == SEND
-            decision = Decision(
-                index=i, timestamp=record.timestamp,
-                temperature=record.temperature, humidity=record.humidity,
-                appliance_energy=record.appliance_energy,
-                time_of_day=record.time_of_day,
-                apparent_temperature=trace.intermediates[cascade.fs1.output.name],
-                appliance_usage_time=trace.intermediates[cascade.fs2.output.name],
-                score=trace.score, label=trace.label,
-                clamped=bool(trace.clamped))
         except NoRuleFiredError:
-            send = failsafe == "send"
-            failsafe_sends += int(send)
-            decision = Decision(
-                index=i, timestamp=record.timestamp,
-                temperature=record.temperature, humidity=record.humidity,
-                appliance_energy=record.appliance_energy,
-                time_of_day=record.time_of_day,
-                apparent_temperature=None, appliance_usage_time=None,
-                score=None, label=SEND if send else NOT_SEND,
-                failsafe=True)
-        clamped_records += int(decision.clamped)
+            apparent = usage = score = None
+            label = SEND if failsafe == "send" else NOT_SEND
+            clamped, fell_back = False, True
+            failsafe_sends += int(label == SEND)
+        else:
+            apparent = trace.intermediates[cascade.fs1.output.name]
+            usage = trace.intermediates[cascade.fs2.output.name]
+            score, label = trace.score, trace.label
+            clamped, fell_back = bool(trace.clamped), False
+        decision = Decision(
+            index=i, timestamp=record.timestamp,
+            temperature=record.temperature, humidity=record.humidity,
+            appliance_energy=record.appliance_energy,
+            time_of_day=record.time_of_day, apparent_temperature=apparent,
+            appliance_usage_time=usage, score=score, label=label,
+            clamped=clamped, failsafe=fell_back)
+        send = label == SEND
+        clamped_records += int(clamped)
         if send:
             transmissions += 1
             total += per_packet

@@ -2,7 +2,8 @@ from pathlib import Path
 
 import pytest
 
-from fuzzgate.cascade import build_cascade, bundled_fis_dir
+from fuzzgate.cascade import (BUNDLED_MANIFEST, build_cascade, bundled_fis_dir,
+                              parse_manifest)
 from fuzzgate.dsl import load_subsystem
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -18,6 +19,15 @@ def load_bundled(key):
     subsystem, diags = load_subsystem(bundled_fis_dir() / FIS_FILES[key])
     assert subsystem is not None, [d.format() for d in diags]
     return subsystem
+
+
+def write_manifest(path, extra=""):
+    """Write a manifest naming the bundled definition files by absolute
+    path, followed by `extra` lines; return its path."""
+    fis_paths, _, _ = parse_manifest(BUNDLED_MANIFEST)
+    path.write_text("".join(f"{key} = {fis}\n" for key, fis in fis_paths.items())
+                    + extra)
+    return path
 
 
 @pytest.fixture(scope="session")

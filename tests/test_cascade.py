@@ -1,9 +1,10 @@
 import pytest
 
-from fuzzgate.cascade import (CascadeBuildError, DEFAULT_EXTERNALS,
-                              WiringMismatchError, build_cascade,
-                              bundled_cascade, bundled_fis_dir, decide,
-                              load_manifest)
+from conftest import write_manifest
+from fuzzgate.cascade import (BUNDLED_MANIFEST, CascadeBuildError,
+                              DEFAULT_EXTERNALS, FIS_KEYS, WiringMismatchError,
+                              build_cascade, bundled_cascade, bundled_fis_dir,
+                              decide, load_manifest)
 from fuzzgate.core import (FuzzySubsystem, LinguisticVariable,
                            MembershipFunction, NoRuleFiredError,
                            OutOfUniverseError)
@@ -156,6 +157,19 @@ class TestEvaluate:
         traces = [cascade.evaluate(inputs) for _ in range(3)]
         assert traces[0] == traces[1] == traces[2]
 
+    def test_activations_computed_once_per_node(self, cascade, monkeypatch):
+        calls = []
+        original = FuzzySubsystem.activations
+
+        def counted(self, crisp_inputs):
+            calls.append(self.name)
+            return original(self, crisp_inputs)
+
+        monkeypatch.setattr(FuzzySubsystem, "activations", counted)
+        cascade.evaluate({"temperature": 20.5, "humidity": 0.37,
+                          "appliance_energy": 90.0, "time_of_day": 7.5})
+        assert calls == [cascade.fs1.name, cascade.fs2.name, cascade.fs3.name]
+
     def test_no_rule_fired_names_the_node(self, fs1, fs2, fs3):
         # strip FS1's rule bank so nothing can fire
         empty_fs1 = FuzzySubsystem(fs1.name, fs1.inputs, fs1.output, ())
@@ -192,3 +206,31 @@ class TestManifest:
         bad.write_text("fis1 = a\nfis2 = b\n")
         with pytest.raises(CascadeBuildError, match="fis3"):
             load_manifest(bad)
+
+    def test_non_numeric_threshold_names_path_and_line(self, tmp_path):
+        bad = tmp_path / "bad.manifest"
+        bad.write_text("fis1 = a\nthreshold = abc\n")
+        with pytest.raises(CascadeBuildError, match=f"{bad}:2: .*'abc'"):
+            load_manifest(bad)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_threshold_rejected(self, tmp_path, value):
+        manifest = write_manifest(tmp_path / "m.manifest", f"threshold = {value}\n")
+        with pytest.raises(CascadeBuildError, match="finite"):
+            load_manifest(manifest)
+        with pytest.raises(CascadeBuildError, match="finite"):
+            load_manifest(BUNDLED_MANIFEST, threshold=float(value))
+
+    def test_overrides_replace_manifest_entries(self, tmp_path):
+        broken = tmp_path / "broken.fis.txt"
+        broken.write_text("system broken\n")
+        assert load_manifest(BUNDLED_MANIFEST, threshold=7.5).threshold == 7.5
+        for key in FIS_KEYS:
+            with pytest.raises(CascadeBuildError, match="broken.fis.txt"):
+                load_manifest(BUNDLED_MANIFEST, **{key: broken})
+
+    def test_non_utf8_definition_file(self, tmp_path):
+        latin1 = tmp_path / "latin1.fis.txt"
+        latin1.write_bytes(b"system caf\xe9\n")
+        with pytest.raises(CascadeBuildError, match="UTF-8"):
+            load_manifest(BUNDLED_MANIFEST, fis1=latin1)

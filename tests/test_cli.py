@@ -3,7 +3,11 @@ import json
 
 import pytest
 
+from conftest import FIS_FILES, write_manifest
+from fuzzgate.cascade import bundled_fis_dir
 from fuzzgate.cli import main
+
+READING = ["--temp", "20", "--humidity", "0.35", "--energy", "60", "--time", "3"]
 
 
 def run(capsys, argv):
@@ -131,3 +135,106 @@ class TestSimulate:
                                     "--strict", "--out", str(tmp_path / "o")])
         assert code == 1
         assert "row 2" in err
+
+
+def eval_json(capsys, *extra):
+    code, out, err = run(capsys, ["eval", *READING, "--json", *extra])
+    assert code == 0, err
+    return json.loads(out)
+
+
+def edited_fs1(tmp_path, name, *replacements):
+    text = (bundled_fis_dir() / FIS_FILES["fs1"]).read_text(encoding="utf-8")
+    for old, new in replacements:
+        text = text.replace(old, new)
+    path = tmp_path / name
+    path.write_text(text, encoding="utf-8")
+    return path
+
+
+class TestOverrides:
+    def test_fis_option_overrides_manifest(self, capsys, tmp_path):
+        all_hot = edited_fs1(tmp_path, "hot.fis.txt",
+                             *((f"apparent_temperature is {term}",
+                                "apparent_temperature is hot")
+                               for term in ("cool", "medium", "warm")))
+        manifest = write_manifest(tmp_path / "m.manifest")
+        bundled = eval_json(capsys)
+        overridden = eval_json(capsys, "--manifest", str(manifest),
+                               "--fis1", str(all_hot))
+        assert overridden["intermediates"] == \
+            eval_json(capsys, "--fis1", str(all_hot))["intermediates"]
+        assert overridden["intermediates"]["apparent_temperature"] > \
+            bundled["intermediates"]["apparent_temperature"]
+
+    def test_threshold_option_overrides_manifest(self, capsys, tmp_path):
+        manifest = write_manifest(tmp_path / "m.manifest", "threshold = 0\n")
+        assert eval_json(capsys, "--manifest", str(manifest))["label"] == "not_send"
+        assert eval_json(capsys, "--manifest", str(manifest),
+                         "--threshold", "100")["label"] == "send"
+
+    def test_renamed_fs1_inputs_bind_by_position(self, capsys, tmp_path):
+        renamed = edited_fs1(tmp_path, "renamed.fis.txt",
+                             ("indoor_temperature", "t_in"),
+                             ("indoor_humidity", "rh_in"))
+        bundled = eval_json(capsys)
+        for extra in ([], ["--manifest", str(write_manifest(tmp_path / "m"))]):
+            trace = eval_json(capsys, *extra, "--fis1", str(renamed))
+            assert trace["score"] == bundled["score"]
+            assert trace["intermediates"] == bundled["intermediates"]
+
+
+class TestBadInput:
+    """Bad numbers and unreadable files exit 1 (domain) or 2 (I/O) with a
+    message, never with an exception."""
+
+    @pytest.mark.parametrize("command", ["eval", "simulate"])
+    def test_nan_threshold(self, capsys, tmp_path, fixture_csv, command):
+        args = READING if command == "eval" else [
+            "--dataset", str(fixture_csv), "--out", str(tmp_path / "out")]
+        code, _, err = run(capsys, [command, *args, "--threshold", "nan"])
+        assert code == 1
+        assert "finite" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("value", ["abc", "nan"])
+    def test_bad_manifest_threshold(self, capsys, tmp_path, value):
+        manifest = write_manifest(tmp_path / "m.manifest", f"threshold = {value}\n")
+        code, _, err = run(capsys, ["eval", *READING, "--manifest", str(manifest)])
+        assert code == 1
+        assert err.startswith("error: ")
+        if value == "abc":
+            assert f"{manifest}:4:" in err
+
+    def test_non_finite_breakpoint(self, capsys, tmp_path):
+        bad = tmp_path / "nan.fis.txt"
+        bad.write_text("system s\ninput x universe 0 10\n"
+                       "  term a triangle 0 nan 10\n"
+                       "output y universe 0 1\n  term t triangle 0 0.5 1\n"
+                       "rule if x is a then y is t\n")
+        code, out, _ = run(capsys, ["check", str(bad)])
+        assert code == 1
+        assert f"{bad}:3:21: error:" in out
+
+    def test_non_utf8_definition_in_check(self, capsys, tmp_path):
+        bad = tmp_path / "latin1.fis.txt"
+        bad.write_bytes(b"system caf\xe9\n")
+        code, out, _ = run(capsys, ["check", str(bad)])
+        assert code == 1
+        assert f"{bad}:1:11: error: invalid UTF-8" in out
+
+    def test_non_utf8_definition_through_manifest(self, capsys, tmp_path):
+        bad = tmp_path / "latin1.fis.txt"
+        bad.write_bytes(b"system caf\xe9\n")
+        manifest = write_manifest(tmp_path / "m.manifest", f"fis1 = {bad}\n")
+        code, _, err = run(capsys, ["eval", *READING, "--manifest", str(manifest)])
+        assert code == 1
+        assert "invalid UTF-8" in err
+
+    def test_out_dir_under_a_file(self, capsys, tmp_path, fixture_csv):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        code, _, err = run(capsys, ["simulate", "--dataset", str(fixture_csv),
+                                    "--out", str(blocker / "out")])
+        assert code == 2
+        assert err.startswith("error: ")

@@ -7,8 +7,7 @@ from hypothesis import given, strategies as st
 from fuzzgate.core import (AggregatedOutput, FuzzyRule, FuzzySubsystem,
                            GRID_POINTS, LinguisticVariable, MembershipFunction,
                            NoRuleFiredError, OutOfUniverseError,
-                           UnknownTermError, defuzzify_centroid, fuzzify,
-                           infer, membership_degree, rule_activation)
+                           UnknownTermError)
 
 TRI = MembershipFunction.triangle
 TRAP = MembershipFunction.trapezoid
@@ -16,14 +15,14 @@ TRAP = MembershipFunction.trapezoid
 
 class TestMembershipDegree:
     def test_triangle_peak(self):
-        assert membership_degree(TRI(18.5, 20, 21.5), 20.0) == 1.0
+        assert TRI(18.5, 20, 21.5)(20.0) == 1.0
 
     def test_triangle_support_edge_is_zero(self):
-        assert membership_degree(TRI(18.5, 20, 21.5), 18.5) == 0.0
-        assert membership_degree(TRI(18.5, 20, 21.5), 21.5) == 0.0
+        assert TRI(18.5, 20, 21.5)(18.5) == 0.0
+        assert TRI(18.5, 20, 21.5)(21.5) == 0.0
 
     def test_triangle_linear_midpoint(self):
-        assert membership_degree(TRI(18.5, 20, 21.5), 19.25) == 0.5
+        assert TRI(18.5, 20, 21.5)(19.25) == 0.5
 
     def test_trapezoid_core_and_slopes(self):
         mf = TRAP(0, 10, 20, 40)
@@ -87,22 +86,22 @@ class TestMembershipDegree:
 class TestFuzzify:
     def test_temperature_at_medium_core(self, fs1):
         var = fs1.input_variable("indoor_temperature")
-        assert fuzzify(var, 20.0) == {
+        assert var.fuzzify(20.0) == {
             "low": 0.0, "medium": 1.0, "high": 0.0, "v.high": 0.0}
 
     def test_humidity_at_comfortable_core(self, fs1):
         var = fs1.input_variable("indoor_humidity")
-        assert fuzzify(var, 0.35) == {
+        assert var.fuzzify(0.35) == {
             "dry": 0.0, "comfortable": 1.0, "humid": 0.0, "stiki": 0.0}
 
     def test_out_of_universe(self, fs1):
         var = fs1.input_variable("indoor_temperature")
         with pytest.raises(OutOfUniverseError):
-            fuzzify(var, 150.0)
+            var.fuzzify(150.0)
         with pytest.raises(OutOfUniverseError):
-            fuzzify(var, -0.001)
+            var.fuzzify(-0.001)
         with pytest.raises(OutOfUniverseError):
-            fuzzify(var, float("nan"))
+            var.fuzzify(float("nan"))
 
     def test_coverage_of_bundled_variables(self, fs1, fs2, fs3):
         variables = [*fs1.inputs, fs1.output, *fs2.inputs, fs2.output,
@@ -124,7 +123,7 @@ class TestFuzzify:
 class TestRuleActivation:
     def make(self, d1, d2):
         rule = FuzzyRule((("x", "a"), ("y", "b")), ("z", "c"))
-        return rule_activation(rule, {"x": {"a": d1}, "y": {"b": d2}})
+        return rule.activation({"x": {"a": d1}, "y": {"b": d2}})
 
     def test_min_of_degrees(self):
         assert self.make(0.6, 0.4) == 0.4
@@ -138,7 +137,7 @@ class TestRuleActivation:
     def test_unknown_term(self):
         rule = FuzzyRule((("x", "missing"),), ("z", "c"))
         with pytest.raises(UnknownTermError):
-            rule_activation(rule, {"x": {"a": 1.0}})
+            rule.activation({"x": {"a": 1.0}})
 
 
 def tiny_subsystem():
@@ -158,21 +157,27 @@ def tiny_subsystem():
 class TestInfer:
     def test_single_full_rule_equals_consequent(self):
         fs = tiny_subsystem()
-        agg = infer(fs, {"x": 0.25})
+        agg = fs.infer({"x": 0.25})
         expected = fs.output.term("mid").sample(agg.xs)
         assert np.array_equal(agg.degrees, expected)
 
     def test_all_zero_activations_give_zero_aggregate(self):
         fs = tiny_subsystem()
-        agg = infer(fs, {"x": 1.0})  # "on" degree is 0 at x=1
+        agg = fs.infer({"x": 1.0})  # "on" degree is 0 at x=1
         assert not np.any(agg.degrees)
         with pytest.raises(NoRuleFiredError):
-            defuzzify_centroid(agg)
+            agg.defuzzify_centroid()
 
     def test_fs1_cool_cell_fires_fully(self, fs1):
-        agg = infer(fs1, {"indoor_temperature": 20.0, "indoor_humidity": 0.35})
+        agg = fs1.infer({"indoor_temperature": 20.0, "indoor_humidity": 0.35})
         expected = fs1.output.term("cool").sample(agg.xs)
         assert np.array_equal(agg.degrees, expected)
+
+    def test_aggregate_carries_activations_in_rule_order(self, fs1):
+        crisp = {"indoor_temperature": 20.5, "indoor_humidity": 0.37}
+        agg = fs1.infer(crisp)
+        assert agg.activations == tuple(fs1.activations(crisp))
+        assert len(agg.activations) == len(fs1.rules) == 16
 
     def test_rule_referencing_unknown_variable_rejected(self):
         x = LinguisticVariable("x", 0, 1, (("on", TRAP(0, 0, 0.5, 1)),))
@@ -189,18 +194,18 @@ class TestDefuzzify:
     def test_full_symmetric_triangle(self):
         xs = self.grid_for(0, 100)
         agg = AggregatedOutput("v", xs, TRI(40, 55, 70).sample(xs))
-        assert defuzzify_centroid(agg) == pytest.approx(55.0, abs=0.1)
+        assert agg.defuzzify_centroid() == pytest.approx(55.0, abs=0.1)
 
     def test_clipped_symmetric_triangle_keeps_centroid(self):
         xs = self.grid_for(0, 100)
         clipped = np.minimum(0.5, TRI(40, 55, 70).sample(xs))
         agg = AggregatedOutput("v", xs, clipped)
-        assert defuzzify_centroid(agg) == pytest.approx(55.0, abs=0.1)
+        assert agg.defuzzify_centroid() == pytest.approx(55.0, abs=0.1)
 
     def test_all_zero_raises(self):
         xs = self.grid_for(0, 100)
         with pytest.raises(NoRuleFiredError):
-            defuzzify_centroid(AggregatedOutput("v", xs, np.zeros_like(xs)))
+            AggregatedOutput("v", xs, np.zeros_like(xs)).defuzzify_centroid()
 
     @given(st.floats(0.01, 1.0), st.floats(0.0, 100.0), st.floats(0.0, 100.0))
     def test_centroid_stays_in_universe(self, height, p1, p2):
@@ -211,7 +216,7 @@ class TestDefuzzify:
         mu = np.minimum(height, TRI(a, (a + c) / 2, c).sample(xs))
         if not np.any(mu):
             return
-        value = defuzzify_centroid(AggregatedOutput("v", xs, mu))
+        value = AggregatedOutput("v", xs, mu).defuzzify_centroid()
         assert 0.0 <= value <= 100.0
 
     def test_centroid_within_hull_of_active_supports(self, fs1):

@@ -5,7 +5,8 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import FIS_FILES
 from fuzzgate.cascade import bundled_fis_dir
-from fuzzgate.dsl import FisDocument, parse, serialize, validate
+from fuzzgate.dsl import (FisDocument, load_subsystem, parse, serialize,
+                          validate)
 
 MINIMAL = """\
 system demo
@@ -62,6 +63,24 @@ class TestParse:
         errors = [d for d in diags if d.severity == "error"]
         assert len(errors) >= 2
 
+    @pytest.mark.parametrize("line, column", [
+        ("input x universe nan 10", 18),
+        ("input x universe 0 inf", 20),
+        ("  term a triangle 0 nan 10", 21),
+        ("  term a trapezoid 0 1 2 -Infinity", 26),
+    ])
+    def test_non_finite_number_is_spanned_error(self, line, column):
+        if line.startswith("input"):
+            text = f"system s\n{line}\n"
+        else:
+            text = f"system s\ninput x universe 0 10\n{line}\n"
+        _, diags = parse(text)
+        errors = [d for d in diags if d.severity == "error"]
+        assert len(errors) == 1
+        assert errors[0].span.line == text.count("\n")
+        assert errors[0].span.column == column
+        assert "finite" in errors[0].message
+
     def test_missing_system_is_error(self):
         doc, diags = parse("input x universe 0 1\n  term t triangle 0 0.5 1\n")
         assert doc is None
@@ -70,6 +89,17 @@ class TestParse:
     def test_term_outside_variable(self):
         doc, diags = parse("system s\nterm t triangle 0 1 2\n")
         assert any("outside" in d.message for d in diags)
+
+
+class TestLoadSubsystem:
+    def test_non_utf8_file_is_spanned_error(self, tmp_path):
+        path = tmp_path / "latin1.fis.txt"
+        path.write_bytes(MINIMAL.encode() + "# caf\u00e9 \u00e9\n".encode("latin-1"))
+        subsystem, diags = load_subsystem(path)
+        assert subsystem is None
+        assert len(diags) == 1 and diags[0].severity == "error"
+        assert (diags[0].span.line, diags[0].span.column) == (4, 6)
+        assert "UTF-8" in diags[0].message
 
 
 class TestValidate:
