@@ -8,8 +8,7 @@ from .cascade import (Cascade, CascadeBuildError, DecisionTrace,
                       decide, load_manifest)
 from .energy import (EnergyMode, PacketSpec, RadioSpec, packet_energy,
                      packet_time, total_energy)
-from .sim import (ColumnMapping, ComparisonReport, SimulationResult,
-                  TelemetryRecord, compare, load_telemetry, run_fuzzy,
-                  run_traditional)
+from .sim import (ColumnMapping, SimulationResult, TelemetryRecord,
+                  load_telemetry, run_fuzzy)
 
 __version__ = "0.1.0"

@@ -47,18 +47,13 @@ class DecisionTrace:
     fired: tuple[FiredRule, ...]
 
 
-def decide(score: float, threshold: float = DEFAULT_THRESHOLD,
-           tie_send: bool = True) -> str:
+def decide(score: float, threshold: float = DEFAULT_THRESHOLD) -> str:
     """Map the crisp decision score to a send / not-send label.
 
-    Send below the threshold; a score exactly at the threshold is Send under
-    the fail-safe tie policy (monitoring continuity wins), NotSend otherwise.
+    Send below the threshold; a score exactly at the threshold is Send, the
+    fail-safe tie policy (monitoring continuity wins). NotSend above it.
     """
-    if score < threshold:
-        return SEND
-    if score == threshold and tie_send:
-        return SEND
-    return NOT_SEND
+    return SEND if score <= threshold else NOT_SEND
 
 
 @dataclass(frozen=True)
@@ -68,7 +63,6 @@ class Cascade:
     fs3: FuzzySubsystem
     externals: dict[str, tuple[str, str]]  # external name -> (node, variable)
     threshold: float = DEFAULT_THRESHOLD
-    tie_send: bool = True
 
     @property
     def nodes(self) -> dict[str, FuzzySubsystem]:
@@ -123,7 +117,7 @@ class Cascade:
             self.fs1.output.name: apparent,
             self.fs2.output.name: usage,
         })
-        label = decide(score, self.threshold, self.tie_send)
+        label = decide(score, self.threshold)
         return DecisionTrace(
             inputs={k: float(v) for k, v in inputs.items()},
             clamped=tuple(clamped),
@@ -136,14 +130,14 @@ class Cascade:
 
 def build_cascade(fs1: FuzzySubsystem, fs2: FuzzySubsystem, fs3: FuzzySubsystem,
                   externals: dict[str, tuple[str, str]] | None = None,
-                  threshold: float = DEFAULT_THRESHOLD,
-                  tie_send: bool = True) -> Cascade:
+                  threshold: float = DEFAULT_THRESHOLD) -> Cascade:
     """Wire FS1 and FS2 outputs into FS3 and bind the four externals.
 
-    Without `externals`, DEFAULT_EXTERNALS bind by position to the FS1 then
-    FS2 inputs. Raises WiringMismatchError when an FS3 input does not match
-    the name and universe of the corresponding producer output, and
-    CascadeBuildError for bad external bindings or a non-finite threshold.
+    The external names are DEFAULT_EXTERNALS; without `externals`, they bind
+    by position to the FS1 then FS2 inputs. Raises WiringMismatchError when
+    an FS3 input does not match the name and universe of the corresponding
+    producer output, and CascadeBuildError for bad external bindings or a
+    non-finite threshold.
     """
     if not math.isfinite(threshold):
         # A NaN threshold would label every record NotSend.
@@ -194,8 +188,13 @@ def build_cascade(fs1: FuzzySubsystem, fs2: FuzzySubsystem, fs3: FuzzySubsystem,
     if seen_slots != expected:
         unfed = sorted(".".join(s) for s in expected - seen_slots)
         raise CascadeBuildError(f"stage-one inputs not fed by any external: {unfed}")
+    if set(externals) != set(DEFAULT_EXTERNALS):
+        # Callers supply readings under these four names only.
+        raise CascadeBuildError(
+            f"external names must be {list(DEFAULT_EXTERNALS)}, "
+            f"got {sorted(externals)}")
 
-    return Cascade(fs1, fs2, fs3, dict(externals), threshold, tie_send)
+    return Cascade(fs1, fs2, fs3, dict(externals), threshold)
 
 
 #: The manifest that wires the bundled definition files.

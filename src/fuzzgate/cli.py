@@ -15,8 +15,7 @@ from .cascade import (BUNDLED_MANIFEST, FIS_KEYS, CascadeBuildError,
 from .core import FuzzyError
 from .dsl import load_subsystem
 from .energy import EnergyMode, PacketSpec, RadioSpec
-from .sim import ColumnMapping, TelemetryError, compare, load_telemetry, \
-    run_fuzzy, run_traditional
+from .sim import ColumnMapping, TelemetryError, load_telemetry, run_fuzzy
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -140,35 +139,37 @@ def cmd_eval(args) -> int:
 
 def cmd_simulate(args) -> int:
     c = _build_cascade(args)
-    mode = _build_energy_mode(args)
-    mapping = _build_mapping(args)
+    try:
+        mode = _build_energy_mode(args)
+        mapping = _build_mapping(args)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_DOMAIN
     policy = "strict" if args.strict else "skip-bad"
     records, report = load_telemetry(args.dataset, mapping, policy)
 
-    traditional = run_traditional(records, mode, skipped=report.skipped)
-    fuzzy = run_fuzzy(records, c, mode, failsafe=args.failsafe,
-                      skipped=report.skipped)
-    comparison = compare(traditional, fuzzy)
+    result = run_fuzzy(records, c, mode, failsafe=args.failsafe,
+                       skipped=report.skipped)
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     summary = {
-        "records": comparison.records,
+        "records": len(records),
         "skipped_rows": report.skipped,
         "traditional": {
-            "transmissions": traditional.transmissions,
-            "total_joules": traditional.total_joules,
+            "transmissions": len(records),
+            "total_joules": result.traditional_joules,
         },
         "fuzzy": {
-            "transmissions": fuzzy.transmissions,
-            "suppressed": fuzzy.suppressed,
-            "failsafe_sends": fuzzy.failsafe_sends,
-            "clamped_records": fuzzy.clamped_records,
-            "total_joules": fuzzy.total_joules,
+            "transmissions": result.transmissions,
+            "suppressed": result.suppressed,
+            "failsafe_sends": result.failsafe_sends,
+            "clamped_records": result.clamped_records,
+            "total_joules": result.total_joules,
         },
-        "joules_per_packet": fuzzy.joules_per_packet,
-        "energy_reduction_pct": comparison.reduction_pct,
-        "transmission_reduction_pct": comparison.count_reduction_pct,
+        "joules_per_packet": result.joules_per_packet,
+        "energy_reduction_pct": result.reduction_pct,
+        "transmission_reduction_pct": result.count_reduction_pct,
     }
     (out_dir / "summary.json").write_text(
         json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8")
@@ -177,7 +178,7 @@ def cmd_simulate(args) -> int:
         fh.write("index,timestamp,temperature,humidity,appliance_energy,"
                  "time_of_day,apparent_temperature,appliance_usage_time,"
                  "score,label,clamped,failsafe\n")
-        for d in fuzzy.decisions:
+        for d in result.decisions:
             def opt(x):
                 return "" if x is None else repr(x)
             fh.write(f"{d.index},{d.timestamp:%Y-%m-%d %H:%M:%S},"
@@ -188,21 +189,21 @@ def cmd_simulate(args) -> int:
 
     with open(out_dir / "cumulative.csv", "w", encoding="utf-8", newline="") as fh:
         fh.write("index,traditional_joules,fuzzy_joules\n")
-        for i, (t, f) in enumerate(comparison.cumulative):
+        for i, (t, f) in enumerate(result.cumulative):
             fh.write(f"{i},{t!r},{f!r}\n")
 
     print(f"{'':<28}{'Traditional':>14}{'Fuzzy':>14}")
-    print(f"{'Total transmissions':<28}{traditional.transmissions:>14}"
-          f"{fuzzy.transmissions:>14}")
-    print(f"{'Total energy (J)':<28}{traditional.total_joules:>14.1f}"
-          f"{fuzzy.total_joules:>14.1f}")
-    print(f"Energy reduction: {comparison.reduction_pct:.1f}%")
+    print(f"{'Total transmissions':<28}{len(records):>14}"
+          f"{result.transmissions:>14}")
+    print(f"{'Total energy (J)':<28}{result.traditional_joules:>14.1f}"
+          f"{result.total_joules:>14.1f}")
+    print(f"Energy reduction: {result.reduction_pct:.1f}%")
     if report.skipped:
         print(f"Skipped rows: {report.skipped}")
-    if fuzzy.clamped_records:
-        print(f"Clamped records: {fuzzy.clamped_records}")
-    if fuzzy.failsafe_sends:
-        print(f"Fail-safe sends: {fuzzy.failsafe_sends}")
+    if result.clamped_records:
+        print(f"Clamped records: {result.clamped_records}")
+    if result.failsafe_sends:
+        print(f"Fail-safe sends: {result.failsafe_sends}")
     print(f"Reports written to {out_dir}/")
     return EXIT_OK
 

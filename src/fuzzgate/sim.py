@@ -1,11 +1,10 @@
 """Telemetry replay: load a CSV of sensor readings, gate each record through
-the cascade, and compare transmission counts and energy against the
-always-send baseline.
+the cascade, and price the gated run against the always-send baseline in the
+same pass.
 """
 from __future__ import annotations
 
 import csv
-import hashlib
 import math
 from dataclasses import dataclass
 from datetime import datetime
@@ -33,10 +32,6 @@ class RowError(TelemetryError):
         self.row = row
         self.field_name = field_name
         super().__init__(f"row {row}, field '{field_name}': {message}")
-
-
-class MismatchedRunsError(TelemetryError):
-    """Comparison between results over different record sets."""
 
 
 @dataclass(frozen=True)
@@ -91,21 +86,24 @@ def load_telemetry(path: str | Path, mapping: ColumnMapping | None = None,
     mapping = mapping or ColumnMapping()
     records: list[TelemetryRecord] = []
     skipped_rows: list[int] = []
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
-        wanted = [mapping.timestamp, mapping.temperature, mapping.humidity,
-                  mapping.appliance_energy]
-        missing = [c for c in wanted if c not in header]
-        if missing:
-            raise MissingColumnError(missing, path)
-        for rownum, row in enumerate(reader, start=2):  # row 1 is the header
-            try:
-                records.append(_parse_row(row, mapping, rownum))
-            except RowError:
-                if policy == "strict":
-                    raise
-                skipped_rows.append(rownum)
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            reader = csv.DictReader(fh)
+            header = reader.fieldnames or []
+            wanted = [mapping.timestamp, mapping.temperature, mapping.humidity,
+                      mapping.appliance_energy]
+            missing = [c for c in wanted if c not in header]
+            if missing:
+                raise MissingColumnError(missing, path)
+            for rownum, row in enumerate(reader, start=2):  # row 1 is the header
+                try:
+                    records.append(_parse_row(row, mapping, rownum))
+                except RowError:
+                    if policy == "strict":
+                        raise
+                    skipped_rows.append(rownum)
+    except UnicodeDecodeError as exc:
+        raise TelemetryError(f"{path}: {exc}") from None
     return records, LoadReport(len(records), len(skipped_rows), tuple(skipped_rows))
 
 
@@ -155,6 +153,9 @@ class Decision:
 
 @dataclass(frozen=True)
 class SimulationResult:
+    """The gated run over a record set, priced against always-send on the
+    same records."""
+
     total_records: int
     transmissions: int
     suppressed: int
@@ -163,53 +164,18 @@ class SimulationResult:
     clamped_records: int
     joules_per_packet: float
     total_joules: float
+    traditional_joules: float
+    reduction_pct: float
+    count_reduction_pct: float
     decisions: tuple[Decision, ...]
-    cumulative_joules: tuple[float, ...]
-    records_digest: str
-
-
-def _digest(records: list[TelemetryRecord]) -> str:
-    h = hashlib.sha256()
-    for r in records:
-        h.update(f"{r.timestamp.isoformat()}|{r.temperature!r}|{r.humidity!r}|"
-                 f"{r.appliance_energy!r}\n".encode())
-    return h.hexdigest()
-
-
-def run_traditional(records: list[TelemetryRecord], mode: EnergyMode,
-                    skipped: int = 0) -> SimulationResult:
-    """Always-send baseline: one transmission and one energy step per record."""
-    per_packet = packet_energy(mode)
-    decisions = []
-    cumulative = []
-    total = 0.0
-    for i, record in enumerate(records):
-        total += per_packet
-        cumulative.append(total)
-        decisions.append(Decision(
-            index=i, timestamp=record.timestamp, temperature=record.temperature,
-            humidity=record.humidity, appliance_energy=record.appliance_energy,
-            time_of_day=record.time_of_day, apparent_temperature=None,
-            appliance_usage_time=None, score=None, label=SEND))
-    return SimulationResult(
-        total_records=len(records) + skipped,
-        transmissions=len(records),
-        suppressed=0,
-        skipped=skipped,
-        failsafe_sends=0,
-        clamped_records=0,
-        joules_per_packet=per_packet,
-        total_joules=len(records) * per_packet,
-        decisions=tuple(decisions),
-        cumulative_joules=tuple(cumulative),
-        records_digest=_digest(records),
-    )
+    cumulative: tuple[tuple[float, float], ...]  # (always-send, gated) per record
 
 
 def run_fuzzy(records: list[TelemetryRecord], cascade: Cascade, mode: EnergyMode,
               failsafe: str = "send", skipped: int = 0) -> SimulationResult:
     """Gate each record through the cascade; transmit only on a Send label.
 
+    Always-send, which transmits every record, is priced in the same pass.
     Out-of-universe readings are clamped to the nearest universe bound and
     counted. When no rule fires at some node, failsafe="send" transmits the
     record anyway (monitoring must not silently drop data); "drop" suppresses.
@@ -222,13 +188,15 @@ def run_fuzzy(records: list[TelemetryRecord], cascade: Cascade, mode: EnergyMode
     transmissions = 0
     failsafe_sends = 0
     clamped_records = 0
-    total = 0.0
+    always = 0.0
+    gated = 0.0
     for i, record in enumerate(records):
+        time_of_day = record.time_of_day
         inputs = {
             "temperature": record.temperature,
             "humidity": record.humidity,
             "appliance_energy": record.appliance_energy,
-            "time_of_day": record.time_of_day,
+            "time_of_day": time_of_day,
         }
         try:
             trace = cascade.evaluate(inputs, clamp=True)
@@ -246,16 +214,23 @@ def run_fuzzy(records: list[TelemetryRecord], cascade: Cascade, mode: EnergyMode
             index=i, timestamp=record.timestamp,
             temperature=record.temperature, humidity=record.humidity,
             appliance_energy=record.appliance_energy,
-            time_of_day=record.time_of_day, apparent_temperature=apparent,
+            time_of_day=time_of_day, apparent_temperature=apparent,
             appliance_usage_time=usage, score=score, label=label,
             clamped=clamped, failsafe=fell_back)
-        send = label == SEND
         clamped_records += int(clamped)
-        if send:
+        always += per_packet
+        if label == SEND:
             transmissions += 1
-            total += per_packet
-        cumulative.append(total)
+            gated += per_packet
+        cumulative.append((always, gated))
         decisions.append(decision)
+    traditional_joules = len(records) * per_packet
+    total_joules = transmissions * per_packet
+    reduction = count_reduction = 0.0
+    if traditional_joules > 0:
+        reduction = (1.0 - total_joules / traditional_joules) * 100.0
+    if records:
+        count_reduction = (1.0 - transmissions / len(records)) * 100.0
     return SimulationResult(
         total_records=len(records) + skipped,
         transmissions=transmissions,
@@ -264,48 +239,10 @@ def run_fuzzy(records: list[TelemetryRecord], cascade: Cascade, mode: EnergyMode
         failsafe_sends=failsafe_sends,
         clamped_records=clamped_records,
         joules_per_packet=per_packet,
-        total_joules=transmissions * per_packet,
-        decisions=tuple(decisions),
-        cumulative_joules=tuple(cumulative),
-        records_digest=_digest(records),
-    )
-
-
-@dataclass(frozen=True)
-class ComparisonReport:
-    records: int
-    traditional_transmissions: int
-    fuzzy_transmissions: int
-    traditional_joules: float
-    fuzzy_joules: float
-    reduction_pct: float
-    count_reduction_pct: float
-    cumulative: tuple[tuple[float, float], ...]  # (traditional, fuzzy) per record
-
-
-def compare(traditional: SimulationResult, fuzzy: SimulationResult
-            ) -> ComparisonReport:
-    """Side-by-side report; both results must cover the same record set."""
-    if (traditional.records_digest != fuzzy.records_digest
-            or len(traditional.decisions) != len(fuzzy.decisions)):
-        raise MismatchedRunsError(
-            "cannot compare simulation results over different record sets")
-    if traditional.total_joules > 0:
-        reduction = (1.0 - fuzzy.total_joules / traditional.total_joules) * 100.0
-    else:
-        reduction = 0.0
-    if traditional.transmissions > 0:
-        count_reduction = (1.0 - fuzzy.transmissions / traditional.transmissions) * 100.0
-    else:
-        count_reduction = 0.0
-    return ComparisonReport(
-        records=len(traditional.decisions),
-        traditional_transmissions=traditional.transmissions,
-        fuzzy_transmissions=fuzzy.transmissions,
-        traditional_joules=traditional.total_joules,
-        fuzzy_joules=fuzzy.total_joules,
+        total_joules=total_joules,
+        traditional_joules=traditional_joules,
         reduction_pct=reduction,
         count_reduction_pct=count_reduction,
-        cumulative=tuple(zip(traditional.cumulative_joules,
-                             fuzzy.cumulative_joules)),
+        decisions=tuple(decisions),
+        cumulative=tuple(cumulative),
     )

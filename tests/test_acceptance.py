@@ -15,7 +15,7 @@ from fuzzgate.cli import main as cli_main
 from fuzzgate.dsl import parse, serialize, validate
 from fuzzgate.energy import EnergyMode, PacketSpec, RadioSpec, packet_energy, \
     packet_time, total_energy
-from fuzzgate.sim import compare, load_telemetry, run_fuzzy, run_traditional
+from fuzzgate.sim import load_telemetry, run_fuzzy
 
 from conftest import FIS_FILES, load_bundled
 from fuzzgate.cascade import bundled_fis_dir, decide
@@ -95,15 +95,13 @@ class TestAcceptance:
         start = time.perf_counter()
         records, load_report = load_telemetry(dataset, policy="skip-bad")
         mode = EnergyMode.calibrated()
-        traditional = run_traditional(records, mode, skipped=load_report.skipped)
         fuzzy = run_fuzzy(records, cascade, mode, skipped=load_report.skipped)
-        comparison = compare(traditional, fuzzy)
         elapsed = time.perf_counter() - start
         ok = (fuzzy.transmissions < 19735
-              and 6.0 <= comparison.reduction_pct <= 18.0
+              and 6.0 <= fuzzy.reduction_pct <= 18.0
               and elapsed < 60.0)
         report(3, ok, f"{len(records)} records, fuzzy {fuzzy.transmissions} tx, "
-                      f"reduction {comparison.reduction_pct:.1f}%, {elapsed:.0f}s")
+                      f"reduction {fuzzy.reduction_pct:.1f}%, {elapsed:.0f}s")
 
     def test_criterion_4_absolute_energy_reproduction(self):
         start = time.perf_counter()
@@ -125,12 +123,11 @@ class TestAcceptance:
                  EnergyMode.physical(RadioSpec(), PacketSpec(400, 8000))]
         ok = True
         for mode in modes:
-            traditional = run_traditional(records, mode)
             fuzzy = run_fuzzy(records, cascade, mode)
             if fuzzy.transmissions == 0:
                 continue
-            energy_ratio = fuzzy.total_joules / traditional.total_joules
-            count_ratio = fuzzy.transmissions / traditional.transmissions
+            energy_ratio = fuzzy.total_joules / fuzzy.traditional_joules
+            count_ratio = fuzzy.transmissions / len(records)
             ok = ok and abs(energy_ratio - count_ratio) <= 1e-9
         report(5, ok, f"{len(modes)} uniform modes")
 

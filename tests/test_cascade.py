@@ -75,7 +75,6 @@ class TestDecide:
 
     def test_tie_policy_defaults_to_send(self):
         assert decide(50.0, 50.0) == "send"
-        assert decide(50.0, 50.0, tie_send=False) == "not_send"
 
 
 class TestEvaluate:

@@ -1,8 +1,13 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import fuzzgate
 from conftest import FIS_FILES, write_manifest
 from fuzzgate.cascade import bundled_fis_dir
 from fuzzgate.cli import main
@@ -230,6 +235,43 @@ class TestBadInput:
         code, _, err = run(capsys, ["eval", *READING, "--manifest", str(manifest)])
         assert code == 1
         assert "invalid UTF-8" in err
+
+    @pytest.mark.parametrize("command", ["eval", "simulate"])
+    def test_unknown_external_name(self, capsys, tmp_path, fixture_csv, command):
+        manifest = write_manifest(tmp_path / "m.manifest", (
+            "external temp = fs1.indoor_temperature\n"
+            "external humidity = fs1.indoor_humidity\n"
+            "external appliance_energy = fs2.appliance_energy\n"
+            "external time_of_day = fs2.time_of_read\n"))
+        args = READING if command == "eval" else [
+            "--dataset", str(fixture_csv), "--out", str(tmp_path / "out")]
+        code, _, err = run(capsys, [command, *args, "--manifest", str(manifest)])
+        assert code == 1
+        assert err.startswith("error: external names must be")
+        assert "'temp'" in err
+
+    @pytest.mark.parametrize("options, csv_bytes", [
+        (["--per-packet-joules", "0"], None),
+        (["--energy-mode", "physical", "--current", "-1"], None),
+        (["--map-temp", "date"], None),
+        ([], b"date,T1,RH_1,Appliances\n2016-01-11 17:00:00,20,40,caf\xe9\n"),
+    ], ids=["zero-joules", "negative-current", "duplicate-column", "non-utf8-csv"])
+    def test_bad_simulate_input(self, tmp_path, fixture_csv, options, csv_bytes):
+        # A separate process, so the assertion sees what a shell user sees.
+        dataset = fixture_csv
+        if csv_bytes is not None:
+            dataset = tmp_path / "latin1.csv"
+            dataset.write_bytes(csv_bytes)
+        env = dict(os.environ, PYTHONPATH=str(Path(fuzzgate.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "fuzzgate.cli", "simulate", "--dataset",
+             str(dataset), "--out", str(tmp_path / "out"), *options],
+            capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: ")
+        if csv_bytes is not None:
+            assert str(dataset) in proc.stderr
 
     def test_out_dir_under_a_file(self, capsys, tmp_path, fixture_csv):
         blocker = tmp_path / "file"

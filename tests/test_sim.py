@@ -4,9 +4,8 @@ from datetime import datetime, timedelta
 import pytest
 
 from fuzzgate.energy import EnergyMode, PacketSpec, RadioSpec
-from fuzzgate.sim import (ColumnMapping, MismatchedRunsError,
-                          MissingColumnError, RowError, TelemetryRecord,
-                          compare, load_telemetry, run_fuzzy, run_traditional)
+from fuzzgate.sim import (ColumnMapping, MissingColumnError, RowError,
+                          TelemetryRecord, load_telemetry, run_fuzzy)
 
 CALIBRATED = EnergyMode.calibrated()
 
@@ -75,23 +74,29 @@ class TestLoadTelemetry:
 
 
 class TestRunTraditional:
-    def test_every_record_transmits(self):
-        records = make_records(10)
-        result = run_traditional(records, CALIBRATED)
-        assert result.transmissions == 10
-        assert result.suppressed == 0
-        assert len(result.cumulative_joules) == 10
-        assert result.total_joules == pytest.approx(10 * result.joules_per_packet)
+    """The always-send baseline, which run_fuzzy prices in the same pass."""
 
-    def test_empty_run(self):
-        result = run_traditional([], CALIBRATED)
+    def test_every_record_transmits(self, cascade):
+        records = make_records(10)
+        result = run_fuzzy(records, cascade, CALIBRATED)
+        assert result.traditional_joules == 10 * result.joules_per_packet
+        assert len(result.cumulative) == 10
+        assert result.cumulative[-1][0] == pytest.approx(result.traditional_joules)
+        assert result.transmissions + result.suppressed == 10
+
+    def test_empty_run(self, cascade):
+        result = run_fuzzy([], cascade, CALIBRATED)
         assert result.transmissions == 0
         assert result.total_joules == 0.0
+        assert result.traditional_joules == 0.0
+        assert result.reduction_pct == 0.0
+        assert result.count_reduction_pct == 0.0
+        assert result.cumulative == ()
 
-    def test_physical_linearity(self):
+    def test_physical_linearity(self, cascade):
         mode = EnergyMode.physical(RadioSpec(), PacketSpec(6_000_000, 0))
-        result = run_traditional(make_records(2), mode)
-        assert result.total_joules == pytest.approx(2.8, rel=1e-12)
+        result = run_fuzzy(make_records(2), cascade, mode)
+        assert result.traditional_joules == pytest.approx(2.8, rel=1e-12)
 
 
 class TestRunFuzzy:
@@ -116,17 +121,16 @@ class TestRunFuzzy:
 
     def test_gate_only_suppresses(self, cascade, fixture_csv):
         records, _ = load_telemetry(fixture_csv)
-        traditional = run_traditional(records, CALIBRATED)
         fuzzy = run_fuzzy(records, cascade, CALIBRATED)
-        assert fuzzy.transmissions <= traditional.transmissions
+        assert fuzzy.transmissions <= len(records)
+        assert fuzzy.total_joules <= fuzzy.traditional_joules
         assert fuzzy.transmissions + fuzzy.suppressed + fuzzy.skipped == \
             fuzzy.total_records
 
     def test_cumulative_series_non_decreasing(self, cascade, fixture_csv):
         records, _ = load_telemetry(fixture_csv)
-        for result in (run_traditional(records, CALIBRATED),
-                       run_fuzzy(records, cascade, CALIBRATED)):
-            series = result.cumulative_joules
+        cumulative = run_fuzzy(records, cascade, CALIBRATED).cumulative
+        for series in zip(*cumulative):  # always-send, then gated
             assert all(a <= b for a, b in zip(series, series[1:]))
 
     def test_out_of_universe_clamped_and_counted(self, cascade):
@@ -183,42 +187,35 @@ class TestFullScaleReplay:
         t0 = time.perf_counter()
         fuzzy = run_fuzzy(records, cascade, CALIBRATED)
         elapsed = time.perf_counter() - t0
-        traditional = run_traditional(records, CALIBRATED)
-        report = compare(traditional, fuzzy)
         assert elapsed < 60.0
-        assert fuzzy.transmissions < traditional.transmissions
-        assert 0.0 < report.reduction_pct < 100.0
+        assert fuzzy.transmissions < len(records)
+        assert 0.0 < fuzzy.reduction_pct < 100.0
 
 
 class TestCompare:
+    """Reductions of the gated run against always-send."""
+
     def test_reference_counts_reduction(self):
         # pin counts to the reference run: 17410 of 19735 transmitted
-        records = make_records(1)
-        traditional = run_traditional(records, CALIBRATED)
         report_like = (1 - 17410 / 19735) * 100
         assert round(report_like, 1) == 11.8
 
     def test_comparison_report_fields(self, cascade, fixture_csv):
         records, _ = load_telemetry(fixture_csv)
-        traditional = run_traditional(records, CALIBRATED)
-        fuzzy = run_fuzzy(records, cascade, CALIBRATED)
-        report = compare(traditional, fuzzy)
-        assert report.records == 50
-        assert report.traditional_transmissions == 50
-        assert report.reduction_pct == pytest.approx(
-            (1 - fuzzy.total_joules / traditional.total_joules) * 100)
-        assert report.reduction_pct == pytest.approx(
-            report.count_reduction_pct, abs=1e-9)
-        assert len(report.cumulative) == 50
+        result = run_fuzzy(records, cascade, CALIBRATED)
+        assert len(result.decisions) == 50
+        assert result.traditional_joules == 50 * result.joules_per_packet
+        assert result.reduction_pct == pytest.approx(
+            (1 - result.total_joules / result.traditional_joules) * 100)
+        assert result.reduction_pct == pytest.approx(
+            result.count_reduction_pct, abs=1e-9)
+        assert len(result.cumulative) == 50
 
-    def test_identical_results_zero_reduction(self, fixture_csv):
-        records, _ = load_telemetry(fixture_csv)
-        a = run_traditional(records, CALIBRATED)
-        b = run_traditional(records, CALIBRATED)
-        assert compare(a, b).reduction_pct == 0.0
-
-    def test_mismatched_record_sets(self, cascade):
-        a = run_traditional(make_records(10, temperature=20.0), CALIBRATED)
-        b = run_traditional(make_records(10, temperature=21.0), CALIBRATED)
-        with pytest.raises(MismatchedRunsError):
-            compare(a, b)
+    def test_identical_results_zero_reduction(self, cascade):
+        # hot apparent temperature with low usage: every record transmits
+        records = make_records(20, temperature=61.5, humidity=0.725,
+                               energy=25.0, hour=3)
+        result = run_fuzzy(records, cascade, CALIBRATED)
+        assert result.transmissions == 20
+        assert result.reduction_pct == 0.0
+        assert result.count_reduction_pct == 0.0
