@@ -22,7 +22,7 @@ DEFAULT_EXTERNALS = ("temperature", "humidity", "appliance_energy", "time_of_day
 
 
 class CascadeBuildError(Exception):
-    """Invalid wiring or external bindings."""
+    """Invalid wiring, manifest or threshold."""
 
 
 class WiringMismatchError(CascadeBuildError):
@@ -61,12 +61,18 @@ class Cascade:
     fs1: FuzzySubsystem
     fs2: FuzzySubsystem
     fs3: FuzzySubsystem
-    externals: dict[str, tuple[str, str]]  # external name -> (node, variable)
     threshold: float = DEFAULT_THRESHOLD
 
     @property
     def nodes(self) -> dict[str, FuzzySubsystem]:
         return {"fs1": self.fs1, "fs2": self.fs2, "fs3": self.fs3}
+
+    @property
+    def externals(self) -> dict[str, tuple[str, str]]:
+        """External name -> (node, input variable), bound by position."""
+        slots = [("fs1", v.name) for v in self.fs1.inputs] + \
+                [("fs2", v.name) for v in self.fs2.inputs]
+        return dict(zip(DEFAULT_EXTERNALS, slots))
 
     def external_variable(self, name: str):
         node, var = self.externals[name]
@@ -79,21 +85,21 @@ class Cascade:
         universe bound and reported in the trace; otherwise they raise
         OutOfUniverseError. NoRuleFiredError propagates with the node name.
         """
-        missing = set(self.externals) - set(inputs)
+        missing = set(DEFAULT_EXTERNALS) - set(inputs)
         if missing:
             raise KeyError(f"missing external inputs: {sorted(missing)}")
 
-        crisp: dict[str, dict[str, float]] = {"fs1": {}, "fs2": {}}
+        node_inputs: tuple[dict[str, float], dict[str, float]] = ({}, {})
         clamped: list[str] = []
-        for name, (node, var_name) in self.externals.items():
+        slots = zip(DEFAULT_EXTERNALS, self.fs1.inputs + self.fs2.inputs)
+        for i, (name, var) in enumerate(slots):
             value = float(inputs[name])
-            var = self.nodes[node].input_variable(var_name)
             if not var.contains(value):
                 if not clamp:
-                    raise OutOfUniverseError(var_name, value, var.lo, var.hi)
+                    raise OutOfUniverseError(var.name, value, var.lo, var.hi)
                 value = var.clamp(value)
                 clamped.append(name)
-            crisp[node][var_name] = value
+            node_inputs[i // 2][var.name] = value  # two readings per node
 
         fired: list[FiredRule] = []
         intermediates: dict[str, float] = {}
@@ -108,8 +114,8 @@ class Cascade:
             except NoRuleFiredError:
                 raise NoRuleFiredError(f"{node}.{fs.output.name}") from None
 
-        apparent = run("fs1", self.fs1, crisp["fs1"])
-        usage = run("fs2", self.fs2, crisp["fs2"])
+        apparent = run("fs1", self.fs1, node_inputs[0])
+        usage = run("fs2", self.fs2, node_inputs[1])
         intermediates[self.fs1.output.name] = apparent
         intermediates[self.fs2.output.name] = usage
 
@@ -129,15 +135,14 @@ class Cascade:
 
 
 def build_cascade(fs1: FuzzySubsystem, fs2: FuzzySubsystem, fs3: FuzzySubsystem,
-                  externals: dict[str, tuple[str, str]] | None = None,
                   threshold: float = DEFAULT_THRESHOLD) -> Cascade:
     """Wire FS1 and FS2 outputs into FS3 and bind the four externals.
 
-    The external names are DEFAULT_EXTERNALS; without `externals`, they bind
-    by position to the FS1 then FS2 inputs. Raises WiringMismatchError when
-    an FS3 input does not match the name and universe of the corresponding
-    producer output, and CascadeBuildError for bad external bindings or a
-    non-finite threshold.
+    The externals bind by position: DEFAULT_EXTERNALS[:2] to the FS1 inputs
+    and DEFAULT_EXTERNALS[2:] to the FS2 inputs, in order. Raises
+    WiringMismatchError when an FS3 input does not match the name and
+    universe of the corresponding producer output, and CascadeBuildError
+    when FS1 or FS2 does not have two inputs or the threshold is not finite.
     """
     if not math.isfinite(threshold):
         # A NaN threshold would label every record NotSend.
@@ -160,41 +165,12 @@ def build_cascade(fs1: FuzzySubsystem, fs2: FuzzySubsystem, fs3: FuzzySubsystem,
         raise WiringMismatchError(
             "decision stage must consume exactly the two distinct "
             "intermediate variables")
-
-    if externals is None:
-        names = DEFAULT_EXTERNALS
-        slots = [("fs1", v.name) for v in fs1.inputs] + \
-                [("fs2", v.name) for v in fs2.inputs]
-        if len(names) != len(slots):
-            raise CascadeBuildError(
-                f"expected {len(names)} stage-one inputs, found {len(slots)}")
-        externals = dict(zip(names, slots))
-
-    nodes = {"fs1": fs1, "fs2": fs2}
-    seen_slots = set()
-    for name, (node, var_name) in externals.items():
-        if node not in nodes:
-            raise CascadeBuildError(f"external '{name}' binds unknown node '{node}'")
-        try:
-            nodes[node].input_variable(var_name)
-        except KeyError:
-            raise CascadeBuildError(
-                f"external '{name}' binds unknown variable '{node}.{var_name}'")
-        if (node, var_name) in seen_slots:
-            raise CascadeBuildError(
-                f"input '{node}.{var_name}' is fed by more than one external")
-        seen_slots.add((node, var_name))
-    expected = {("fs1", v.name) for v in fs1.inputs} | {("fs2", v.name) for v in fs2.inputs}
-    if seen_slots != expected:
-        unfed = sorted(".".join(s) for s in expected - seen_slots)
-        raise CascadeBuildError(f"stage-one inputs not fed by any external: {unfed}")
-    if set(externals) != set(DEFAULT_EXTERNALS):
-        # Callers supply readings under these four names only.
+    if (len(fs1.inputs), len(fs2.inputs)) != (2, 2):
         raise CascadeBuildError(
-            f"external names must be {list(DEFAULT_EXTERNALS)}, "
-            f"got {sorted(externals)}")
-
-    return Cascade(fs1, fs2, fs3, dict(externals), threshold)
+            f"expected {len(DEFAULT_EXTERNALS)} stage-one inputs, two per node, "
+            f"found {len(fs1.inputs)} on '{fs1.name}' and {len(fs2.inputs)} "
+            f"on '{fs2.name}'")
+    return Cascade(fs1, fs2, fs3, threshold)
 
 
 #: The manifest that wires the bundled definition files.
@@ -216,13 +192,11 @@ def _load_or_raise(path: Path) -> FuzzySubsystem:
     return subsystem
 
 
-def parse_manifest(path: str | Path
-                   ) -> tuple[dict[str, Path], dict[str, tuple[str, str]], float]:
+def parse_manifest(path: str | Path) -> tuple[dict[str, Path], float]:
     """Read a key/value manifest file: its definition file paths (relative
-    to its directory), external bindings and threshold."""
+    to its directory) and threshold."""
     path = Path(path)
     fis_paths: dict[str, Path] = {}
-    externals: dict[str, tuple[str, str]] = {}
     threshold = DEFAULT_THRESHOLD
     try:
         text = path.read_text(encoding="utf-8")
@@ -244,16 +218,9 @@ def parse_manifest(path: str | Path
                 raise CascadeBuildError(
                     f"{path}:{lineno}: threshold must be a number, got {value!r}"
                 ) from None
-        elif key.startswith("external "):
-            name = key.split(None, 1)[1]
-            if "." not in value:
-                raise CascadeBuildError(
-                    f"{path}:{lineno}: external binding must be <node>.<variable>")
-            node, var = value.split(".", 1)
-            externals[name] = (node, var)
         else:
             raise CascadeBuildError(f"{path}:{lineno}: unknown key {key!r}")
-    return fis_paths, externals, threshold
+    return fis_paths, threshold
 
 
 def load_manifest(path: str | Path, *, fis1: str | Path | None = None,
@@ -263,15 +230,14 @@ def load_manifest(path: str | Path, *, fis1: str | Path | None = None,
 
     A given fis1/fis2/fis3 path or threshold overrides the manifest's entry.
     """
-    fis_paths, externals, manifest_threshold = parse_manifest(path)
+    fis_paths, manifest_threshold = parse_manifest(path)
     for key, override in zip(FIS_KEYS, (fis1, fis2, fis3)):
         if override is not None:
             fis_paths[key] = Path(override)
         elif key not in fis_paths:
             raise CascadeBuildError(f"manifest {path} is missing '{key}'")
     fs1, fs2, fs3 = (_load_or_raise(fis_paths[key]) for key in FIS_KEYS)
-    return build_cascade(fs1, fs2, fs3, externals=externals or None,
-                         threshold=manifest_threshold if threshold is None
+    return build_cascade(fs1, fs2, fs3, manifest_threshold if threshold is None
                          else threshold)
 
 

@@ -77,14 +77,13 @@ def _build_mapping(args) -> ColumnMapping:
 
 
 def cmd_check(args) -> int:
-    paths = [args.fis1, args.fis2, args.fis3]
-    if not any(paths) and not args.paths:
-        fis_paths, _, _ = parse_manifest(BUNDLED_MANIFEST)
-        args.paths = [str(fis_paths[key]) for key in FIS_KEYS]
-    targets = [p for p in paths if p] + list(args.paths)
+    paths = args.paths
+    if not paths:
+        fis_paths, _ = parse_manifest(BUNDLED_MANIFEST)
+        paths = [str(fis_paths[key]) for key in FIS_KEYS]
     had_error = False
     rule_counts = []
-    for path in targets:
+    for path in paths:
         subsystem, diags = load_subsystem(path)
         for d in diags:
             print(d.format(str(path)))
@@ -219,9 +218,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_check = sub.add_parser("check", help="parse and validate definition files")
     p_check.add_argument("paths", nargs="*", help="definition files "
                          "(defaults to the bundled three)")
-    p_check.add_argument("--fis1")
-    p_check.add_argument("--fis2")
-    p_check.add_argument("--fis3")
     p_check.set_defaults(func=cmd_check)
 
     p_eval = sub.add_parser("eval", help="evaluate one reading through the cascade")

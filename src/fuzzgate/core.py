@@ -109,22 +109,8 @@ class MembershipFunction:
         return (d - x) / (d - hi_core)
 
     def sample(self, xs: np.ndarray) -> np.ndarray:
-        """Vectorized evaluation over an array of crisp values."""
-        if self.kind == "triangle":
-            a, b, c = self.breakpoints
-            lo_core = hi_core = b
-            d = c
-        else:
-            a, lo_core, hi_core, d = self.breakpoints
-        out = np.zeros_like(xs, dtype=float)
-        out[(xs >= lo_core) & (xs <= hi_core)] = 1.0
-        if a < lo_core:
-            rising = (xs > a) & (xs < lo_core)
-            out[rising] = (xs[rising] - a) / (lo_core - a)
-        if hi_core < d:
-            falling = (xs > hi_core) & (xs < d)
-            out[falling] = (d - xs[falling]) / (d - hi_core)
-        return out
+        """Evaluate at each value of a 1-D array of crisp values."""
+        return np.array([self(x) for x in xs.tolist()], dtype=float)
 
 
 @dataclass(frozen=True)

@@ -339,8 +339,8 @@ def validate(doc: FisDocument) -> tuple[FuzzySubsystem | None, list[Diagnostic]]
     """Resolve references and build a ready FuzzySubsystem.
 
     Errors (unknown names, non-monotone breakpoints, supports outside the
-    universe, duplicates, missing output) block the subsystem; an incomplete
-    rule grid is a warning only.
+    universe, duplicates, two rules with the same antecedents, missing
+    output) block the subsystem; an incomplete rule grid is a warning only.
     """
     diagnostics: list[Diagnostic] = []
 
@@ -377,7 +377,12 @@ def validate(doc: FisDocument) -> tuple[FuzzySubsystem | None, list[Diagnostic]]
     if len(outputs) != 1:
         error(f"expected exactly one output variable, found {len(outputs)}", doc.span)
 
+    first_with: dict[frozenset, RuleDecl] = {}  # antecedent set -> first rule
     for rule in doc.rules:
+        earlier = first_with.setdefault(frozenset(rule.antecedents), rule)
+        if earlier is not rule:
+            error(f"rule repeats the antecedents of the rule on line "
+                  f"{earlier.span.line}", rule.span)
         for var_name, term_name in list(rule.antecedents) + [rule.consequent]:
             var = seen.get(var_name)
             if var is None:

@@ -104,6 +104,10 @@ def load_telemetry(path: str | Path, mapping: ColumnMapping | None = None,
                     skipped_rows.append(rownum)
     except UnicodeDecodeError as exc:
         raise TelemetryError(f"{path}: {exc}") from None
+    except csv.Error as exc:
+        # reader.line_num is the last line of the last record read whole.
+        raise TelemetryError(f"{path}: record starting at line "
+                             f"{reader.line_num + 1}: {exc}") from None
     return records, LoadReport(len(records), len(skipped_rows), tuple(skipped_rows))
 
 

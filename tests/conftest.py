@@ -24,7 +24,7 @@ def load_bundled(key):
 def write_manifest(path, extra=""):
     """Write a manifest naming the bundled definition files by absolute
     path, followed by `extra` lines; return its path."""
-    fis_paths, _, _ = parse_manifest(BUNDLED_MANIFEST)
+    fis_paths, _ = parse_manifest(BUNDLED_MANIFEST)
     path.write_text("".join(f"{key} = {fis}\n" for key, fis in fis_paths.items())
                     + extra)
     return path

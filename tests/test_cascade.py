@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from conftest import write_manifest
@@ -26,7 +28,12 @@ def rescale_output(fs: FuzzySubsystem, lo, hi) -> FuzzySubsystem:
 
 class TestBuild:
     def test_bundled_wiring(self, cascade):
-        assert set(cascade.externals) == set(DEFAULT_EXTERNALS)
+        assert cascade.externals == {
+            "temperature": ("fs1", "indoor_temperature"),
+            "humidity": ("fs1", "indoor_humidity"),
+            "appliance_energy": ("fs2", "appliance_energy"),
+            "time_of_day": ("fs2", "time_of_read"),
+        }
         assert cascade.fs3.inputs[0].name == cascade.fs1.output.name
         assert cascade.fs3.inputs[1].name == cascade.fs2.output.name
         assert cascade.threshold == 50.0
@@ -36,34 +43,16 @@ class TestBuild:
         with pytest.raises(WiringMismatchError):
             build_cascade(fs1, fs2, edited)
 
-    def test_duplicate_external_binding(self, fs1, fs2, fs3):
-        externals = {
-            "temperature": ("fs1", "indoor_temperature"),
-            "also_temperature": ("fs1", "indoor_temperature"),
-            "appliance_energy": ("fs2", "appliance_energy"),
-            "time_of_day": ("fs2", "time_of_read"),
-        }
-        with pytest.raises(CascadeBuildError):
-            build_cascade(fs1, fs2, fs3, externals=externals)
-
     def test_unfed_input_rejected(self, fs1, fs2, fs3):
-        externals = {
-            "temperature": ("fs1", "indoor_temperature"),
-            "humidity": ("fs1", "indoor_humidity"),
-            "appliance_energy": ("fs2", "appliance_energy"),
-        }
-        with pytest.raises(CascadeBuildError):
-            build_cascade(fs1, fs2, fs3, externals=externals)
-
-    def test_unknown_variable_in_external(self, fs1, fs2, fs3):
-        externals = {
-            "temperature": ("fs1", "nope"),
-            "humidity": ("fs1", "indoor_humidity"),
-            "appliance_energy": ("fs2", "appliance_energy"),
-            "time_of_day": ("fs2", "time_of_read"),
-        }
-        with pytest.raises(CascadeBuildError):
-            build_cascade(fs1, fs2, fs3, externals=externals)
+        # Stage-one nodes take two readings each, bound by position.
+        extra = replace(fs1.inputs[0], name="extra")
+        for fs1_inputs, fs2_inputs in ((fs1.inputs[:1], fs2.inputs),
+                                       (fs1.inputs + (extra,), fs2.inputs),
+                                       (fs1.inputs + (extra,), fs2.inputs[:1])):
+            with pytest.raises(CascadeBuildError, match="stage-one inputs"):
+                build_cascade(
+                    FuzzySubsystem(fs1.name, fs1_inputs, fs1.output, ()),
+                    FuzzySubsystem(fs2.name, fs2_inputs, fs2.output, ()), fs3)
 
 
 class TestDecide:

@@ -140,6 +140,26 @@ class TestValidate:
         assert subsystem is not None
         assert any(d.severity == "warning" and "grid" in d.message for d in diags)
 
+    @pytest.mark.parametrize("antecedents", [
+        "indoor_temperature is low and indoor_humidity is dry",
+        "indoor_humidity is dry and indoor_temperature is low",
+    ], ids=["same-order", "swapped"])
+    def test_duplicate_antecedents_is_spanned_error(self, antecedents):
+        # The rule count still fills the 16-cell grid, but medium/dry has no rule.
+        text = read_bundled("fs1")
+        first = "rule if indoor_temperature is low and indoor_humidity is dry"
+        second = "rule if indoor_temperature is medium and indoor_humidity is dry"
+        first_line, second_line = (
+            next(n for n, ln in enumerate(text.splitlines(), 1) if ln.startswith(r))
+            for r in (first, second))
+        subsystem, diags = self.build(
+            text.replace(second, f"rule if {antecedents}"))
+        assert subsystem is None
+        errors = [d for d in diags if d.severity == "error"]
+        assert len(errors) == 1
+        assert errors[0].span.line == second_line
+        assert f"line {first_line}" in errors[0].message
+
     @pytest.mark.parametrize("key,rules", [("fs1", 16), ("fs2", 20), ("fs3", 16)])
     def test_bundled_files_validate_cleanly(self, key, rules):
         subsystem, diags = self.build(read_bundled(key))
