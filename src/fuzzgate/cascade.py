@@ -240,7 +240,3 @@ def load_manifest(path: str | Path, *, fis1: str | Path | None = None,
     return build_cascade(fs1, fs2, fs3, manifest_threshold if threshold is None
                          else threshold)
 
-
-def bundled_cascade(threshold: float | None = None) -> Cascade:
-    """The cascade the bundled manifest describes."""
-    return load_manifest(BUNDLED_MANIFEST, threshold=threshold)

@@ -14,7 +14,7 @@ from .cascade import (BUNDLED_MANIFEST, FIS_KEYS, CascadeBuildError,
                       load_manifest, parse_manifest)
 from .core import FuzzyError
 from .dsl import load_subsystem
-from .energy import EnergyMode, PacketSpec, RadioSpec
+from .energy import REFERENCE_JOULES_PER_PACKET, packet_energy
 from .sim import ColumnMapping, TelemetryError, load_telemetry, run_fuzzy
 
 EXIT_OK = 0
@@ -54,14 +54,13 @@ def _add_mapping_options(parser: argparse.ArgumentParser):
                         default="percent")
 
 
-def _build_energy_mode(args) -> EnergyMode:
+def _joules_per_packet(args) -> float:
     if args.energy_mode == "physical":
-        radio = RadioSpec(current_a=args.current, voltage_v=args.voltage)
-        packet = PacketSpec(header_bits=args.header_bits, data_bits=args.data_bits)
-        return EnergyMode.physical(radio, packet)
+        return packet_energy(args.current, args.voltage, args.header_bits,
+                             args.data_bits)
     if args.per_packet_joules is not None:
-        return EnergyMode.calibrated(args.per_packet_joules)
-    return EnergyMode.calibrated()
+        return args.per_packet_joules
+    return REFERENCE_JOULES_PER_PACKET
 
 
 def _build_cascade(args):
@@ -138,17 +137,16 @@ def cmd_eval(args) -> int:
 
 def cmd_simulate(args) -> int:
     c = _build_cascade(args)
+    policy = "strict" if args.strict else "skip-bad"
     try:
-        mode = _build_energy_mode(args)
-        mapping = _build_mapping(args)
-    except ValueError as exc:
+        joules_per_packet = _joules_per_packet(args)
+        records, report = load_telemetry(args.dataset, _build_mapping(args),
+                                         policy)
+        result = run_fuzzy(records, c, joules_per_packet)
+    except (ValueError, OverflowError) as exc:
+        # OverflowError: a packet size too large for a float.
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
-    policy = "strict" if args.strict else "skip-bad"
-    records, report = load_telemetry(args.dataset, mapping, policy)
-
-    result = run_fuzzy(records, c, mode, failsafe=args.failsafe,
-                       skipped=report.skipped)
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -166,7 +164,7 @@ def cmd_simulate(args) -> int:
             "clamped_records": result.clamped_records,
             "total_joules": result.total_joules,
         },
-        "joules_per_packet": result.joules_per_packet,
+        "joules_per_packet": joules_per_packet,
         "energy_reduction_pct": result.reduction_pct,
         "transmission_reduction_pct": result.count_reduction_pct,
     }
@@ -241,7 +239,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_energy_options(p_sim)
     _add_mapping_options(p_sim)
     p_sim.add_argument("--dataset", required=True, help="telemetry CSV path")
-    p_sim.add_argument("--failsafe", choices=["send", "drop"], default="send")
     strictness = p_sim.add_mutually_exclusive_group()
     strictness.add_argument("--strict", action="store_true", default=False)
     strictness.add_argument("--skip-bad", dest="strict", action="store_false")

@@ -137,10 +137,6 @@ class LinguisticVariable:
                     f"universe of '{self.name}' [{self.lo}, {self.hi}]"
                 )
 
-    @property
-    def term_names(self) -> tuple[str, ...]:
-        return tuple(t for t, _ in self.terms)
-
     def term(self, name: str) -> MembershipFunction:
         for term, mf in self.terms:
             if term == name:

@@ -81,7 +81,8 @@ class FisDocument:
     span: SourceSpan = field(default=SourceSpan(1, 1, 0))
 
     def structurally_equal(self, other: "FisDocument") -> bool:
-        """Equality up to declaration order and spans."""
+        """Equality up to spans and the order of outputs and rules. Input
+        order counts: the cascade binds its readings to inputs by position."""
         def var_key(v: VariableDecl):
             return (v.name, v.direction, v.lo, v.hi, v.unit,
                     tuple((t.name, t.kind, t.breakpoints) for t in v.terms))
@@ -89,7 +90,11 @@ class FisDocument:
         def rule_key(r: RuleDecl):
             return (r.antecedents, r.consequent)
 
+        def input_keys(doc: FisDocument):
+            return [var_key(v) for v in doc.variables if v.direction == "input"]
+
         return (self.name == other.name
+                and input_keys(self) == input_keys(other)
                 and sorted(map(var_key, self.variables)) == sorted(map(var_key, other.variables))
                 and sorted(map(rule_key, self.rules)) == sorted(map(rule_key, other.rules)))
 
@@ -448,12 +453,11 @@ def _fmt(value: float) -> str:
 
 
 def serialize(doc: FisDocument) -> str:
-    """Canonical text: inputs sorted by name, output last, rules sorted,
-    normalized whitespace and number formatting. parse(serialize(d)) is
-    structurally equal to d, and serializing twice is byte-identical."""
+    """Canonical text: inputs in declaration order, output last, rules
+    sorted, normalized whitespace and number formatting. parse(serialize(d))
+    is structurally equal to d, and serializing twice is byte-identical."""
     lines = [f"system {doc.name}"]
-    inputs = sorted((v for v in doc.variables if v.direction == "input"),
-                    key=lambda v: v.name)
+    inputs = [v for v in doc.variables if v.direction == "input"]
     outputs = [v for v in doc.variables if v.direction == "output"]
     for var in inputs + outputs:
         decl = f"{var.direction} {var.name} universe {_fmt(var.lo)} {_fmt(var.hi)}"

@@ -1,12 +1,11 @@
 """Per-packet transmission time and energy.
 
-Two modes: Physical computes E = i * v * t_p from radio constants and packet
-sizes; Calibrated uses a fixed joules-per-packet constant so headline totals
-from a reference run can be reproduced without knowing the packet layout.
+Every transmission costs the same energy, so a replay is priced by one
+figure, joules per packet. It comes either from the physical model
+E = i * v * t_p (packet_energy) or from a calibrated constant that
+reproduces the reference run's totals without knowing its packet layout.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 #: Reference run: 957.8 J over 19,735 always-send transmissions, 844.9 J
 #: over 17,410 gated transmissions.
@@ -22,72 +21,25 @@ REFERENCE_JOULES_PER_PACKET = (
     REFERENCE_TOTAL_JOULES / REFERENCE_TRANSMISSIONS
     + REFERENCE_GATED_JOULES / REFERENCE_GATED_TRANSMISSIONS) / 2.0
 
-
-@dataclass(frozen=True)
-class RadioSpec:
-    """IEEE 802.11g-style transmit characteristics."""
-
-    current_a: float = 0.280
-    voltage_v: float = 5.0
-    header_rate_bps: float = 6e6
-    data_rate_bps: float = 54e6
-
-    def __post_init__(self):
-        for name in ("current_a", "voltage_v", "header_rate_bps", "data_rate_bps"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be strictly positive")
+#: IEEE 802.11g-style rates: the header goes out at the base rate, the
+#: payload at the top rate.
+HEADER_RATE_BPS = 6e6
+DATA_RATE_BPS = 54e6
 
 
-@dataclass(frozen=True)
-class PacketSpec:
-    """Packet layout in bits. Defaults hold one sensor reading."""
-
-    header_bits: int = 288
-    data_bits: int = 960
-
-    def __post_init__(self):
-        if self.header_bits < 0 or self.data_bits < 0:
-            raise ValueError("packet sizes must be non-negative")
-
-
-def packet_time(radio: RadioSpec, packet: PacketSpec) -> float:
+def packet_time(header_bits: int, data_bits: int) -> float:
     """Seconds to put one packet on the air: header and payload at their rates."""
-    return packet.header_bits / radio.header_rate_bps + \
-        packet.data_bits / radio.data_rate_bps
+    return header_bits / HEADER_RATE_BPS + data_bits / DATA_RATE_BPS
 
 
-@dataclass(frozen=True)
-class EnergyMode:
-    """Either physical (radio + packet) or calibrated (fixed J/packet)."""
-
-    kind: str  # "physical" | "calibrated"
-    radio: RadioSpec | None = None
-    packet: PacketSpec | None = None
-    joules_per_packet: float | None = None
-
-    @classmethod
-    def physical(cls, radio: RadioSpec | None = None,
-                 packet: PacketSpec | None = None) -> "EnergyMode":
-        return cls("physical", radio or RadioSpec(), packet or PacketSpec())
-
-    @classmethod
-    def calibrated(cls, joules_per_packet: float = REFERENCE_JOULES_PER_PACKET
-                   ) -> "EnergyMode":
-        if joules_per_packet <= 0:
-            raise ValueError("calibrated joules-per-packet must be strictly positive")
-        return cls("calibrated", joules_per_packet=joules_per_packet)
-
-
-def packet_energy(mode: EnergyMode) -> float:
-    """Joules to transmit one packet."""
-    if mode.kind == "calibrated":
-        return mode.joules_per_packet
-    t_p = packet_time(mode.radio, mode.packet)
-    return mode.radio.current_a * mode.radio.voltage_v * t_p
-
-
-def total_energy(mode: EnergyMode, n: int) -> float:
-    """Joules for n packets under a uniform mode."""
-    if n < 0:
-        raise ValueError("packet count must be non-negative")
-    return n * packet_energy(mode)
+def packet_energy(current_a: float = 0.280, voltage_v: float = 5.0,
+                  header_bits: int = 288, data_bits: int = 960) -> float:
+    """Joules to transmit one packet, E = i * v * t_p. The default packet
+    holds one sensor reading."""
+    if current_a <= 0:
+        raise ValueError("current_a must be strictly positive")
+    if voltage_v <= 0:
+        raise ValueError("voltage_v must be strictly positive")
+    if header_bits < 0 or data_bits < 0:
+        raise ValueError("packet sizes must be non-negative")
+    return current_a * voltage_v * packet_time(header_bits, data_bits)

@@ -10,9 +10,8 @@ from dataclasses import dataclass
 from datetime import datetime
 from pathlib import Path
 
-from .cascade import Cascade, NOT_SEND, SEND
+from .cascade import Cascade, SEND
 from .core import NoRuleFiredError
-from .energy import EnergyMode, packet_energy
 
 TIMESTAMP_FORMAT = "%Y-%m-%d %H:%M:%S"
 
@@ -28,10 +27,10 @@ class MissingColumnError(TelemetryError):
 
 
 class RowError(TelemetryError):
-    def __init__(self, row: int, field_name: str, message: str):
-        self.row = row
+    def __init__(self, path, line: int, field_name: str, message: str):
+        self.line = line
         self.field_name = field_name
-        super().__init__(f"row {row}, field '{field_name}': {message}")
+        super().__init__(f"{path}: line {line}, field '{field_name}': {message}")
 
 
 @dataclass(frozen=True)
@@ -69,7 +68,7 @@ class TelemetryRecord:
 class LoadReport:
     loaded: int
     skipped: int
-    skipped_rows: tuple[int, ...]
+    skipped_rows: tuple[int, ...]  # file line of each skipped row
 
 
 def load_telemetry(path: str | Path, mapping: ColumnMapping | None = None,
@@ -78,7 +77,8 @@ def load_telemetry(path: str | Path, mapping: ColumnMapping | None = None,
     """Read records in file order from an RFC-4180-style CSV with a header.
 
     policy="strict" raises RowError on the first bad row; "skip-bad" counts
-    and skips bad rows instead. Humidity is divided by 100 under the percent
+    and skips bad rows instead. Blank lines are skipped. Errors name the
+    file line a row starts on. Humidity is divided by 100 under the percent
     scale.
     """
     if policy not in ("strict", "skip-bad"):
@@ -86,47 +86,52 @@ def load_telemetry(path: str | Path, mapping: ColumnMapping | None = None,
     mapping = mapping or ColumnMapping()
     records: list[TelemetryRecord] = []
     skipped_rows: list[int] = []
+    line = 1  # first file line of the record being read
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
-            reader = csv.DictReader(fh)
-            header = reader.fieldnames or []
+            reader = csv.reader(fh)
+            header = next(reader, [])
             wanted = [mapping.timestamp, mapping.temperature, mapping.humidity,
                       mapping.appliance_energy]
             missing = [c for c in wanted if c not in header]
             if missing:
                 raise MissingColumnError(missing, path)
-            for rownum, row in enumerate(reader, start=2):  # row 1 is the header
-                try:
-                    records.append(_parse_row(row, mapping, rownum))
-                except RowError:
-                    if policy == "strict":
-                        raise
-                    skipped_rows.append(rownum)
+            line = reader.line_num + 1
+            for fields in reader:
+                if fields:
+                    try:
+                        records.append(_parse_row(dict(zip(header, fields)),
+                                                  mapping, path, line))
+                    except RowError:
+                        if policy == "strict":
+                            raise
+                        skipped_rows.append(line)
+                line = reader.line_num + 1
     except UnicodeDecodeError as exc:
         raise TelemetryError(f"{path}: {exc}") from None
     except csv.Error as exc:
-        # reader.line_num is the last line of the last record read whole.
-        raise TelemetryError(f"{path}: record starting at line "
-                             f"{reader.line_num + 1}: {exc}") from None
+        raise TelemetryError(f"{path}: record starting at line {line}: {exc}"
+                             ) from None
     return records, LoadReport(len(records), len(skipped_rows), tuple(skipped_rows))
 
 
-def _parse_row(row: dict, mapping: ColumnMapping, rownum: int) -> TelemetryRecord:
+def _parse_row(row: dict, mapping: ColumnMapping, path, line: int
+               ) -> TelemetryRecord:
     def number(column: str) -> float:
         raw = (row.get(column) or "").strip().strip('"')
         try:
             value = float(raw)
         except ValueError:
-            raise RowError(rownum, column, f"not a number: {raw!r}") from None
+            raise RowError(path, line, column, f"not a number: {raw!r}") from None
         if not math.isfinite(value):
-            raise RowError(rownum, column, f"not finite: {raw!r}")
+            raise RowError(path, line, column, f"not finite: {raw!r}")
         return value
 
     raw_ts = (row.get(mapping.timestamp) or "").strip().strip('"')
     try:
         timestamp = datetime.strptime(raw_ts, TIMESTAMP_FORMAT)
     except ValueError:
-        raise RowError(rownum, mapping.timestamp,
+        raise RowError(path, line, mapping.timestamp,
                        f"not a timestamp: {raw_ts!r}") from None
     humidity = number(mapping.humidity)
     if mapping.humidity_scale == "percent":
@@ -160,13 +165,10 @@ class SimulationResult:
     """The gated run over a record set, priced against always-send on the
     same records."""
 
-    total_records: int
     transmissions: int
     suppressed: int
-    skipped: int
     failsafe_sends: int
     clamped_records: int
-    joules_per_packet: float
     total_joules: float
     traditional_joules: float
     reduction_pct: float
@@ -175,18 +177,19 @@ class SimulationResult:
     cumulative: tuple[tuple[float, float], ...]  # (always-send, gated) per record
 
 
-def run_fuzzy(records: list[TelemetryRecord], cascade: Cascade, mode: EnergyMode,
-              failsafe: str = "send", skipped: int = 0) -> SimulationResult:
+def run_fuzzy(records: list[TelemetryRecord], cascade: Cascade,
+              joules_per_packet: float) -> SimulationResult:
     """Gate each record through the cascade; transmit only on a Send label.
 
-    Always-send, which transmits every record, is priced in the same pass.
-    Out-of-universe readings are clamped to the nearest universe bound and
-    counted. When no rule fires at some node, failsafe="send" transmits the
-    record anyway (monitoring must not silently drop data); "drop" suppresses.
+    Every transmission costs joules_per_packet, which must be finite and
+    > 0. Always-send, which transmits every record, is priced in the same
+    pass. Out-of-universe readings are clamped to the nearest universe bound
+    and counted. When no rule fires at some node the record is sent anyway
+    and counted as a fail-safe send: monitoring must not silently drop data.
     """
-    if failsafe not in ("send", "drop"):
-        raise ValueError(f"unknown failsafe policy {failsafe!r}")
-    per_packet = packet_energy(mode)
+    if not (math.isfinite(joules_per_packet) and joules_per_packet > 0):
+        raise ValueError(f"joules per packet must be finite and > 0, "
+                         f"got {joules_per_packet!r}")
     decisions = []
     cumulative = []
     transmissions = 0
@@ -206,9 +209,8 @@ def run_fuzzy(records: list[TelemetryRecord], cascade: Cascade, mode: EnergyMode
             trace = cascade.evaluate(inputs, clamp=True)
         except NoRuleFiredError:
             apparent = usage = score = None
-            label = SEND if failsafe == "send" else NOT_SEND
-            clamped, fell_back = False, True
-            failsafe_sends += int(label == SEND)
+            label, clamped, fell_back = SEND, False, True
+            failsafe_sends += 1
         else:
             apparent = trace.intermediates[cascade.fs1.output.name]
             usage = trace.intermediates[cascade.fs2.output.name]
@@ -222,27 +224,26 @@ def run_fuzzy(records: list[TelemetryRecord], cascade: Cascade, mode: EnergyMode
             appliance_usage_time=usage, score=score, label=label,
             clamped=clamped, failsafe=fell_back)
         clamped_records += int(clamped)
-        always += per_packet
+        always += joules_per_packet
         if label == SEND:
             transmissions += 1
-            gated += per_packet
+            gated += joules_per_packet
         cumulative.append((always, gated))
         decisions.append(decision)
-    traditional_joules = len(records) * per_packet
-    total_joules = transmissions * per_packet
+    traditional_joules = len(records) * joules_per_packet
+    if math.isinf(max(always, traditional_joules)):
+        raise ValueError(f"{len(records)} packets of {joules_per_packet!r} J "
+                         f"overflow a float")
+    total_joules = transmissions * joules_per_packet
     reduction = count_reduction = 0.0
-    if traditional_joules > 0:
-        reduction = (1.0 - total_joules / traditional_joules) * 100.0
     if records:
+        reduction = (1.0 - total_joules / traditional_joules) * 100.0
         count_reduction = (1.0 - transmissions / len(records)) * 100.0
     return SimulationResult(
-        total_records=len(records) + skipped,
         transmissions=transmissions,
         suppressed=len(records) - transmissions,
-        skipped=skipped,
         failsafe_sends=failsafe_sends,
         clamped_records=clamped_records,
-        joules_per_packet=per_packet,
         total_joules=total_joules,
         traditional_joules=traditional_joules,
         reduction_pct=reduction,

@@ -13,8 +13,8 @@ import pytest
 
 from fuzzgate.cli import main as cli_main
 from fuzzgate.dsl import parse, serialize, validate
-from fuzzgate.energy import EnergyMode, PacketSpec, RadioSpec, packet_energy, \
-    packet_time, total_energy
+from fuzzgate.energy import REFERENCE_JOULES_PER_PACKET, packet_energy, \
+    packet_time
 from fuzzgate.sim import load_telemetry, run_fuzzy
 
 from conftest import FIS_FILES, load_bundled
@@ -93,9 +93,8 @@ class TestAcceptance:
                   "set FUZZGATE_DATASET to the Appliances Energy CSV)")
             pytest.skip("full dataset not available")
         start = time.perf_counter()
-        records, load_report = load_telemetry(dataset, policy="skip-bad")
-        mode = EnergyMode.calibrated()
-        fuzzy = run_fuzzy(records, cascade, mode, skipped=load_report.skipped)
+        records, _ = load_telemetry(dataset, policy="skip-bad")
+        fuzzy = run_fuzzy(records, cascade, REFERENCE_JOULES_PER_PACKET)
         elapsed = time.perf_counter() - start
         ok = (fuzzy.transmissions < 19735
               and 6.0 <= fuzzy.reduction_pct <= 18.0
@@ -105,9 +104,8 @@ class TestAcceptance:
 
     def test_criterion_4_absolute_energy_reproduction(self):
         start = time.perf_counter()
-        mode = EnergyMode.calibrated()
-        traditional = total_energy(mode, 19735)
-        fuzzy_pinned = total_energy(mode, 17410)
+        traditional = 19735 * REFERENCE_JOULES_PER_PACKET
+        fuzzy_pinned = 17410 * REFERENCE_JOULES_PER_PACKET
         elapsed = time.perf_counter() - start
         ok = (abs(traditional - 957.8) <= 0.05
               and abs(fuzzy_pinned - 844.9) <= 0.05
@@ -117,31 +115,27 @@ class TestAcceptance:
 
     def test_criterion_5_ratio_identity(self, cascade, fixture_csv):
         records, _ = load_telemetry(fixture_csv)
-        modes = [EnergyMode.calibrated(),
-                 EnergyMode.calibrated(0.123),
-                 EnergyMode.physical(),
-                 EnergyMode.physical(RadioSpec(), PacketSpec(400, 8000))]
+        per_packet = [REFERENCE_JOULES_PER_PACKET, 0.123, packet_energy(),
+                      packet_energy(header_bits=400, data_bits=8000)]
         ok = True
-        for mode in modes:
-            fuzzy = run_fuzzy(records, cascade, mode)
+        for joules in per_packet:
+            fuzzy = run_fuzzy(records, cascade, joules)
             if fuzzy.transmissions == 0:
                 continue
             energy_ratio = fuzzy.total_joules / fuzzy.traditional_joules
             count_ratio = fuzzy.transmissions / len(records)
             ok = ok and abs(energy_ratio - count_ratio) <= 1e-9
-        report(5, ok, f"{len(modes)} uniform modes")
+        report(5, ok, f"{len(per_packet)} per-packet figures")
 
     def test_criterion_6_packet_equations_exact(self):
         from fractions import Fraction
         rng = random.Random(4242)
-        radio = RadioSpec()
         worst = 0.0
         for _ in range(100):
             ph = rng.randrange(0, 10**6)
             pd = rng.randrange(0, 10**7)
-            packet = PacketSpec(ph, pd)
-            t = packet_time(radio, packet)
-            e = packet_energy(EnergyMode.physical(radio, packet))
+            t = packet_time(ph, pd)
+            e = packet_energy(header_bits=ph, data_bits=pd)
             t_exact = Fraction(ph, 6 * 10**6) + Fraction(pd, 54 * 10**6)
             e_exact = Fraction(280, 1000) * 5 * t_exact
             for got, exact in ((t, t_exact), (e, e_exact)):

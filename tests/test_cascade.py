@@ -5,8 +5,8 @@ import pytest
 from conftest import write_manifest
 from fuzzgate.cascade import (BUNDLED_MANIFEST, CascadeBuildError,
                               DEFAULT_EXTERNALS, FIS_KEYS, WiringMismatchError,
-                              build_cascade, bundled_cascade, bundled_fis_dir,
-                              decide, load_manifest)
+                              build_cascade, bundled_fis_dir, decide,
+                              load_manifest)
 from fuzzgate.core import (FuzzySubsystem, LinguisticVariable,
                            MembershipFunction, NoRuleFiredError,
                            OutOfUniverseError)
@@ -176,9 +176,9 @@ class TestManifest:
                                   "appliance_energy": 60.0, "time_of_day": 3.0})
         assert trace.label == "send"
 
-    def test_manifest_matches_bundled_cascade(self):
-        a = load_manifest(bundled_fis_dir() / "cascade.manifest")
-        b = bundled_cascade()
+    def test_manifest_matches_bundled_cascade(self, cascade):
+        a = load_manifest(BUNDLED_MANIFEST)
+        b = cascade  # built from the bundled files without the manifest
         inputs = {"temperature": 22.0, "humidity": 0.40,
                   "appliance_energy": 90.0, "time_of_day": 7.5}
         assert a.evaluate(inputs) == b.evaluate(inputs)

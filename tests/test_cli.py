@@ -1,11 +1,15 @@
+import contextlib
 import csv
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import fuzzgate
 from conftest import FIS_FILES, write_manifest
@@ -139,7 +143,7 @@ class TestSimulate:
         code, _, err = run(capsys, ["simulate", "--dataset", str(bad),
                                     "--strict", "--out", str(tmp_path / "o")])
         assert code == 1
-        assert "row 2" in err
+        assert f"{bad}: line 2, field 'date'" in err
 
 
 def eval_json(capsys, *extra):
@@ -250,7 +254,16 @@ class TestBadInput:
 
     @pytest.mark.parametrize("options, csv_bytes, where", [
         (["--per-packet-joules", "0"], None, None),
+        (["--per-packet-joules", "nan"], None, "finite and > 0"),
+        (["--per-packet-joules", "inf"], None, "finite and > 0"),
         (["--energy-mode", "physical", "--current", "-1"], None, None),
+        (["--energy-mode", "physical", "--current", "nan"], None, "finite and > 0"),
+        (["--energy-mode", "physical", "--voltage", "inf"], None, "finite and > 0"),
+        (["--energy-mode", "physical", "--header-bits", "0", "--data-bits", "0"],
+         None, "finite and > 0"),
+        (["--per-packet-joules", "1e307"], None, "overflow a float"),
+        (["--energy-mode", "physical", "--data-bits", "1" + "0" * 400], None,
+         "too large"),
         (["--map-temp", "date"], None, None),
         ([], b"date,T1,RH_1,Appliances\n2016-01-11 17:00:00,20,40,caf\xe9\n",
          "bad.csv: "),
@@ -259,8 +272,9 @@ class TestBadInput:
         (["--skip-bad"], b"date,T1,RH_1,Appliances\n2016-01-11 17:00:00,\"20,40,60\n"
          + b"2016-01-11 17:10:00,20,40,60\n" * 5000,
          "bad.csv: record starting at line 2: "),
-    ], ids=["zero-joules", "negative-current", "duplicate-column", "non-utf8-csv",
-            "stray-quote"])
+    ], ids=["zero-joules", "nan-joules", "inf-joules", "negative-current",
+            "nan-current", "inf-voltage", "empty-packet", "total-overflow",
+            "huge-packet", "duplicate-column", "non-utf8-csv", "stray-quote"])
     def test_bad_simulate_input(self, tmp_path, fixture_csv, options, csv_bytes,
                                 where):
         # A separate process, so the assertion sees what a shell user sees.
@@ -286,3 +300,41 @@ class TestBadInput:
                                     "--out", str(blocker / "out")])
         assert code == 2
         assert err.startswith("error: ")
+
+
+def _reject_constant(name):
+    raise ValueError(f"summary.json holds {name}, which JSON does not allow")
+
+
+ENERGY_FLOATS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.0, -0.0, -1.0, float("nan"), float("inf"), float("-inf")]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(mode=st.sampled_from(["physical", "calibrated"]),
+       joules=st.none() | ENERGY_FLOATS, current=ENERGY_FLOATS,
+       voltage=ENERGY_FLOATS, header_bits=st.integers(), data_bits=st.integers())
+def test_simulate_energy_flags_never_crash(fixture_csv, mode, joules, current,
+                                           voltage, header_bits, data_bits):
+    """Any value of the energy flags either prices the replay with valid JSON
+    (exit 0) or is refused with an error line (exit 1)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        # --flag=value, so that argparse reads "-inf" as a value.
+        argv = ["simulate", "--dataset", str(fixture_csv), "--out", tmp,
+                f"--energy-mode={mode}", f"--current={current!r}",
+                f"--voltage={voltage!r}", f"--header-bits={header_bits}",
+                f"--data-bits={data_bits}"]
+        if joules is not None:
+            argv.append(f"--per-packet-joules={joules!r}")
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 1)
+        assert "Traceback" not in err.getvalue()
+        if code == 0:
+            json.loads((Path(tmp) / "summary.json").read_text(),
+                       parse_constant=_reject_constant)
+        else:
+            assert err.getvalue().startswith("error: ")

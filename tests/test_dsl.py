@@ -1,10 +1,12 @@
+import itertools
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import FIS_FILES
-from fuzzgate.cascade import bundled_fis_dir
+from fuzzgate.cascade import DEFAULT_EXTERNALS, build_cascade, bundled_fis_dir
 from fuzzgate.dsl import (FisDocument, load_subsystem, parse, serialize,
                           validate)
 
@@ -192,6 +194,34 @@ class TestSerialize:
     def test_emits_lf_only(self):
         doc = parse_ok(MINIMAL.replace("\n", "\r\n"))
         assert "\r" not in serialize(doc)
+
+    def test_input_order_is_structural(self):
+        doc = parse_ok(read_bundled("fs1"))
+        inputs, output = doc.variables[:2], doc.variables[2:]
+        swapped = replace(doc, variables=inputs[::-1] + output)
+        assert not doc.structurally_equal(swapped)
+        assert doc.structurally_equal(replace(doc, rules=doc.rules[::-1]))
+
+    def test_serialized_files_build_the_bundled_cascade(self, cascade):
+        # The readings bind to inputs by position, so a round trip must keep
+        # the declaration order of the inputs. Rules come back sorted, which
+        # reorders the fired rules in a trace and nothing else.
+        nodes = []
+        for key in ("fs1", "fs2", "fs3"):
+            subsystem, _ = validate(parse_ok(serialize(parse_ok(read_bundled(key)))))
+            nodes.append(subsystem)
+        rebuilt = build_cascade(*nodes)
+        grid = itertools.product((-5, 12, 19, 21, 27, 110),  # degrees C
+                                 (0.1, 0.3, 0.45, 0.7, 1.2),  # humidity fraction
+                                 (20, 150, 700),  # Wh
+                                 (3.0, 9.5))  # hours
+        def trace(c, inputs):
+            t = c.evaluate(inputs, clamp=True)
+            return replace(t, fired=frozenset(t.fired))
+
+        for reading in grid:
+            inputs = dict(zip(DEFAULT_EXTERNALS, reading))
+            assert trace(rebuilt, inputs) == trace(cascade, inputs)
 
 
 class TestErrorLocality:

@@ -1,81 +1,68 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from fuzzgate.energy import (EnergyMode, PacketSpec, RadioSpec,
-                             REFERENCE_JOULES_PER_PACKET, packet_energy,
-                             packet_time, total_energy)
+from fuzzgate.energy import (REFERENCE_JOULES_PER_PACKET, packet_energy,
+                             packet_time)
+from fuzzgate.sim import run_fuzzy
 
 
 class TestPacketTime:
     def test_empty_packet(self):
-        assert packet_time(RadioSpec(), PacketSpec(0, 0)) == 0.0
+        assert packet_time(0, 0) == 0.0
 
     def test_header_only_rate_division(self):
-        assert packet_time(RadioSpec(), PacketSpec(6_000_000, 0)) == 1.0
+        assert packet_time(6_000_000, 0) == 1.0
 
     def test_mixed_packet(self):
-        t = packet_time(RadioSpec(), PacketSpec(400, 8000))
+        t = packet_time(400, 8000)
         assert t == pytest.approx(400 / 6e6 + 8000 / 54e6, rel=1e-12)
         assert t == pytest.approx(2.148148e-4, rel=1e-6)
 
     @given(st.integers(0, 10**7), st.integers(0, 10**7), st.integers(1, 10**6))
     def test_monotone_in_sizes(self, ph, pd, delta):
-        r = RadioSpec()
-        base = packet_time(r, PacketSpec(ph, pd))
-        assert packet_time(r, PacketSpec(ph + delta, pd)) >= base
-        assert packet_time(r, PacketSpec(ph, pd + delta)) >= base
+        base = packet_time(ph, pd)
+        assert packet_time(ph + delta, pd) >= base
+        assert packet_time(ph, pd + delta) >= base
 
 
 class TestPacketEnergy:
     def test_physical_one_second(self):
-        mode = EnergyMode.physical(RadioSpec(), PacketSpec(6_000_000, 0))
-        assert packet_energy(mode) == pytest.approx(1.4, rel=1e-12)
+        assert packet_energy(header_bits=6_000_000, data_bits=0) == \
+            pytest.approx(1.4, rel=1e-12)
 
     def test_calibrated_reference_constant(self):
-        mode = EnergyMode.calibrated()
-        assert packet_energy(mode) == pytest.approx(0.04853, abs=1e-5)
-        assert 17410 * packet_energy(mode) == pytest.approx(844.9, abs=0.05)
+        assert REFERENCE_JOULES_PER_PACKET == pytest.approx(0.04853, abs=1e-5)
+        assert 17410 * REFERENCE_JOULES_PER_PACKET == pytest.approx(844.9, abs=0.05)
 
     def test_physical_zero_packet(self):
-        mode = EnergyMode.physical(RadioSpec(), PacketSpec(0, 0))
-        assert packet_energy(mode) == 0.0
+        assert packet_energy(header_bits=0, data_bits=0) == 0.0
 
-    def test_invalid_specs_rejected(self):
+    def test_invalid_specs_rejected(self, cascade):
         with pytest.raises(ValueError):
-            RadioSpec(current_a=0)
+            packet_energy(current_a=0)
         with pytest.raises(ValueError):
-            PacketSpec(-1, 0)
-        with pytest.raises(ValueError):
-            EnergyMode.calibrated(0.0)
+            packet_energy(header_bits=-1, data_bits=0)
+        for joules in (0.0, -1.0, float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ValueError, match="finite and > 0"):
+                run_fuzzy([], cascade, joules)
 
 
 class TestTotalEnergy:
-    def test_zero_packets(self):
-        assert total_energy(EnergyMode.calibrated(), 0) == 0.0
+    def test_zero_packets(self, cascade):
+        result = run_fuzzy([], cascade, REFERENCE_JOULES_PER_PACKET)
+        assert result.traditional_joules == 0.0
+        assert result.total_joules == 0.0
 
     def test_reference_traditional_total(self):
-        assert total_energy(EnergyMode.calibrated(), 19735) == \
-            pytest.approx(957.8, abs=0.05)
+        assert 19735 * REFERENCE_JOULES_PER_PACKET == pytest.approx(957.8, abs=0.05)
 
     def test_reference_gated_total(self):
-        assert total_energy(EnergyMode.calibrated(), 17410) == \
-            pytest.approx(844.9, abs=0.05)
-
-    def test_negative_count_rejected(self):
-        with pytest.raises(ValueError):
-            total_energy(EnergyMode.calibrated(), -1)
-
-    @given(st.integers(0, 10**6), st.integers(0, 10**6))
-    def test_linearity(self, a, b):
-        mode = EnergyMode.calibrated()
-        lhs = total_energy(mode, a + b)
-        rhs = total_energy(mode, a) + total_energy(mode, b)
-        assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
+        assert 17410 * REFERENCE_JOULES_PER_PACKET == pytest.approx(844.9, abs=0.05)
 
     @given(st.integers(1, 10**6), st.integers(1, 10**6))
     def test_ratio_identity(self, n1, n2):
-        mode = EnergyMode.physical()
-        ratio = total_energy(mode, n1) / total_energy(mode, n2)
+        per_packet = packet_energy()
+        ratio = (n1 * per_packet) / (n2 * per_packet)
         assert ratio == pytest.approx(n1 / n2, rel=1e-12)
 
     def test_reference_constant_definition(self):

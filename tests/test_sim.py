@@ -3,11 +3,12 @@ from datetime import datetime, timedelta
 
 import pytest
 
-from fuzzgate.energy import EnergyMode, PacketSpec, RadioSpec
+from fuzzgate.energy import REFERENCE_JOULES_PER_PACKET, packet_energy
 from fuzzgate.sim import (ColumnMapping, MissingColumnError, RowError,
-                          TelemetryRecord, load_telemetry, run_fuzzy)
+                          TelemetryError, TelemetryRecord, load_telemetry,
+                          run_fuzzy)
 
-CALIBRATED = EnergyMode.calibrated()
+CALIBRATED = REFERENCE_JOULES_PER_PACKET
 
 
 def make_records(n, temperature=20.0, humidity=0.35, energy=60.0, hour=3):
@@ -54,7 +55,7 @@ class TestLoadTelemetry:
         p.write_text("date,T1,RH_1,Appliances\nnot-a-date,20,40,60\n")
         with pytest.raises(RowError) as exc:
             load_telemetry(p, policy="strict")
-        assert exc.value.row == 2
+        assert exc.value.line == 2
 
     def test_bad_rows_skipped_and_counted(self, tmp_path):
         p = tmp_path / "t.csv"
@@ -68,6 +69,37 @@ class TestLoadTelemetry:
         assert report.skipped == 2
         assert report.skipped_rows == (3, 4)
 
+    # Line 1 is the header, line 2 a good row, lines 3-4 blank, line 5 bad.
+    BLANK_LINES = ("date,T1,RH_1,Appliances\n"
+                   "2016-01-11 17:00:00,20,40,60\n"
+                   "\n\n")
+
+    def test_strict_error_names_file_line(self, tmp_path):
+        p = tmp_path / "t.csv"
+        p.write_text(self.BLANK_LINES + "not-a-date,20,40,60\n")
+        with pytest.raises(RowError) as exc:
+            load_telemetry(p, policy="strict")
+        assert exc.value.line == 5
+        assert str(exc.value).startswith(f"{p}: line 5, field 'date': ")
+
+    def test_skipped_row_is_file_line(self, tmp_path):
+        p = tmp_path / "t.csv"
+        p.write_text(self.BLANK_LINES + "not-a-date,20,40,60\n"
+                     "2016-01-11 17:10:00,20,40,60\n")
+        records, report = load_telemetry(p, policy="skip-bad")
+        assert len(records) == 2
+        assert report.skipped_rows == (5,)
+
+    def test_unparseable_record_names_its_first_line(self, tmp_path):
+        p = tmp_path / "t.csv"
+        # A stray quote opens a field that runs past the csv module's
+        # 128 KiB field limit.
+        p.write_text(self.BLANK_LINES + '2016-01-11 17:10:00,"20,40,60\n'
+                     + "2016-01-11 17:20:00,20,40,60\n" * 5000)
+        with pytest.raises(TelemetryError) as exc:
+            load_telemetry(p, policy="skip-bad")
+        assert str(exc.value).startswith(f"{p}: record starting at line 5: ")
+
     def test_time_of_day_fractional_hours(self):
         r = TelemetryRecord(datetime(2016, 1, 11, 13, 30, 36), 20, 0.4, 60)
         assert r.time_of_day == pytest.approx(13.51)
@@ -79,7 +111,7 @@ class TestRunTraditional:
     def test_every_record_transmits(self, cascade):
         records = make_records(10)
         result = run_fuzzy(records, cascade, CALIBRATED)
-        assert result.traditional_joules == 10 * result.joules_per_packet
+        assert result.traditional_joules == 10 * CALIBRATED
         assert len(result.cumulative) == 10
         assert result.cumulative[-1][0] == pytest.approx(result.traditional_joules)
         assert result.transmissions + result.suppressed == 10
@@ -94,8 +126,8 @@ class TestRunTraditional:
         assert result.cumulative == ()
 
     def test_physical_linearity(self, cascade):
-        mode = EnergyMode.physical(RadioSpec(), PacketSpec(6_000_000, 0))
-        result = run_fuzzy(make_records(2), cascade, mode)
+        per_packet = packet_energy(header_bits=6_000_000, data_bits=0)
+        result = run_fuzzy(make_records(2), cascade, per_packet)
         assert result.traditional_joules == pytest.approx(2.8, rel=1e-12)
 
 
@@ -124,8 +156,7 @@ class TestRunFuzzy:
         fuzzy = run_fuzzy(records, cascade, CALIBRATED)
         assert fuzzy.transmissions <= len(records)
         assert fuzzy.total_joules <= fuzzy.traditional_joules
-        assert fuzzy.transmissions + fuzzy.suppressed + fuzzy.skipped == \
-            fuzzy.total_records
+        assert fuzzy.transmissions + fuzzy.suppressed == len(records)
 
     def test_cumulative_series_non_decreasing(self, cascade, fixture_csv):
         records, _ = load_telemetry(fixture_csv)
@@ -155,7 +186,7 @@ class TestRunFuzzy:
         assert a.transmissions == b.transmissions
         assert a.total_joules == b.total_joules
 
-    def test_failsafe_send_vs_drop(self, cascade, fs2, fs3):
+    def test_no_rule_fired_sends(self, cascade, fs2, fs3):
         from fuzzgate.cascade import build_cascade
         from fuzzgate.core import FuzzySubsystem
         # FS1 with no rules: NoRuleFired on every record
@@ -163,13 +194,10 @@ class TestRunFuzzy:
                                    cascade.fs1.output, ())
         broken = build_cascade(empty_fs1, fs2, fs3)
         records = make_records(5)
-        sent = run_fuzzy(records, broken, CALIBRATED, failsafe="send")
+        sent = run_fuzzy(records, broken, CALIBRATED)
         assert sent.transmissions == 5
         assert sent.failsafe_sends == 5
         assert all(d.failsafe for d in sent.decisions)
-        dropped = run_fuzzy(records, broken, CALIBRATED, failsafe="drop")
-        assert dropped.transmissions == 0
-        assert dropped.failsafe_sends == 0
 
 
 class TestFullScaleReplay:
@@ -204,7 +232,7 @@ class TestCompare:
         records, _ = load_telemetry(fixture_csv)
         result = run_fuzzy(records, cascade, CALIBRATED)
         assert len(result.decisions) == 50
-        assert result.traditional_joules == 50 * result.joules_per_packet
+        assert result.traditional_joules == 50 * CALIBRATED
         assert result.reduction_pct == pytest.approx(
             (1 - result.total_joules / result.traditional_joules) * 100)
         assert result.reduction_pct == pytest.approx(
