@@ -6,8 +6,11 @@ re-quantized. The cascade is immutable after build and evaluation is pure.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
+
+import numpy as np
 
 from .core import FuzzySubsystem, NoRuleFiredError, OutOfUniverseError
 from .dsl import load_subsystem
@@ -132,6 +135,48 @@ class Cascade:
             label=label,
             fired=tuple(fired),
         )
+
+    def evaluate_columns(self, columns: Sequence[np.ndarray]
+                         ) -> tuple[np.ndarray, ...]:
+        """Batch form of `evaluate(..., clamp=True)` over one column per
+        external, in DEFAULT_EXTERNALS order.
+
+        Returns five arrays, one entry per row: the mask of rows with a
+        clamped reading, the two intermediates (FS1's, then FS2's), the score
+        and the mask of rows where no rule fired at some node. On those rows
+        the intermediates and the score are NaN. Every other row is
+        bit-identical to `evaluate`. FS2 runs once per distinct
+        (appliance_energy, time_of_day) pair. A NaN reading, or an
+        intermediate outside FS3's universe, raises OutOfUniverseError.
+        """
+        clamped = np.zeros(len(columns[0]), dtype=bool)
+        node_columns = []
+        for xs, var in zip(columns, self.fs1.inputs + self.fs2.inputs):
+            xs = np.asarray(xs, dtype=float)
+            outside = (xs < var.lo) | (xs > var.hi)
+            clamped |= outside
+            node_columns.append(np.clip(xs, var.lo, var.hi) if outside.any()
+                                else xs)
+        # Full-length temporaries are dropped as soon as they are used, so
+        # the next node reuses their memory and peak RSS stays flat.
+        pairs, inverse = np.unique(np.column_stack(node_columns[2:]), axis=0,
+                                   return_inverse=True)
+        usage, fired2 = self.fs2.centroids((pairs[:, 0], pairs[:, 1]))
+        inverse = inverse.ravel()
+        usage, fired2 = usage[inverse], fired2[inverse]
+        del pairs, inverse
+        apparent, fired1 = self.fs1.centroids(node_columns[:2])
+        del node_columns
+        both = fired1 & fired2
+        crisp = {self.fs1.output.name: apparent[both],
+                 self.fs2.output.name: usage[both]}
+        score = np.full(len(clamped), np.nan)
+        fired3 = np.zeros(len(clamped), dtype=bool)
+        score[both], fired3[both] = self.fs3.centroids(
+            [crisp[var.name] for var in self.fs3.inputs])
+        no_rule_fired = ~fired3
+        apparent[no_rule_fired] = usage[no_rule_fired] = np.nan
+        return clamped, apparent, usage, score, no_rule_fired
 
 
 def build_cascade(fs1: FuzzySubsystem, fs2: FuzzySubsystem, fs3: FuzzySubsystem,

@@ -21,6 +21,9 @@ EXIT_OK = 0
 EXIT_DOMAIN = 1
 EXIT_IO = 2
 
+#: Skipped file lines that `simulate` names on stderr before eliding the rest.
+SHOWN_SKIPPED = 10
+
 
 def _add_fis_options(parser: argparse.ArgumentParser):
     parser.add_argument("--fis1", help="FS1 definition file (apparent temperature)")
@@ -147,6 +150,15 @@ def cmd_simulate(args) -> int:
         # OverflowError: a packet size too large for a float.
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
+    if report.skipped_rows:
+        lines = [str(line) for line in report.skipped_rows[:SHOWN_SKIPPED]]
+        if report.skipped > SHOWN_SKIPPED:
+            lines.append("…")
+        print(f"skipped {args.dataset}: lines {', '.join(lines)}",
+              file=sys.stderr)
+    if records and not result.transmissions:
+        print(f"warning: none of the {len(records)} records was sent: every "
+              f"score is above the threshold {c.threshold!r}", file=sys.stderr)
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -7,7 +7,9 @@ number of evaluations may run concurrently.
 """
 from __future__ import annotations
 
+import functools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -15,6 +17,11 @@ import numpy as np
 #: Number of uniform samples (endpoints inclusive) used for aggregation
 #: and centroid defuzzification.
 GRID_POINTS = 1001
+
+#: Rows per block of the batch evaluator. A block's aggregate holds
+#: CHUNK_ROWS x GRID_POINTS floats (512 KiB), so the working set stays small
+#: and peak memory does not grow with the number of rows.
+CHUNK_ROWS = 64
 
 
 class FuzzyError(Exception):
@@ -109,8 +116,28 @@ class MembershipFunction:
         return (d - x) / (d - hi_core)
 
     def sample(self, xs: np.ndarray) -> np.ndarray:
-        """Evaluate at each value of a 1-D array of crisp values."""
-        return np.array([self(x) for x in xs.tolist()], dtype=float)
+        """Evaluate at each value of an array of crisp values.
+
+        Bit for bit what `__call__` gives at each non-NaN value: the core is
+        1, outside the support is 0, and the rising and falling edges are
+        computed with the same expressions on the open intervals that the
+        branches of `__call__` leave to them.
+        """
+        xs = np.asarray(xs, dtype=float)
+        if self.kind == "triangle":
+            a, lo_core, d = self.breakpoints
+            hi_core = lo_core
+        else:
+            a, lo_core, hi_core, d = self.breakpoints
+        degree = np.zeros(xs.shape)
+        if a < lo_core:
+            rising = (a < xs) & (xs < lo_core)
+            degree[rising] = (xs[rising] - a) / (lo_core - a)
+        if hi_core < d:
+            falling = (hi_core < xs) & (xs < d)
+            degree[falling] = (d - xs[falling]) / (d - hi_core)
+        degree[(lo_core <= xs) & (xs <= hi_core)] = 1.0
+        return degree
 
 
 @dataclass(frozen=True)
@@ -258,3 +285,53 @@ class FuzzySubsystem:
     def evaluate(self, crisp_inputs: dict[str, float]) -> float:
         """infer + centroid defuzzification in one step."""
         return self.infer(crisp_inputs).defuzzify_centroid()
+
+    def centroids(self, columns: Sequence[np.ndarray]
+                  ) -> tuple[np.ndarray, np.ndarray]:
+        """Batch form of `evaluate`: one column of crisp values per input, in
+        input order, evaluated CHUNK_ROWS rows at a time.
+
+        Returns the centroid of each row and the mask of rows where some rule
+        fired; where none fired the centroid is NaN. Each fired row's
+        centroid is bit-identical to `evaluate` on that row: min and max only
+        select values, so clipping each consequent term once at the largest
+        activation among its rules gives the per-rule aggregate, and the
+        row-wise sums add in the same order as the 1-D sums of
+        `defuzzify_centroid`. Raises OutOfUniverseError on the first value
+        outside its input's universe.
+        """
+        columns = [np.asarray(xs, dtype=float) for xs in columns]
+        for var, xs in zip(self.inputs, columns):
+            outside = ~((var.lo <= xs) & (xs <= var.hi))  # NaN is outside
+            if outside.any():
+                raise OutOfUniverseError(var.name, float(xs[outside.argmax()]),
+                                         var.lo, var.hi)
+        n = len(columns[0])
+        centroid = np.full(n, np.nan)
+        fired = np.empty(n, dtype=bool)
+        agg = np.empty((min(n, CHUNK_ROWS), GRID_POINTS))
+        work = np.empty_like(agg)
+        for start in range(0, n, CHUNK_ROWS):
+            rows = slice(start, start + CHUNK_ROWS)
+            degrees = {(var.name, term): mf.sample(xs[rows])
+                       for var, xs in zip(self.inputs, columns)
+                       for term, mf in var.terms}
+            strength: dict[str, np.ndarray] = {}
+            for rule in self.rules:
+                act = functools.reduce(np.minimum,
+                                       (degrees[a] for a in rule.antecedents))
+                term = rule.consequent[1]
+                strength[term] = (np.maximum(strength[term], act)
+                                  if term in strength else act)
+            block, clipped = agg[:n - start], work[:n - start]
+            block.fill(0.0)
+            for term, act in strength.items():
+                np.minimum(act[:, None], self._consequent_samples[term],
+                           out=clipped)
+                np.maximum(block, clipped, out=block)
+            total = np.sum(block, axis=1)
+            weighted = np.sum(np.multiply(self._grid, block, out=clipped),
+                              axis=1)
+            fired[rows] = total > 0.0
+            np.divide(weighted, total, out=centroid[rows], where=fired[rows])
+        return centroid, fired

@@ -6,14 +6,22 @@ from __future__ import annotations
 
 import csv
 import math
+import re
 from dataclasses import dataclass
 from datetime import datetime
 from pathlib import Path
 
-from .cascade import Cascade, SEND
-from .core import NoRuleFiredError
+import numpy as np
+
+from .cascade import NOT_SEND, SEND, Cascade
 
 TIMESTAMP_FORMAT = "%Y-%m-%d %H:%M:%S"
+
+#: ASCII timestamps of exactly TIMESTAMP_FORMAT's shape. `datetime.fromisoformat`
+#: accepts and rejects these as `strptime` does, and is much faster; every
+#: other string goes to `strptime`, which also accepts shapes such as
+#: unpadded fields and non-ASCII digits.
+FIXED_TIMESTAMP = r"\d{4}-\d\d-\d\d ([01]\d|2[0-3]):\d\d:\d\d"
 
 
 class TelemetryError(Exception):
@@ -50,7 +58,7 @@ class ColumnMapping:
             raise ValueError(f"unknown humidity scale {self.humidity_scale!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TelemetryRecord:
     timestamp: datetime
     temperature: float
@@ -129,7 +137,9 @@ def _parse_row(row: dict, mapping: ColumnMapping, path, line: int
 
     raw_ts = (row.get(mapping.timestamp) or "").strip().strip('"')
     try:
-        timestamp = datetime.strptime(raw_ts, TIMESTAMP_FORMAT)
+        timestamp = (datetime.fromisoformat(raw_ts)
+                     if re.fullmatch(FIXED_TIMESTAMP, raw_ts, re.ASCII)
+                     else datetime.strptime(raw_ts, TIMESTAMP_FORMAT))
     except ValueError:
         raise RowError(path, line, mapping.timestamp,
                        f"not a timestamp: {raw_ts!r}") from None
@@ -144,7 +154,7 @@ def _parse_row(row: dict, mapping: ColumnMapping, path, line: int
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Decision:
     index: int
     timestamp: datetime
@@ -186,68 +196,55 @@ def run_fuzzy(records: list[TelemetryRecord], cascade: Cascade,
     pass. Out-of-universe readings are clamped to the nearest universe bound
     and counted. When no rule fires at some node the record is sent anyway
     and counted as a fail-safe send: monitoring must not silently drop data.
+    The records are evaluated as columns by `Cascade.evaluate_columns`, which
+    gives the same bits as `Cascade.evaluate(..., clamp=True)` per record.
     """
     if not (math.isfinite(joules_per_packet) and joules_per_packet > 0):
         raise ValueError(f"joules per packet must be finite and > 0, "
                          f"got {joules_per_packet!r}")
-    decisions = []
-    cumulative = []
-    transmissions = 0
-    failsafe_sends = 0
-    clamped_records = 0
-    always = 0.0
-    gated = 0.0
-    for i, record in enumerate(records):
-        time_of_day = record.time_of_day
-        inputs = {
-            "temperature": record.temperature,
-            "humidity": record.humidity,
-            "appliance_energy": record.appliance_energy,
-            "time_of_day": time_of_day,
-        }
-        try:
-            trace = cascade.evaluate(inputs, clamp=True)
-        except NoRuleFiredError:
-            apparent = usage = score = None
-            label, clamped, fell_back = SEND, False, True
-            failsafe_sends += 1
-        else:
-            apparent = trace.intermediates[cascade.fs1.output.name]
-            usage = trace.intermediates[cascade.fs2.output.name]
-            score, label = trace.score, trace.label
-            clamped, fell_back = bool(trace.clamped), False
-        decision = Decision(
-            index=i, timestamp=record.timestamp,
-            temperature=record.temperature, humidity=record.humidity,
-            appliance_energy=record.appliance_energy,
-            time_of_day=time_of_day, apparent_temperature=apparent,
-            appliance_usage_time=usage, score=score, label=label,
-            clamped=clamped, failsafe=fell_back)
-        clamped_records += int(clamped)
-        always += joules_per_packet
-        if label == SEND:
-            transmissions += 1
-            gated += joules_per_packet
-        cumulative.append((always, gated))
-        decisions.append(decision)
-    traditional_joules = len(records) * joules_per_packet
-    if math.isinf(max(always, traditional_joules)):
-        raise ValueError(f"{len(records)} packets of {joules_per_packet!r} J "
+    n = len(records)
+    time_of_day = np.fromiter((r.time_of_day for r in records), float, n)
+    clamped, apparent, usage, score, failsafe = cascade.evaluate_columns((
+        np.fromiter((r.temperature for r in records), float, n),
+        np.fromiter((r.humidity for r in records), float, n),
+        np.fromiter((r.appliance_energy for r in records), float, n),
+        time_of_day))
+    send = failsafe | (score <= cascade.threshold)
+    clamped &= ~failsafe
+    # cumsum adds in sequence, as a running total would.
+    with np.errstate(over="ignore"):
+        always = np.cumsum(np.full(n, joules_per_packet))
+        gated = np.cumsum(np.where(send, joules_per_packet, 0.0))
+    traditional_joules = n * joules_per_packet
+    if math.isinf(max(always[-1] if n else 0.0, traditional_joules)):
+        raise ValueError(f"{n} packets of {joules_per_packet!r} J "
                          f"overflow a float")
+    decisions = tuple(
+        Decision(index=i, timestamp=r.timestamp, temperature=r.temperature,
+                 humidity=r.humidity, appliance_energy=r.appliance_energy,
+                 time_of_day=t, apparent_temperature=None if f else a,
+                 appliance_usage_time=None if f else u,
+                 score=None if f else sc, label=SEND if s else NOT_SEND,
+                 clamped=c, failsafe=f)
+        for i, (r, t, a, u, sc, s, c, f) in enumerate(zip(records, *(
+            column.tolist() for column in (time_of_day, apparent, usage,
+                                           score, send, clamped, failsafe)))))
+    cumulative = tuple(zip(always.tolist(), gated.tolist()))
+    transmissions = int(send.sum())
     total_joules = transmissions * joules_per_packet
     reduction = count_reduction = 0.0
     if records:
         reduction = (1.0 - total_joules / traditional_joules) * 100.0
-        count_reduction = (1.0 - transmissions / len(records)) * 100.0
+        count_reduction = (1.0 - transmissions / n) * 100.0
     return SimulationResult(
         transmissions=transmissions,
-        suppressed=len(records) - transmissions,
-        failsafe_sends=failsafe_sends,
-        clamped_records=clamped_records,
+        suppressed=n - transmissions,
+        failsafe_sends=int(failsafe.sum()),
+        clamped_records=int(clamped.sum()),
         total_joules=total_joules,
         traditional_joules=traditional_joules,
         reduction_pct=reduction,
         count_reduction_pct=count_reduction,
-        decisions=tuple(decisions),
-        cumulative=tuple(cumulative),
+        decisions=decisions,
+        cumulative=cumulative,
     )

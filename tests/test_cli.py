@@ -145,6 +145,40 @@ class TestSimulate:
         assert code == 1
         assert f"{bad}: line 2, field 'date'" in err
 
+    def test_nothing_sent_warns(self, capsys, tmp_path, fixture_csv):
+        code, out, err, _ = self.simulate(capsys, tmp_path, fixture_csv,
+                                          "--threshold", "-5")
+        assert code == 0
+        assert err == ("warning: none of the 50 records was sent: every score "
+                       "is above the threshold -5.0\n")
+        assert out.splitlines()[1:4] == [
+            f"{'Total transmissions':<28}{50:>14}{0:>14}",
+            f"{'Total energy (J)':<28}{2.4:>14.1f}{0.0:>14.1f}",
+            "Energy reduction: 100.0%"]
+        assert "warning" not in out
+        code, _, err, _ = self.simulate(capsys, tmp_path, fixture_csv)
+        assert code == 0 and err == ""
+
+    @pytest.mark.parametrize("bad_rows, shown", [
+        (3, "lines 3, 5, 7\n"),
+        (10, "lines 3, 5, 7, 9, 11, 13, 15, 17, 19, 21\n"),
+        (12, "lines 3, 5, 7, 9, 11, 13, 15, 17, 19, 21, …\n"),
+    ])
+    def test_skipped_lines_on_stderr(self, capsys, tmp_path, bad_rows, shown):
+        rows = ["date,T1,RH_1,Appliances"]
+        for i in range(bad_rows):
+            rows += [f"2016-01-11 17:{i:02d}:00,20,40,60", "not-a-date,20,40,60"]
+        data = tmp_path / "bad.csv"
+        data.write_text("\n".join(rows) + "\n")
+        out_dir = tmp_path / "out"
+        code, out, err = run(capsys, ["simulate", "--dataset", str(data),
+                                      "--skip-bad", "--out", str(out_dir)])
+        assert code == 0
+        assert err == f"skipped {data}: {shown}"
+        assert f"Skipped rows: {bad_rows}\n" in out and "lines 3" not in out
+        summary = json.loads((out_dir / "summary.json").read_text())
+        assert (summary["records"], summary["skipped_rows"]) == (bad_rows, bad_rows)
+
 
 def eval_json(capsys, *extra):
     code, out, err = run(capsys, ["eval", *READING, "--json", *extra])

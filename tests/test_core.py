@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from fuzzgate.core import (AggregatedOutput, FuzzyRule, FuzzySubsystem,
-                           GRID_POINTS, LinguisticVariable, MembershipFunction,
+from fuzzgate.core import (CHUNK_ROWS, AggregatedOutput, FuzzyRule,
+                           FuzzySubsystem, GRID_POINTS, LinguisticVariable, MembershipFunction,
                            NoRuleFiredError, OutOfUniverseError,
                            UnknownTermError)
 
@@ -81,6 +81,89 @@ class TestMembershipDegree:
             xs = np.linspace(-5, 105, 777)
             expected = np.array([mf(float(x)) for x in xs])
             assert np.array_equal(mf.sample(xs), expected)
+
+
+def probe_points(mf, lo, hi):
+    """Each breakpoint, its float neighbours and both universe bounds."""
+    points = [lo, hi]
+    for p in mf.breakpoints:
+        points += [np.nextafter(p, -np.inf), p, np.nextafter(p, np.inf)]
+    return np.array(points)
+
+
+def bundled_terms(fs1, fs2, fs3):
+    return [(var, mf) for fs in (fs1, fs2, fs3)
+            for var in fs.inputs + (fs.output,) for _, mf in var.terms]
+
+
+class TestSampleEqualsCall:
+    """`sample` is the array form of `__call__`: equal bit for bit."""
+
+    @staticmethod
+    def assert_bitwise(mf, xs):
+        expected = np.array([mf(x) for x in xs.tolist()])
+        assert mf.sample(xs).tobytes() == expected.tobytes(), mf
+
+    def test_bundled_terms(self, fs1, fs2, fs3):
+        terms = bundled_terms(fs1, fs2, fs3)
+        assert len(terms) == 35
+        for var, mf in terms:
+            grid = np.linspace(var.lo, var.hi, GRID_POINTS)
+            self.assert_bitwise(mf, np.concatenate(
+                [grid, probe_points(mf, var.lo, var.hi)]))
+
+    @pytest.mark.parametrize("mf", [
+        TRAP(0, 0, 3, 5), TRAP(3, 5, 10, 10), TRAP(2, 2, 2, 2), TRAP(2, 4, 4, 6),
+        TRAP(1, 1, 4, 4), TRI(5, 5, 5), TRI(0, 0, 5), TRI(0, 5, 5),
+        TRI(0.1, 0.2, 0.30000000000000004),
+    ], ids=repr)
+    def test_degenerate_shapes(self, mf):
+        xs = np.concatenate([np.linspace(-1, 11, 1001),
+                             probe_points(mf, -1.0, 11.0)])
+        self.assert_bitwise(mf, xs)
+
+
+class TestCentroids:
+    """`FuzzySubsystem.centroids` is the batch form of `evaluate`."""
+
+    def test_rows_equal_evaluate(self, fs1):
+        temperature, humidity = fs1.inputs
+        t = np.concatenate([np.linspace(temperature.lo, temperature.hi, 97),
+                            [p for _, mf in temperature.terms
+                             for p in probe_points(mf, temperature.lo,
+                                                   temperature.hi)]])
+        t = t[(temperature.lo <= t) & (t <= temperature.hi)]
+        h = np.resize(np.linspace(humidity.lo, humidity.hi, 31), len(t))
+        centroid, fired = fs1.centroids((t, h))
+        assert fired.all()
+        expected = [fs1.evaluate({temperature.name: a, humidity.name: b})
+                    for a, b in zip(t.tolist(), h.tolist())]
+        assert centroid.tolist() == expected
+
+    def test_no_rule_fired_is_nan(self):
+        fs = tiny_subsystem()
+        centroid, fired = fs.centroids((np.array([0.25, 1.0, 0.0]),))
+        assert fired.tolist() == [True, False, True]
+        assert math.isnan(centroid[1])
+        assert centroid[0] == fs.evaluate({"x": 0.25})
+
+    @pytest.mark.parametrize("bad", [1.5, -0.1, math.nan, math.inf])
+    def test_out_of_universe_raises(self, bad):
+        with pytest.raises(OutOfUniverseError) as exc:
+            tiny_subsystem().centroids((np.array([0.5, bad, 0.2]),))
+        assert exc.value.variable == "x"
+        assert exc.value.value == bad or math.isnan(bad)
+
+    def test_more_rows_than_a_chunk(self):
+        fs = tiny_subsystem()
+        xs = np.linspace(0, 1, 3 * CHUNK_ROWS + 5)
+        centroid, fired = fs.centroids((xs,))
+        for x, c, f in zip(xs.tolist(), centroid.tolist(), fired.tolist()):
+            if f:
+                assert c == fs.evaluate({"x": x})
+            else:
+                with pytest.raises(NoRuleFiredError):
+                    fs.evaluate({"x": x})
 
 
 class TestFuzzify:

@@ -1,3 +1,4 @@
+import contextlib
 import random
 from datetime import datetime, timedelta
 
@@ -99,6 +100,30 @@ class TestLoadTelemetry:
         with pytest.raises(TelemetryError) as exc:
             load_telemetry(p, policy="skip-bad")
         assert str(exc.value).startswith(f"{p}: record starting at line 5: ")
+
+    TIMESTAMP_SHAPES = (
+        "2016-01-11 17:00:00", "2016-12-31 23:59:59", "2016-01-11T17:00:00",
+        "2016-01-11", "2016-01-11 17:00", "2016-01-11 17:00:00.5",
+        "2016-01-11 17:00:00.000000", "2016-01-11 17:00:00+01:00",
+        "2016-01-11 17:00:00Z", "2016-1-11 17:0:0", "2016-01-11  7:00:00",
+        "2016-01-11 23:59:60", "2016-01-11 24:00:00", "2016-01-11 17:60:00",
+        "2016-02-30 00:00:00", "2016-13-01 00:00:00", "0000-01-01 00:00:00",
+        "20160111 170000", "2016/01/11 17:00:00",
+        "\u0662\u0660\u0661\u0666-01-11 17:00:00", "2016-01-11 1\uff17:00:00")
+
+    def test_timestamp_shapes_accepted_as_strptime_does(self, tmp_path):
+        p = tmp_path / "t.csv"
+        p.write_text("date,T1,RH_1,Appliances\n" + "".join(
+            f"{ts},20,40,60\n" for ts in self.TIMESTAMP_SHAPES), encoding="utf-8")
+        records, report = load_telemetry(p, policy="skip-bad")
+        expected = {}
+        for line, ts in enumerate(self.TIMESTAMP_SHAPES, start=2):
+            with contextlib.suppress(ValueError):
+                expected[line] = datetime.strptime(ts, "%Y-%m-%d %H:%M:%S")
+        assert 0 < len(expected) < len(self.TIMESTAMP_SHAPES)
+        assert [r.timestamp for r in records] == list(expected.values())
+        assert set(report.skipped_rows) == \
+            set(range(2, 2 + len(self.TIMESTAMP_SHAPES))) - set(expected)
 
     def test_time_of_day_fractional_hours(self):
         r = TelemetryRecord(datetime(2016, 1, 11, 13, 30, 36), 20, 0.4, 60)
