@@ -145,9 +145,10 @@ class Cascade:
         clamped reading, the two intermediates (FS1's, then FS2's), the score
         and the mask of rows where no rule fired at some node. On those rows
         the intermediates and the score are NaN. Every other row is
-        bit-identical to `evaluate`. FS2 runs once per distinct
-        (appliance_energy, time_of_day) pair. A NaN reading, or an
-        intermediate outside FS3's universe, raises OutOfUniverseError.
+        bit-identical to `evaluate`. Each node runs its grid stage once per
+        distinct row of rule strengths (see `FuzzySubsystem.centroids`). A NaN
+        reading, or an intermediate outside FS3's universe, raises
+        OutOfUniverseError.
         """
         clamped = np.zeros(len(columns[0]), dtype=bool)
         node_columns = []
@@ -157,25 +158,16 @@ class Cascade:
             clamped |= outside
             node_columns.append(np.clip(xs, var.lo, var.hi) if outside.any()
                                 else xs)
-        # Full-length temporaries are dropped as soon as they are used, so
-        # the next node reuses their memory and peak RSS stays flat.
-        pairs, inverse = np.unique(np.column_stack(node_columns[2:]), axis=0,
-                                   return_inverse=True)
-        usage, fired2 = self.fs2.centroids((pairs[:, 0], pairs[:, 1]))
-        inverse = inverse.ravel()
-        usage, fired2 = usage[inverse], fired2[inverse]
-        del pairs, inverse
+        usage, fired2 = self.fs2.centroids(node_columns[2:])
         apparent, fired1 = self.fs1.centroids(node_columns[:2])
-        del node_columns
-        both = fired1 & fired2
-        crisp = {self.fs1.output.name: apparent[both],
-                 self.fs2.output.name: usage[both]}
-        score = np.full(len(clamped), np.nan)
-        fired3 = np.zeros(len(clamped), dtype=bool)
-        score[both], fired3[both] = self.fs3.centroids(
-            [crisp[var.name] for var in self.fs3.inputs])
-        no_rule_fired = ~fired3
+        del node_columns  # so that FS3 reuses their memory
+        # FS3 reads NaN (no rule fired) as its lower bound; the row is masked.
+        crisp = {self.fs1.output.name: apparent, self.fs2.output.name: usage}
+        score, fired3 = self.fs3.centroids(
+            [np.nan_to_num(crisp[v.name], nan=v.lo) for v in self.fs3.inputs])
+        no_rule_fired = ~(fired1 & fired2 & fired3)
         apparent[no_rule_fired] = usage[no_rule_fired] = np.nan
+        score[no_rule_fired] = np.nan
         return clamped, apparent, usage, score, no_rule_fired
 
 

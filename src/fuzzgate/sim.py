@@ -92,6 +92,10 @@ def load_telemetry(path: str | Path, mapping: ColumnMapping | None = None,
     if policy not in ("strict", "skip-bad"):
         raise ValueError(f"unknown policy {policy!r}")
     mapping = mapping or ColumnMapping()
+    wanted = (mapping.timestamp, mapping.temperature, mapping.humidity,
+              mapping.appliance_energy)
+    fixed_timestamp = re.compile(FIXED_TIMESTAMP, re.ASCII).fullmatch
+    humidity_unit = 100.0 if mapping.humidity_scale == "percent" else 1.0
     records: list[TelemetryRecord] = []
     skipped_rows: list[int] = []
     line = 1  # first file line of the record being read
@@ -99,17 +103,24 @@ def load_telemetry(path: str | Path, mapping: ColumnMapping | None = None,
         with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             header = next(reader, [])
-            wanted = [mapping.timestamp, mapping.temperature, mapping.humidity,
-                      mapping.appliance_energy]
             missing = [c for c in wanted if c not in header]
             if missing:
                 raise MissingColumnError(missing, path)
+            # Read as `dict(zip(header, fields))` would: the last field of a
+            # repeated name wins, and a field a short row lacks reads "".
+            index = {name: i for i, name in enumerate(header)}
+            columns = [index[c] for c in wanted]
+            width = max(columns) + 1
             line = reader.line_num + 1
             for fields in reader:
                 if fields:
+                    if len(fields) < width:
+                        row = dict(zip(header, fields))
+                        fields = [row.get(name, "") for name in header]
                     try:
-                        records.append(_parse_row(dict(zip(header, fields)),
-                                                  mapping, path, line))
+                        records.append(_parse_row(
+                            [fields[i] for i in columns], wanted,
+                            fixed_timestamp, humidity_unit, path, line))
                     except RowError:
                         if policy == "strict":
                             raise
@@ -123,35 +134,27 @@ def load_telemetry(path: str | Path, mapping: ColumnMapping | None = None,
     return records, LoadReport(len(records), len(skipped_rows), tuple(skipped_rows))
 
 
-def _parse_row(row: dict, mapping: ColumnMapping, path, line: int
-               ) -> TelemetryRecord:
-    def number(column: str) -> float:
-        raw = (row.get(column) or "").strip().strip('"')
-        try:
-            value = float(raw)
-        except ValueError:
-            raise RowError(path, line, column, f"not a number: {raw!r}") from None
-        if not math.isfinite(value):
-            raise RowError(path, line, column, f"not finite: {raw!r}")
-        return value
-
-    raw_ts = (row.get(mapping.timestamp) or "").strip().strip('"')
+def _parse_row(fields: list[str], names: tuple[str, ...], fixed_timestamp,
+               humidity_unit: float, path, line: int) -> TelemetryRecord:
+    """Parse a row's fields of the columns `names` (ColumnMapping order)."""
+    raw = [field.strip().strip('"') for field in fields]
     try:
-        timestamp = (datetime.fromisoformat(raw_ts)
-                     if re.fullmatch(FIXED_TIMESTAMP, raw_ts, re.ASCII)
-                     else datetime.strptime(raw_ts, TIMESTAMP_FORMAT))
+        timestamp = (datetime.fromisoformat(raw[0]) if fixed_timestamp(raw[0])
+                     else datetime.strptime(raw[0], TIMESTAMP_FORMAT))
     except ValueError:
-        raise RowError(path, line, mapping.timestamp,
-                       f"not a timestamp: {raw_ts!r}") from None
-    humidity = number(mapping.humidity)
-    if mapping.humidity_scale == "percent":
-        humidity /= 100.0
-    return TelemetryRecord(
-        timestamp=timestamp,
-        temperature=number(mapping.temperature),
-        humidity=humidity,
-        appliance_energy=number(mapping.appliance_energy),
-    )
+        raise RowError(path, line, names[0],
+                       f"not a timestamp: {raw[0]!r}") from None
+    values = {}
+    for k in (2, 1, 3):  # humidity first: a row's error names what it did
+        try:
+            values[k] = float(raw[k])
+        except ValueError:
+            raise RowError(path, line, names[k],
+                           f"not a number: {raw[k]!r}") from None
+        if not math.isfinite(values[k]):
+            raise RowError(path, line, names[k], f"not finite: {raw[k]!r}")
+    return TelemetryRecord(timestamp, values[1], values[2] / humidity_unit,
+                           values[3])
 
 
 @dataclass(frozen=True, slots=True)

@@ -372,3 +372,43 @@ def test_simulate_energy_flags_never_crash(fixture_csv, mode, joules, current,
                        parse_constant=_reject_constant)
         else:
             assert err.getvalue().startswith("error: ")
+
+
+CSV_NUMBERS = st.sampled_from([b"20", b"35.5", b"0.35", b"90", b"900"]) | \
+    st.sampled_from([b"-40", b"1e308", b"nan", b"inf", b"-inf", b"", b'"',
+                     b'"20"', b"caf\xe9", b"\x00", b"T1"])
+CSV_TIMESTAMPS = st.sampled_from([
+    b"2016-01-11 17:00:00", b"2016-01-11 23:50:00", b"2016-1-11 7:0:0",
+    b"2016-01-11T17:00:00", b"not-a-date", b""])
+CSV_ROWS = st.sampled_from([b"2016-01-11 17:00:00,20,40,60",
+                            b"2016-01-11 23:50:00,35,90,900"]) | \
+    st.builds(lambda ts, fields: b",".join([ts, *fields]), CSV_TIMESTAMPS,
+              st.lists(CSV_NUMBERS, max_size=6))
+CSV_HEADERS = st.sampled_from([
+    b"date,T1,RH_1,Appliances", b"\xef\xbb\xbfdate,T1,RH_1,Appliances",
+    b"date,T1,RH_1,Appliances,T1", b"date,T1,Appliances,RH_1,RH_1",
+    b"date,T1,Appliances"]) | CSV_ROWS
+
+
+@settings(max_examples=100, deadline=None)
+@given(header=CSV_HEADERS, rows=st.lists(CSV_ROWS, max_size=10),
+       last=st.just(b"") | st.text(max_size=24).map(str.encode)
+       | st.binary(max_size=24),
+       newline=st.sampled_from([b"\n", b"\r\n"]),
+       policy=st.sampled_from(["--strict", "--skip-bad"]))
+def test_simulate_csv_bytes_never_crash(header, rows, last, newline, policy):
+    """CSV bytes, up to a last line of raw bytes, either replay
+    (exit 0) or are refused with an error line (exit 1 or 2), under either
+    row policy."""
+    with tempfile.TemporaryDirectory() as tmp:
+        dataset = Path(tmp) / "data.csv"
+        dataset.write_bytes(newline.join([header, *rows, last]))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            code = main(["simulate", "--dataset", str(dataset), "--out",
+                         str(Path(tmp) / "out"), policy])
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()
+        if code:
+            assert err.getvalue().startswith("error: ")

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from fuzzgate.core import (CHUNK_ROWS, AggregatedOutput, FuzzyRule,
+from fuzzgate.core import (CHUNK_ROWS, NARROW_ROWS, AggregatedOutput, FuzzyRule,
                            FuzzySubsystem, GRID_POINTS, LinguisticVariable, MembershipFunction,
                            NoRuleFiredError, OutOfUniverseError,
                            UnknownTermError)
@@ -164,6 +164,67 @@ class TestCentroids:
             else:
                 with pytest.raises(NoRuleFiredError):
                     fs.evaluate({"x": x})
+
+    @staticmethod
+    def bits(xs):
+        return np.asarray(xs, dtype=float).view(np.uint64).tolist()
+
+    def test_rows_do_not_depend_on_their_neighbours(self, fs1):
+        _, humidity = fs1.inputs
+        rng = np.random.default_rng(7)
+        n = NARROW_ROWS // 2 + 5  # repeated 3 times, it crosses a narrow block
+        t = rng.uniform(15.0, 25.0, n)
+        h = rng.uniform(humidity.lo, humidity.hi, n)
+        t[::7] = 10.0  # plateau rows share their strength rows
+        centroid, fired = fs1.centroids((t, h))
+        reversed_centroid, reversed_fired = fs1.centroids((t[::-1], h[::-1]))
+        assert self.bits(reversed_centroid[::-1]) == self.bits(centroid)
+        assert reversed_fired[::-1].tolist() == fired.tolist()
+        repeated, repeated_fired = fs1.centroids((np.repeat(t, 3),
+                                                  np.repeat(h, 3)))
+        assert self.bits(repeated) == self.bits(np.repeat(centroid, 3))
+        assert repeated_fired.tolist() == np.repeat(fired, 3).tolist()
+
+    def test_different_inputs_with_equal_strengths_equal_evaluate(self, fs1):
+        # On a term's plateau, or outside every support but one, readings
+        # give equal degrees, so the rows share one strength row.
+        temperature, humidity = fs1.inputs
+        t = np.array([0.0, 5.0, 18.5, 23.0, 60.0, 100.0, 19.0, 21.0])
+        h = np.array([0.0, 0.1, 0.3, 0.8, 1.0, 0.2, 0.33, 0.37])
+        t, h = (np.ravel(grid) for grid in np.meshgrid(t, h))
+        centroid, fired = fs1.centroids((t, h))
+        assert fired.all()
+        expected = [fs1.evaluate({temperature.name: a, humidity.name: b})
+                    for a, b in zip(t.tolist(), h.tolist())]
+        assert self.bits(centroid) == self.bits(expected)
+        assert len(set(expected)) < len(expected)
+
+    def test_rows_differing_in_one_term_strength_stay_apart(self):
+        # Rows 0 and 1 differ only in the strength of `left`, rows 0 and 2
+        # only in that of `right`; both terms are asymmetric, so each
+        # strength moves the centroid. Merging either pair gives a wrong row.
+        falling = (("low", TRI(0, 0, 1)), ("high", TRI(0, 1, 1)))
+        x = LinguisticVariable("x", 0, 1, falling)
+        y = LinguisticVariable("y", 0, 1, falling)
+        out = LinguisticVariable("z", 0, 1, (("left", TRI(0, 0.1, 0.7)),
+                                             ("right", TRI(0.3, 0.9, 1))))
+        fs = FuzzySubsystem("pair", (x, y), out, (
+            FuzzyRule((("x", "low"),), ("z", "left")),
+            FuzzyRule((("y", "low"),), ("z", "right"))))
+        xs, ys = np.array([0.2, 0.4, 0.2]), np.array([0.5, 0.5, 0.7])
+        centroid, fired = fs.centroids((xs, ys))
+        expected = [fs.evaluate({"x": a, "y": b})
+                    for a, b in zip(xs.tolist(), ys.tolist())]
+        assert len(set(expected)) == 3
+        assert self.bits(centroid) == self.bits(expected)
+
+    def test_output_without_terms_fires_no_row(self):
+        x = LinguisticVariable("x", 0, 1, (("on", TRAP(0, 0, 0.5, 1)),))
+        fs = FuzzySubsystem("bare", (x,), LinguisticVariable("y", 0, 1, ()), ())
+        centroid, fired = fs.centroids((np.array([0.2, 0.8]),))
+        assert not fired.any() and np.isnan(centroid).all()
+        with pytest.raises(NoRuleFiredError):
+            fs.evaluate({"x": 0.2})
 
 
 class TestFuzzify:

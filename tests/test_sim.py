@@ -101,6 +101,32 @@ class TestLoadTelemetry:
             load_telemetry(p, policy="skip-bad")
         assert str(exc.value).startswith(f"{p}: record starting at line 5: ")
 
+    @pytest.mark.parametrize("header, row, temperature", [
+        ("date,T1,RH_1,Appliances,T1", "2016-01-11 17:00:00,20,40,60,25", 25.0),
+        ("date,T1,RH_1,Appliances", "2016-01-11 17:00:00,20,40,60,x,7", 20.0),
+        ("date,T1,RH_1,Appliances,T1", "2016-01-11 17:00:00,20,40,60", 20.0),
+    ], ids=["repeated-name-last-wins", "long-row", "short-row-repeated-name"])
+    def test_row_read_as_a_dict_of_header_and_fields(self, tmp_path, header,
+                                                     row, temperature):
+        # As `dict(zip(header, fields))`: the last field of a repeated name
+        # that the row has wins, and extra trailing fields are ignored.
+        p = tmp_path / "t.csv"
+        p.write_text(f"{header}\n{row}\n")
+        records, _ = load_telemetry(p, policy="strict")
+        assert [(r.temperature, r.appliance_energy) for r in records] == \
+            [(temperature, 60.0)]
+
+    @pytest.mark.parametrize("row, field", [
+        ("2016-01-11 17:00:00,20,40", "Appliances"),
+        ("2016-01-11 17:00:00", "RH_1"),  # humidity is checked first
+    ])
+    def test_short_row_reads_missing_fields_as_empty(self, tmp_path, row, field):
+        p = tmp_path / "t.csv"
+        p.write_text(f"date,T1,RH_1,Appliances\n{row}\n")
+        with pytest.raises(RowError) as exc:
+            load_telemetry(p, policy="strict")
+        assert str(exc.value) == f"{p}: line 2, field '{field}': not a number: ''"
+
     TIMESTAMP_SHAPES = (
         "2016-01-11 17:00:00", "2016-12-31 23:59:59", "2016-01-11T17:00:00",
         "2016-01-11", "2016-01-11 17:00", "2016-01-11 17:00:00.5",
