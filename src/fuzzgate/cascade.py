@@ -247,6 +247,9 @@ def parse_manifest(path: str | Path) -> tuple[dict[str, Path], float]:
             raise CascadeBuildError(f"{path}:{lineno}: expected 'key = value'")
         key, value = (part.strip() for part in line.split("=", 1))
         if key in FIS_KEYS:
+            if "\0" in value:  # open() would raise ValueError
+                raise CascadeBuildError(
+                    f"{path}:{lineno}: {key} path contains a NUL byte")
             fis_paths[key] = path.parent / value
         elif key == "threshold":
             try:

@@ -10,8 +10,8 @@ import json
 import sys
 from pathlib import Path
 
-from .cascade import (BUNDLED_MANIFEST, FIS_KEYS, CascadeBuildError,
-                      load_manifest, parse_manifest)
+from .cascade import (BUNDLED_MANIFEST, FIS_KEYS, NOT_SEND, SEND,
+                      CascadeBuildError, load_manifest, parse_manifest)
 from .core import FuzzyError
 from .dsl import load_subsystem
 from .energy import REFERENCE_JOULES_PER_PACKET, packet_energy
@@ -187,18 +187,19 @@ def cmd_simulate(args) -> int:
         fh.write("index,timestamp,temperature,humidity,appliance_energy,"
                  "time_of_day,apparent_temperature,appliance_usage_time,"
                  "score,label,clamped,failsafe\n")
-        for d in result.decisions:
-            def opt(x):
-                return "" if x is None else repr(x)
-            fh.write(f"{d.index},{d.timestamp:%Y-%m-%d %H:%M:%S},"
-                     f"{d.temperature!r},{d.humidity!r},{d.appliance_energy!r},"
-                     f"{d.time_of_day!r},{opt(d.apparent_temperature)},"
-                     f"{opt(d.appliance_usage_time)},{opt(d.score)},{d.label},"
-                     f"{int(d.clamped)},{int(d.failsafe)}\n")
+        rows = zip(records, *(column.tolist() for column in (
+            result.apparent_temperature, result.appliance_usage_time,
+            result.score, result.decisions, result.clamped, result.failsafe)))
+        for i, (r, apparent, usage, score, send, clamped, failsafe) in enumerate(rows):
+            outputs = ",," if failsafe else f"{apparent!r},{usage!r},{score!r}"
+            fh.write(f"{i},{r.timestamp:%Y-%m-%d %H:%M:%S},{r.temperature!r},"
+                     f"{r.humidity!r},{r.appliance_energy!r},{r.time_of_day!r},"
+                     f"{outputs},{SEND if send else NOT_SEND},{int(clamped)},"
+                     f"{int(failsafe)}\n")
 
     with open(out_dir / "cumulative.csv", "w", encoding="utf-8", newline="") as fh:
         fh.write("index,traditional_joules,fuzzy_joules\n")
-        for i, (t, f) in enumerate(result.cumulative):
+        for i, (t, f) in enumerate(result.cumulative.tolist()):
             fh.write(f"{i},{t!r},{f!r}\n")
 
     print(f"{'':<28}{'Traditional':>14}{'Fuzzy':>14}")

@@ -154,6 +154,10 @@ class LinguisticVariable:
     def __post_init__(self):
         if not self.lo < self.hi:
             raise ValueError(f"universe of '{self.name}' is empty: [{self.lo}, {self.hi}]")
+        if not math.isfinite(self.hi - self.lo):
+            # The output grid's step would overflow to inf and the grid to NaN.
+            raise ValueError(f"universe of '{self.name}' is wider than a float "
+                             f"can hold: [{self.lo}, {self.hi}]")
         names = [t for t, _ in self.terms]
         if len(names) != len(set(names)):
             raise ValueError(f"duplicate term names on variable '{self.name}'")

@@ -361,6 +361,9 @@ def validate(doc: FisDocument) -> tuple[FuzzySubsystem | None, list[Diagnostic]]
         if not var.lo < var.hi:
             error(f"empty universe [{var.lo}, {var.hi}] for variable '{var.name}'",
                   var.span)
+        elif not math.isfinite(var.hi - var.lo):
+            error(f"universe [{var.lo}, {var.hi}] of variable '{var.name}' is "
+                  f"wider than a float can hold", var.span)
         term_names = set()
         for term in var.terms:
             if term.name in term_names:

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .cascade import NOT_SEND, SEND, Cascade
+from .cascade import Cascade
 
 TIMESTAMP_FORMAT = "%Y-%m-%d %H:%M:%S"
 
@@ -157,26 +157,14 @@ def _parse_row(fields: list[str], names: tuple[str, ...], fixed_timestamp,
                            values[3])
 
 
-@dataclass(frozen=True, slots=True)
-class Decision:
-    index: int
-    timestamp: datetime
-    temperature: float
-    humidity: float
-    appliance_energy: float
-    time_of_day: float
-    apparent_temperature: float | None
-    appliance_usage_time: float | None
-    score: float | None
-    label: str
-    clamped: bool = False
-    failsafe: bool = False
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # a generated == fails on array fields
 class SimulationResult:
     """The gated run over a record set, priced against always-send on the
-    same records."""
+    same records.
+
+    The arrays hold one entry per record, in record order. The intermediates
+    and the score are NaN on fail-safe rows.
+    """
 
     transmissions: int
     suppressed: int
@@ -186,8 +174,13 @@ class SimulationResult:
     traditional_joules: float
     reduction_pct: float
     count_reduction_pct: float
-    decisions: tuple[Decision, ...]
-    cumulative: tuple[tuple[float, float], ...]  # (always-send, gated) per record
+    decisions: np.ndarray  # bool, True = Send
+    clamped: np.ndarray  # bool
+    failsafe: np.ndarray  # bool
+    apparent_temperature: np.ndarray
+    appliance_usage_time: np.ndarray
+    score: np.ndarray
+    cumulative: np.ndarray  # (n, 2): joules so far, always-send then gated
 
 
 def run_fuzzy(records: list[TelemetryRecord], cascade: Cascade,
@@ -206,12 +199,11 @@ def run_fuzzy(records: list[TelemetryRecord], cascade: Cascade,
         raise ValueError(f"joules per packet must be finite and > 0, "
                          f"got {joules_per_packet!r}")
     n = len(records)
-    time_of_day = np.fromiter((r.time_of_day for r in records), float, n)
     clamped, apparent, usage, score, failsafe = cascade.evaluate_columns((
         np.fromiter((r.temperature for r in records), float, n),
         np.fromiter((r.humidity for r in records), float, n),
         np.fromiter((r.appliance_energy for r in records), float, n),
-        time_of_day))
+        np.fromiter((r.time_of_day for r in records), float, n)))
     send = failsafe | (score <= cascade.threshold)
     clamped &= ~failsafe
     # cumsum adds in sequence, as a running total would.
@@ -222,17 +214,6 @@ def run_fuzzy(records: list[TelemetryRecord], cascade: Cascade,
     if math.isinf(max(always[-1] if n else 0.0, traditional_joules)):
         raise ValueError(f"{n} packets of {joules_per_packet!r} J "
                          f"overflow a float")
-    decisions = tuple(
-        Decision(index=i, timestamp=r.timestamp, temperature=r.temperature,
-                 humidity=r.humidity, appliance_energy=r.appliance_energy,
-                 time_of_day=t, apparent_temperature=None if f else a,
-                 appliance_usage_time=None if f else u,
-                 score=None if f else sc, label=SEND if s else NOT_SEND,
-                 clamped=c, failsafe=f)
-        for i, (r, t, a, u, sc, s, c, f) in enumerate(zip(records, *(
-            column.tolist() for column in (time_of_day, apparent, usage,
-                                           score, send, clamped, failsafe)))))
-    cumulative = tuple(zip(always.tolist(), gated.tolist()))
     transmissions = int(send.sum())
     total_joules = transmissions * joules_per_packet
     reduction = count_reduction = 0.0
@@ -248,6 +229,11 @@ def run_fuzzy(records: list[TelemetryRecord], cascade: Cascade,
         traditional_joules=traditional_joules,
         reduction_pct=reduction,
         count_reduction_pct=count_reduction,
-        decisions=decisions,
-        cumulative=cumulative,
+        decisions=send,
+        clamped=clamped,
+        failsafe=failsafe,
+        apparent_temperature=apparent,
+        appliance_usage_time=usage,
+        score=score,
+        cumulative=np.column_stack((always, gated)),
     )

@@ -5,6 +5,7 @@
 same bits for every record: intermediates, score, label, clamped flag and
 fail-safe sends.
 """
+import math
 import random
 from datetime import datetime, timedelta
 
@@ -31,24 +32,25 @@ def readings(record):
 
 
 def scalar_decision(cascade, inputs, failed_nodes=None):
-    """What `run_fuzzy` must record for one reading, from `evaluate`."""
+    """What `run_fuzzy` must record for one reading, from `evaluate`: the
+    intermediates, score, Send, clamped and fail-safe flags."""
     try:
         trace = cascade.evaluate(inputs, clamp=True)
     except NoRuleFiredError as exc:
         if failed_nodes is not None:
             failed_nodes.add(exc.variable.split(".")[0])
-        return None, None, None, SEND, False, True
+        return math.nan, math.nan, math.nan, True, False, True
     return (trace.intermediates[cascade.fs1.output.name],
             trace.intermediates[cascade.fs2.output.name],
-            trace.score, trace.label, bool(trace.clamped), False)
+            trace.score, trace.label == SEND, bool(trace.clamped), False)
 
 
 def assert_paths_agree(cascade, records, failed_nodes=None):
     result = run_fuzzy(records, cascade, REFERENCE_JOULES_PER_PACKET)
     assert len(result.decisions) == len(records)
-    for record, d in zip(records, result.decisions):
-        batch = (d.apparent_temperature, d.appliance_usage_time, d.score,
-                 d.label, d.clamped, d.failsafe)
+    columns = (result.apparent_temperature, result.appliance_usage_time,
+               result.score, result.decisions, result.clamped, result.failsafe)
+    for record, batch in zip(records, zip(*(c.tolist() for c in columns))):
         expected = scalar_decision(cascade, readings(record), failed_nodes)
         assert tuple(map(bits, batch)) == tuple(map(bits, expected)), record
     return result
@@ -151,7 +153,7 @@ class TestPathsAgree:
                                     failed)
         assert failed == {f"fs{node + 1}"}
         assert 0 < result.failsafe_sends < len(result.decisions)
-        assert all(d.label == SEND for d in result.decisions if d.failsafe)
+        assert result.decisions[result.failsafe].all()
 
     @pytest.mark.parametrize("node", [0, 1, 2], ids=["fs1", "fs2", "fs3"])
     def test_empty_rule_bank(self, cascade, node):
@@ -164,7 +166,7 @@ class TestPathsAgree:
 
     def test_no_records(self, cascade):
         result = run_fuzzy([], cascade, REFERENCE_JOULES_PER_PACKET)
-        assert result.decisions == () and result.cumulative == ()
+        assert len(result.decisions) == 0 and len(result.cumulative) == 0
         assert result.transmissions == result.failsafe_sends == 0
         empty = cascade.evaluate_columns([np.array([])] * 4)
         assert [len(column) for column in empty] == [0] * 5

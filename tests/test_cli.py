@@ -159,6 +159,44 @@ class TestSimulate:
         code, _, err, _ = self.simulate(capsys, tmp_path, fixture_csv)
         assert code == 0 and err == ""
 
+    def test_failsafe_and_clamped_rows(self, capsys, tmp_path):
+        # FS1 keeps only its rules on a low temperature, so a warmer reading
+        # fires no FS1 rule and is sent as a fail-safe; a fail-safe row is
+        # not counted as clamped.
+        bundled = (bundled_fis_dir() / FIS_FILES["fs1"]).read_text()
+        fs1 = tmp_path / "fs1.fis.txt"
+        fs1.write_text("".join(
+            line for line in bundled.splitlines(keepends=True)
+            if not line.startswith("rule")
+            or "indoor_temperature is low " in line))
+        manifest = write_manifest(tmp_path / "m.manifest", f"fis1 = {fs1}\n")
+        dataset = tmp_path / "t.csv"
+        dataset.write_text("date,T1,RH_1,Appliances\n"
+                           "2016-01-11 09:30:00,15,40,400\n"
+                           "2016-01-11 03:10:00,25,40,60\n"
+                           "2016-01-11 03:20:00,15,140,60\n"
+                           "2016-01-11 03:30:00,25,140,60\n")
+        out_dir = tmp_path / "out"
+        code, out, _ = run(capsys, ["simulate", "--dataset", str(dataset),
+                                    "--manifest", str(manifest),
+                                    "--out", str(out_dir)])
+        assert code == 0
+        assert "Clamped records: 1\nFail-safe sends: 2\n" in out
+        decisions = (out_dir / "decisions.csv").read_text().splitlines()
+        assert decisions[1:] == [
+            "0,2016-01-11 09:30:00,15.0,0.4,400.0,9.5,23.922152120574832,"
+            "84.47038269550751,72.94375624375627,not_send,0,0",
+            "1,2016-01-11 03:10:00,25.0,0.4,60.0,3.1666666666666665,,,,send,0,1",
+            "2,2016-01-11 03:20:00,15.0,1.4,60.0,3.3333333333333335,55.0,"
+            "16.30780031201248,27.056243756243752,send,1,0",
+            "3,2016-01-11 03:30:00,25.0,1.4,60.0,3.5,,,,send,0,1"]
+        cumulative = (out_dir / "cumulative.csv").read_text().splitlines()
+        assert cumulative[1:] == [
+            "0,0.04853132189331735,0.0",
+            "1,0.0970626437866347,0.04853132189331735",
+            "2,0.14559396567995206,0.0970626437866347",
+            "3,0.1941252875732694,0.14559396567995206"]
+
     @pytest.mark.parametrize("bad_rows, shown", [
         (3, "lines 3, 5, 7\n"),
         (10, "lines 3, 5, 7, 9, 11, 13, 15, 17, 19, 21\n"),
@@ -274,16 +312,21 @@ class TestBadInput:
         assert code == 1
         assert "invalid UTF-8" in err
 
-    @pytest.mark.parametrize("command", ["eval", "simulate"])
-    def test_unknown_external_name(self, capsys, tmp_path, fixture_csv, command):
+    @pytest.mark.parametrize("line, message", [
         # Readings bind by position only; `external` is not a manifest key.
-        manifest = write_manifest(tmp_path / "m.manifest",
-                                  "external temperature = fs1.indoor_temperature\n")
+        ("external temperature = fs1.indoor_temperature",
+         "unknown key 'external temperature'"),
+        ("fis1 = a\0b.fis.txt", "fis1 path contains a NUL byte"),
+    ], ids=["external-key", "nul-byte"])
+    @pytest.mark.parametrize("command", ["eval", "simulate"])
+    def test_bad_manifest_line(self, capsys, tmp_path, fixture_csv, command,
+                               line, message):
+        manifest = write_manifest(tmp_path / "m.manifest", line + "\n")
         args = READING if command == "eval" else [
             "--dataset", str(fixture_csv), "--out", str(tmp_path / "out")]
         code, _, err = run(capsys, [command, *args, "--manifest", str(manifest)])
         assert code == 1
-        assert err.startswith(f"error: {manifest}:4: unknown key 'external temperature'")
+        assert err.startswith(f"error: {manifest}:4: {message}")
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("options, csv_bytes, where", [

@@ -263,6 +263,10 @@ class TestFuzzify:
         with pytest.raises(ValueError):
             LinguisticVariable("v", 0, 10, (("a", TRI(0, 5, 11)),))
 
+    def test_universe_wider_than_a_float_rejected(self):
+        with pytest.raises(ValueError, match="wider than a float"):
+            LinguisticVariable("v", -1e308, 1e308, (("a", TRI(0, 5, 10)),))
+
 
 class TestRuleActivation:
     def make(self, d1, d2):

@@ -132,6 +132,16 @@ class TestValidate:
         assert subsystem is None
         assert any("outside the universe" in d.message for d in diags)
 
+    def test_universe_wider_than_a_float(self):
+        text = ("system s\ninput x universe 0 10\n  term a triangle 0 5 10\n"
+                "output y universe -1e308 1e308\n  term t triangle 0 0.5 1\n"
+                "rule if x is a then y is t\n")
+        subsystem, diags = self.build(text)
+        assert subsystem is None
+        err = next(d for d in diags if d.severity == "error")
+        assert "wider than a float" in err.message
+        assert err.span.line == 4
+
     def test_incomplete_rule_grid_is_warning(self):
         text = ("system s\n"
                 "input x universe 0 10\n  term a triangle 0 2 10\n"

@@ -1,7 +1,9 @@
 import contextlib
+import dataclasses
 import random
 from datetime import datetime, timedelta
 
+import numpy as np
 import pytest
 
 from fuzzgate.energy import REFERENCE_JOULES_PER_PACKET, packet_energy
@@ -174,7 +176,7 @@ class TestRunTraditional:
         assert result.traditional_joules == 0.0
         assert result.reduction_pct == 0.0
         assert result.count_reduction_pct == 0.0
-        assert result.cumulative == ()
+        assert len(result.cumulative) == 0
 
     def test_physical_linearity(self, cascade):
         per_packet = packet_energy(header_bits=6_000_000, data_bits=0)
@@ -220,13 +222,17 @@ class TestRunFuzzy:
                                    20.0, 1.4, 60.0)]
         result = run_fuzzy(records, cascade, CALIBRATED)
         assert result.clamped_records == 1
-        assert result.decisions[0].clamped
+        assert result.clamped[0]
 
     def test_replay_determinism(self, cascade, fixture_csv):
         records, _ = load_telemetry(fixture_csv)
         a = run_fuzzy(records, cascade, CALIBRATED)
         b = run_fuzzy(records, cascade, CALIBRATED)
-        assert a == b
+        for field in dataclasses.fields(a):
+            x, y = (getattr(r, field.name) for r in (a, b))
+            if isinstance(x, np.ndarray):
+                x, y = ((v.dtype, v.shape, v.tobytes()) for v in (x, y))
+            assert x == y, field.name
 
     def test_shuffle_invariance_of_totals(self, cascade, fixture_csv):
         records, _ = load_telemetry(fixture_csv)
@@ -248,7 +254,7 @@ class TestRunFuzzy:
         sent = run_fuzzy(records, broken, CALIBRATED)
         assert sent.transmissions == 5
         assert sent.failsafe_sends == 5
-        assert all(d.failsafe for d in sent.decisions)
+        assert sent.failsafe.all()
 
 
 class TestFullScaleReplay:
