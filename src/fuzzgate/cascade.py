@@ -61,10 +61,46 @@ def decide(score: float, threshold: float = DEFAULT_THRESHOLD) -> str:
 
 @dataclass(frozen=True)
 class Cascade:
+    """FS1 and FS2 outputs wired into FS3. The externals bind by position:
+    DEFAULT_EXTERNALS[:2] to the FS1 inputs, DEFAULT_EXTERNALS[2:] to the FS2
+    inputs. Every cascade, however made (`dataclasses.replace` too), is
+    checked: WiringMismatchError when an FS3 input does not match the name and
+    universe of its producer's output, CascadeBuildError when FS1 or FS2 does
+    not have two inputs or the threshold is not finite."""
+
     fs1: FuzzySubsystem
     fs2: FuzzySubsystem
     fs3: FuzzySubsystem
     threshold: float = DEFAULT_THRESHOLD
+
+    def __post_init__(self):
+        fs1, fs2, fs3 = self.fs1, self.fs2, self.fs3
+        if not math.isfinite(self.threshold):
+            # A NaN threshold would label every record NotSend.
+            raise CascadeBuildError(
+                f"decision threshold must be a finite number, got {self.threshold!r}")
+        fs3_inputs = {v.name: v for v in fs3.inputs}
+        for producer in (fs1, fs2):
+            out = producer.output
+            consumer = fs3_inputs.get(out.name)
+            if consumer is None:
+                raise WiringMismatchError(
+                    f"'{producer.name}' produces '{out.name}' but '{fs3.name}' "
+                    f"has no input of that name")
+            if (consumer.lo, consumer.hi) != (out.lo, out.hi):
+                raise WiringMismatchError(
+                    f"universe mismatch on '{out.name}': {producer.name} produces "
+                    f"[{out.lo}, {out.hi}] but {fs3.name} consumes "
+                    f"[{consumer.lo}, {consumer.hi}]")
+        if len(fs3.inputs) != 2 or fs1.output.name == fs2.output.name:
+            raise WiringMismatchError(
+                "decision stage must consume exactly the two distinct "
+                "intermediate variables")
+        if (len(fs1.inputs), len(fs2.inputs)) != (2, 2):
+            raise CascadeBuildError(
+                f"expected {len(DEFAULT_EXTERNALS)} stage-one inputs, two per node, "
+                f"found {len(fs1.inputs)} on '{fs1.name}' and {len(fs2.inputs)} "
+                f"on '{fs2.name}'")
 
     @property
     def nodes(self) -> dict[str, FuzzySubsystem]:
@@ -171,45 +207,6 @@ class Cascade:
         return clamped, apparent, usage, score, no_rule_fired
 
 
-def build_cascade(fs1: FuzzySubsystem, fs2: FuzzySubsystem, fs3: FuzzySubsystem,
-                  threshold: float = DEFAULT_THRESHOLD) -> Cascade:
-    """Wire FS1 and FS2 outputs into FS3 and bind the four externals.
-
-    The externals bind by position: DEFAULT_EXTERNALS[:2] to the FS1 inputs
-    and DEFAULT_EXTERNALS[2:] to the FS2 inputs, in order. Raises
-    WiringMismatchError when an FS3 input does not match the name and
-    universe of the corresponding producer output, and CascadeBuildError
-    when FS1 or FS2 does not have two inputs or the threshold is not finite.
-    """
-    if not math.isfinite(threshold):
-        # A NaN threshold would label every record NotSend.
-        raise CascadeBuildError(
-            f"decision threshold must be a finite number, got {threshold!r}")
-    fs3_inputs = {v.name: v for v in fs3.inputs}
-    for producer in (fs1, fs2):
-        out = producer.output
-        consumer = fs3_inputs.get(out.name)
-        if consumer is None:
-            raise WiringMismatchError(
-                f"'{producer.name}' produces '{out.name}' but '{fs3.name}' "
-                f"has no input of that name")
-        if (consumer.lo, consumer.hi) != (out.lo, out.hi):
-            raise WiringMismatchError(
-                f"universe mismatch on '{out.name}': {producer.name} produces "
-                f"[{out.lo}, {out.hi}] but {fs3.name} consumes "
-                f"[{consumer.lo}, {consumer.hi}]")
-    if len(fs3.inputs) != 2 or fs1.output.name == fs2.output.name:
-        raise WiringMismatchError(
-            "decision stage must consume exactly the two distinct "
-            "intermediate variables")
-    if (len(fs1.inputs), len(fs2.inputs)) != (2, 2):
-        raise CascadeBuildError(
-            f"expected {len(DEFAULT_EXTERNALS)} stage-one inputs, two per node, "
-            f"found {len(fs1.inputs)} on '{fs1.name}' and {len(fs2.inputs)} "
-            f"on '{fs2.name}'")
-    return Cascade(fs1, fs2, fs3, threshold)
-
-
 #: The manifest that wires the bundled definition files.
 BUNDLED_MANIFEST = Path(__file__).parent / "data" / "cascade.manifest"
 
@@ -277,6 +274,6 @@ def load_manifest(path: str | Path, *, fis1: str | Path | None = None,
         elif key not in fis_paths:
             raise CascadeBuildError(f"manifest {path} is missing '{key}'")
     fs1, fs2, fs3 = (_load_or_raise(fis_paths[key]) for key in FIS_KEYS)
-    return build_cascade(fs1, fs2, fs3, manifest_threshold if threshold is None
-                         else threshold)
+    return Cascade(fs1, fs2, fs3, manifest_threshold if threshold is None
+                   else threshold)
 

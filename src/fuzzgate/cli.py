@@ -40,12 +40,14 @@ def _add_energy_options(parser: argparse.ArgumentParser):
                         default="calibrated")
     parser.add_argument("--per-packet-joules", type=float, default=None,
                         help="calibrated mode: joules per packet")
-    parser.add_argument("--current", type=float, default=0.280,
+    parser.add_argument("--current", type=float,
                         help="physical mode: transmit current in amperes")
-    parser.add_argument("--voltage", type=float, default=5.0,
+    parser.add_argument("--voltage", type=float,
                         help="physical mode: supply voltage in volts")
-    parser.add_argument("--header-bits", type=int, default=288)
-    parser.add_argument("--data-bits", type=int, default=960)
+    parser.add_argument("--header-bits", type=int,
+                        help="physical mode: packet header size in bits")
+    parser.add_argument("--data-bits", type=int,
+                        help="physical mode: packet payload size in bits")
 
 
 def _add_mapping_options(parser: argparse.ArgumentParser):
@@ -58,15 +60,26 @@ def _add_mapping_options(parser: argparse.ArgumentParser):
 
 
 def _joules_per_packet(args) -> float:
+    """Joules per packet from the flags the energy mode reads; a flag that
+    the mode does not read is an error, so that it is never ignored."""
+    physical = {"--current": ("current_a", args.current),
+                "--voltage": ("voltage_v", args.voltage),
+                "--header-bits": ("header_bits", args.header_bits),
+                "--data-bits": ("data_bits", args.data_bits)}
     if args.energy_mode == "physical":
-        return packet_energy(args.current, args.voltage, args.header_bits,
-                             args.data_bits)
+        if args.per_packet_joules is not None:
+            raise ValueError("physical energy mode does not read --per-packet-joules")
+        return packet_energy(**{name: value for name, value in physical.values()
+                                if value is not None})
+    unread = [flag for flag, (_, value) in physical.items() if value is not None]
+    if unread:
+        raise ValueError(f"calibrated energy mode does not read {', '.join(unread)}")
     if args.per_packet_joules is not None:
         return args.per_packet_joules
     return REFERENCE_JOULES_PER_PACKET
 
 
-def _build_cascade(args):
+def _load_cascade(args):
     return load_manifest(args.manifest or BUNDLED_MANIFEST, fis1=args.fis1,
                          fis2=args.fis2, fis3=args.fis3, threshold=args.threshold)
 
@@ -101,7 +114,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    c = _build_cascade(args)
+    c = _load_cascade(args)
     inputs = {"temperature": args.temp, "humidity": args.humidity,
               "appliance_energy": args.energy, "time_of_day": args.time}
     trace = c.evaluate(inputs, clamp=args.clamp)
@@ -139,7 +152,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    c = _build_cascade(args)
+    c = _load_cascade(args)
     policy = "strict" if args.strict else "skip-bad"
     try:
         joules_per_packet = _joules_per_packet(args)

@@ -18,11 +18,10 @@ import numpy as np
 #: and centroid defuzzification.
 GRID_POINTS = 1001
 
-#: Rows per block of the batch evaluator's wide and narrow stages. A wide
-#: block's aggregate holds CHUNK_ROWS x GRID_POINTS floats (512 KiB) whatever
-#: the number of rows; only the narrow stage's per-term strengths grow with it.
+#: Rows per block of the batch evaluator's wide stage. A block's aggregate
+#: holds CHUNK_ROWS x GRID_POINTS floats (512 KiB) whatever the number of
+#: rows; only the narrow stage's per-term strengths grow with it.
 CHUNK_ROWS = 64
-NARROW_ROWS = 4096
 
 
 class FuzzyError(Exception):
@@ -254,6 +253,11 @@ class FuzzySubsystem:
     _consequent_samples: dict[str, np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        lo, hi = self.output.lo, self.output.hi
+        if not math.isfinite(GRID_POINTS * max(abs(lo), abs(hi))):
+            # The centroid's weighted grid sum, at most this product, would be inf.
+            raise ValueError(f"output universe of '{self.name}' [{lo}, {hi}] is too "
+                             f"large: its centroid sum would overflow a float")
         known = {v.name: v for v in self.inputs}
         known[self.output.name] = self.output
         for rule in self.rules:
@@ -345,16 +349,14 @@ class FuzzySubsystem:
         1.5 MB."""
         terms = list(self._consequent_samples)
         strength = [np.zeros(n) for _ in terms]
-        for start in range(0, n, NARROW_ROWS):
-            rows = slice(start, start + NARROW_ROWS)
-            degrees = {(var.name, term): mf.sample(xs[rows])
-                       for var, xs in zip(self.inputs, columns)
-                       for term, mf in var.terms}
-            for rule in self.rules:
-                act = functools.reduce(np.minimum,
-                                       (degrees[a] for a in rule.antecedents))
-                best = strength[terms.index(rule.consequent[1])][rows]
-                np.maximum(best, act, out=best)
+        degrees = {(var.name, term): mf.sample(xs)
+                   for var, xs in zip(self.inputs, columns)
+                   for term, mf in var.terms}
+        for rule in self.rules:
+            act = functools.reduce(np.minimum,
+                                   (degrees[a] for a in rule.antecedents))
+            best = strength[terms.index(rule.consequent[1])]
+            np.maximum(best, act, out=best)
         return strength
 
 

@@ -15,9 +15,10 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
-from .core import FuzzyRule, FuzzySubsystem, LinguisticVariable, MembershipFunction
+from .core import (GRID_POINTS, FuzzyRule, FuzzySubsystem, LinguisticVariable,
+                   MembershipFunction)
 
 KEYWORDS = {"system", "input", "output", "universe", "unit", "term",
             "triangle", "trapezoid", "rule", "if", "is", "and", "then"}
@@ -150,66 +151,69 @@ class _LineParser:
         return self.span_of(self.pos)
 
 
+class _LineError(Exception):
+    """Ends the parse of the current line; its diagnostic is already recorded."""
+
+
 def parse(text: str) -> tuple[FisDocument | None, list[Diagnostic]]:
     """Parse definition text into a document.
 
     Returns (document, diagnostics). The document is None when errors make
     the text unusable; recoverable errors still yield a partial document so
-    multiple problems can be reported in one pass.
+    multiple problems can be reported in one pass. A malformed line is
+    reported and skipped; parsing goes on with the next line.
     """
     diagnostics: list[Diagnostic] = []
     system_name: str | None = None
     system_span = SourceSpan(1, 1, 0)
     variables: list[VariableDecl] = []
     rules: list[RuleDecl] = []
-    # terms parsed so far for the variable currently open
-    open_var: dict | None = None
+    # the variable currently open, declared without terms, and its terms so far
+    open_var: tuple[VariableDecl, list[TermDecl]] | None = None
 
     def error(message: str, span: SourceSpan):
         diagnostics.append(Diagnostic("error", message, span))
 
+    def fail(message: str, span: SourceSpan):
+        error(message, span)
+        raise _LineError
+
     def close_var():
         nonlocal open_var
         if open_var is not None:
-            variables.append(VariableDecl(
-                name=open_var["name"], direction=open_var["direction"],
-                lo=open_var["lo"], hi=open_var["hi"], unit=open_var["unit"],
-                terms=tuple(open_var["terms"]), span=open_var["span"]))
+            decl, terms = open_var
+            variables.append(replace(decl, terms=tuple(terms)))
             open_var = None
 
-    def expect_name(lp: _LineParser, what: str) -> str | None:
+    def expect_name(lp: _LineParser, what: str) -> str:
         tok = lp.next()
         if tok is None:
-            error(f"expected {what}, found end of line", lp.eol_span())
-            return None
+            fail(f"expected {what}, found end of line", lp.eol_span())
         if not _NAME_RE.match(tok) or tok.lower() in KEYWORDS:
-            error(f"expected {what}, found {tok!r}", lp.last_span())
-            return None
+            fail(f"expected {what}, found {tok!r}", lp.last_span())
         return tok
 
-    def expect_number(lp: _LineParser, what: str) -> float | None:
+    def expect_number(lp: _LineParser, what: str) -> float:
         tok = lp.next()
         if tok is None:
-            error(f"expected {what}, found end of line", lp.eol_span())
-            return None
+            fail(f"expected {what}, found end of line", lp.eol_span())
         try:
             value = float(tok)
         except ValueError:
             value = math.nan
         if not math.isfinite(value):
-            error(f"expected {what} (a finite number), found {tok!r}", lp.last_span())
-            return None
+            fail(f"expected {what} (a finite number), found {tok!r}", lp.last_span())
         return value
 
-    def expect_keyword(lp: _LineParser, keyword: str) -> bool:
+    def expect_keyword(lp: _LineParser, *keywords: str) -> str:
+        """The next token, lower-cased, if it is one of `keywords`."""
+        what = " or ".join(f"'{k}'" for k in keywords)
         tok = lp.next()
         if tok is None:
-            error(f"expected '{keyword}', found end of line", lp.eol_span())
-            return False
-        if tok.lower() != keyword:
-            error(f"expected '{keyword}', found {tok!r}", lp.last_span())
-            return False
-        return True
+            fail(f"expected {what}, found end of line", lp.eol_span())
+        if tok.lower() not in keywords:
+            fail(f"expected {what}, found {tok!r}", lp.last_span())
+        return tok.lower()
 
     def check_trailing(lp: _LineParser):
         tok = lp.peek()
@@ -224,111 +228,73 @@ def parse(text: str) -> tuple[FisDocument | None, list[Diagnostic]]:
         keyword = tokens[0].lower()
         lp = _LineParser(tokens, lineno, line)
         lp.next()  # consume keyword
+        try:
+            if keyword == "system":
+                close_var()
+                try:
+                    name = expect_name(lp, "system name")
+                    if system_name is not None:
+                        error("duplicate 'system' declaration", lp.span_of(0))
+                    else:
+                        system_name, system_span = name, lp.span_of(0)
+                finally:  # a bad name still has its trailing tokens checked
+                    check_trailing(lp)
 
-        if keyword == "system":
-            close_var()
-            name = expect_name(lp, "system name")
-            if name is not None:
-                if system_name is not None:
-                    error("duplicate 'system' declaration", lp.span_of(0))
-                else:
-                    system_name = name
-                    system_span = lp.span_of(0)
-            check_trailing(lp)
+            elif keyword in ("input", "output"):
+                close_var()
+                name = expect_name(lp, "variable name")
+                expect_keyword(lp, "universe")
+                try:
+                    lo = expect_number(lp, "universe lower bound")
+                finally:  # both bounds are read before the line stops
+                    hi = expect_number(lp, "universe upper bound")
+                unit = ""
+                tok = lp.peek()
+                if tok is not None and tok.lower() == "unit":
+                    lp.next()
+                    unit = lp.next()
+                    if unit is None:
+                        fail("expected unit label, found end of line", lp.eol_span())
+                check_trailing(lp)
+                decl = VariableDecl(name, keyword, lo, hi, unit, (), lp.span_of(0))
+                open_var = (decl, [])
 
-        elif keyword in ("input", "output"):
-            close_var()
-            name = expect_name(lp, "variable name")
-            if name is None or not expect_keyword(lp, "universe"):
-                continue
-            lo = expect_number(lp, "universe lower bound")
-            hi = expect_number(lp, "universe upper bound")
-            if lo is None or hi is None:
-                continue
-            unit = ""
-            tok = lp.peek()
-            if tok is not None and tok.lower() == "unit":
-                lp.next()
-                unit = lp.next()
-                if unit is None:
-                    error("expected unit label, found end of line", lp.eol_span())
-                    continue
-            check_trailing(lp)
-            open_var = {"name": name, "direction": keyword, "lo": lo, "hi": hi,
-                        "unit": unit, "terms": [], "span": lp.span_of(0)}
+            elif keyword == "term":
+                if open_var is None:
+                    fail("'term' outside a variable declaration", lp.span_of(0))
+                try:
+                    name = expect_name(lp, "term name")
+                except _LineError:  # a missing shape is still reported
+                    if lp.peek() is None:
+                        expect_keyword(lp, "triangle", "trapezoid")
+                    raise
+                shape = expect_keyword(lp, "triangle", "trapezoid")
+                count = 3 if shape == "triangle" else 4
+                points = tuple(expect_number(lp, f"breakpoint {i + 1} of {count}")
+                               for i in range(count))
+                check_trailing(lp)
+                open_var[1].append(TermDecl(name, shape, points, lp.span_of(0)))
 
-        elif keyword == "term":
-            if open_var is None:
-                error("'term' outside a variable declaration", lp.span_of(0))
-                continue
-            name = expect_name(lp, "term name")
-            shape_tok = lp.next()
-            if name is None or shape_tok is None:
-                if shape_tok is None:
-                    error("expected 'triangle' or 'trapezoid', found end of line",
-                          lp.eol_span())
-                continue
-            shape = shape_tok.lower()
-            if shape not in ("triangle", "trapezoid"):
-                error(f"expected 'triangle' or 'trapezoid', found {shape_tok!r}",
-                      lp.last_span())
-                continue
-            count = 3 if shape == "triangle" else 4
-            points = []
-            ok = True
-            for i in range(count):
-                p = expect_number(lp, f"breakpoint {i + 1} of {count}")
-                if p is None:
-                    ok = False
-                    break
-                points.append(p)
-            if not ok:
-                continue
-            check_trailing(lp)
-            open_var["terms"].append(
-                TermDecl(name, shape, tuple(points), lp.span_of(0)))
+            elif keyword == "rule":
+                close_var()
+                expect_keyword(lp, "if")
+                antecedents = []
+                while True:
+                    var = expect_name(lp, "variable name")
+                    expect_keyword(lp, "is")
+                    antecedents.append((var, expect_name(lp, "term name")))
+                    if expect_keyword(lp, "and", "then") == "then":
+                        break
+                var = expect_name(lp, "consequent variable name")
+                expect_keyword(lp, "is")
+                term = expect_name(lp, "consequent term name")
+                check_trailing(lp)
+                rules.append(RuleDecl(tuple(antecedents), (var, term), lp.span_of(0)))
 
-        elif keyword == "rule":
-            close_var()
-            if not expect_keyword(lp, "if"):
-                continue
-            antecedents = []
-            ok = True
-            while True:
-                var = expect_name(lp, "variable name")
-                if var is None or not expect_keyword(lp, "is"):
-                    ok = False
-                    break
-                term = expect_name(lp, "term name")
-                if term is None:
-                    ok = False
-                    break
-                antecedents.append((var, term))
-                tok = lp.next()
-                if tok is None:
-                    error("expected 'and' or 'then', found end of line", lp.eol_span())
-                    ok = False
-                    break
-                word = tok.lower()
-                if word == "then":
-                    break
-                if word != "and":
-                    error(f"expected 'and' or 'then', found {tok!r}", lp.last_span())
-                    ok = False
-                    break
-            if not ok:
-                continue
-            var = expect_name(lp, "consequent variable name")
-            if var is None or not expect_keyword(lp, "is"):
-                continue
-            term = expect_name(lp, "consequent term name")
-            if term is None:
-                continue
-            check_trailing(lp)
-            rules.append(RuleDecl(tuple(antecedents), (var, term), lp.span_of(0)))
-
-        else:
-            error(f"unknown keyword {tokens[0]!r}", lp.span_of(0))
+            else:
+                error(f"unknown keyword {tokens[0]!r}", lp.span_of(0))
+        except _LineError:
+            pass
 
     close_var()
 
@@ -364,6 +330,10 @@ def validate(doc: FisDocument) -> tuple[FuzzySubsystem | None, list[Diagnostic]]
         elif not math.isfinite(var.hi - var.lo):
             error(f"universe [{var.lo}, {var.hi}] of variable '{var.name}' is "
                   f"wider than a float can hold", var.span)
+        elif (var.direction == "output"
+              and not math.isfinite(GRID_POINTS * max(abs(var.lo), abs(var.hi)))):
+            error(f"universe [{var.lo}, {var.hi}] of output variable '{var.name}' "
+                  f"is too large: its centroid sum would overflow a float", var.span)
         term_names = set()
         for term in var.terms:
             if term.name in term_names:

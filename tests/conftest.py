@@ -2,7 +2,7 @@ from pathlib import Path
 
 import pytest
 
-from fuzzgate.cascade import (BUNDLED_MANIFEST, build_cascade, bundled_fis_dir,
+from fuzzgate.cascade import (BUNDLED_MANIFEST, Cascade, bundled_fis_dir,
                               parse_manifest)
 from fuzzgate.dsl import load_subsystem
 
@@ -47,7 +47,7 @@ def fs3():
 
 @pytest.fixture(scope="session")
 def cascade(fs1, fs2, fs3):
-    return build_cascade(fs1, fs2, fs3)
+    return Cascade(fs1, fs2, fs3)
 
 
 @pytest.fixture(scope="session")

@@ -12,7 +12,7 @@ from datetime import datetime, timedelta
 import numpy as np
 import pytest
 
-from fuzzgate.cascade import DEFAULT_EXTERNALS, SEND, build_cascade
+from fuzzgate.cascade import DEFAULT_EXTERNALS, SEND, Cascade
 from fuzzgate.core import FuzzySubsystem, NoRuleFiredError
 from fuzzgate.energy import REFERENCE_JOULES_PER_PACKET
 from fuzzgate.sim import TelemetryRecord, load_telemetry, run_fuzzy
@@ -109,7 +109,7 @@ def only_first_term_rules(fs: FuzzySubsystem) -> FuzzySubsystem:
 def with_node(cascade, index, fs):
     nodes = [cascade.fs1, cascade.fs2, cascade.fs3]
     nodes[index] = fs
-    return build_cascade(*nodes, threshold=cascade.threshold)
+    return Cascade(*nodes, threshold=cascade.threshold)
 
 
 class TestPathsAgree:

@@ -3,10 +3,9 @@ from dataclasses import replace
 import pytest
 
 from conftest import write_manifest
-from fuzzgate.cascade import (BUNDLED_MANIFEST, CascadeBuildError,
+from fuzzgate.cascade import (BUNDLED_MANIFEST, Cascade, CascadeBuildError,
                               DEFAULT_EXTERNALS, FIS_KEYS, WiringMismatchError,
-                              build_cascade, bundled_fis_dir, decide,
-                              load_manifest)
+                              bundled_fis_dir, decide, load_manifest)
 from fuzzgate.core import (FuzzySubsystem, LinguisticVariable,
                            MembershipFunction, NoRuleFiredError,
                            OutOfUniverseError)
@@ -41,7 +40,7 @@ class TestBuild:
     def test_universe_mismatch(self, fs1, fs2, fs3):
         edited = rescale_output(fs3, 0, 50)
         with pytest.raises(WiringMismatchError):
-            build_cascade(fs1, fs2, edited)
+            Cascade(fs1, fs2, edited)
 
     def test_unfed_input_rejected(self, fs1, fs2, fs3):
         # Stage-one nodes take two readings each, bound by position.
@@ -50,9 +49,21 @@ class TestBuild:
                                        (fs1.inputs + (extra,), fs2.inputs),
                                        (fs1.inputs + (extra,), fs2.inputs[:1])):
             with pytest.raises(CascadeBuildError, match="stage-one inputs"):
-                build_cascade(
+                Cascade(
                     FuzzySubsystem(fs1.name, fs1_inputs, fs1.output, ()),
                     FuzzySubsystem(fs2.name, fs2_inputs, fs2.output, ()), fs3)
+
+    def test_swapped_nodes_rejected(self, fs1, fs2, fs3):
+        # FS3 in FS2's place: FS1's output has no consumer.
+        with pytest.raises(WiringMismatchError, match="apparent_temperature"):
+            Cascade(fs1, fs3, fs2)
+
+    def test_replace_is_checked(self, cascade):
+        with pytest.raises(CascadeBuildError, match="finite"):
+            replace(cascade, threshold=float("nan"))
+        with pytest.raises(WiringMismatchError):
+            replace(cascade, fs3=cascade.fs1)
+        assert replace(cascade, threshold=40.0).threshold == 40.0
 
 
 class TestDecide:
@@ -161,7 +172,7 @@ class TestEvaluate:
     def test_no_rule_fired_names_the_node(self, fs1, fs2, fs3):
         # strip FS1's rule bank so nothing can fire
         empty_fs1 = FuzzySubsystem(fs1.name, fs1.inputs, fs1.output, ())
-        cascade = build_cascade(empty_fs1, fs2, fs3)
+        cascade = Cascade(empty_fs1, fs2, fs3)
         with pytest.raises(NoRuleFiredError, match="fs1"):
             cascade.evaluate({"temperature": 20.0, "humidity": 0.35,
                               "appliance_energy": 60.0, "time_of_day": 3.0})

@@ -297,6 +297,18 @@ class TestBadInput:
         assert code == 1
         assert f"{bad}:3:21: error:" in out
 
+    def test_output_universe_too_large_in_check(self, capsys, tmp_path):
+        # Every score would be inf, so no record would ever be sent.
+        bad = tmp_path / "huge.fis.txt"
+        bad.write_text("system s\ninput x universe 0 10\n"
+                       "  term a triangle 0 5 10\n"
+                       "output y universe 0 1e308\n"
+                       "  term t triangle 0 5e307 1e308\n"
+                       "rule if x is a then y is t\n")
+        code, out, _ = run(capsys, ["check", str(bad)])
+        assert code == 1
+        assert f"{bad}:4:1: error:" in out and "overflow" in out
+
     def test_non_utf8_definition_in_check(self, capsys, tmp_path):
         bad = tmp_path / "latin1.fis.txt"
         bad.write_bytes(b"system caf\xe9\n")
@@ -341,6 +353,12 @@ class TestBadInput:
         (["--per-packet-joules", "1e307"], None, "overflow a float"),
         (["--energy-mode", "physical", "--data-bits", "1" + "0" * 400], None,
          "too large"),
+        # A flag that the energy mode does not read is refused, not ignored.
+        (["--current", "2"], None, "calibrated energy mode does not read --current"),
+        (["--header-bits", "400", "--data-bits", "8000"], None,
+         "does not read --header-bits, --data-bits"),
+        (["--energy-mode", "physical", "--per-packet-joules", "2"], None,
+         "physical energy mode does not read --per-packet-joules"),
         (["--map-temp", "date"], None, None),
         ([], b"date,T1,RH_1,Appliances\n2016-01-11 17:00:00,20,40,caf\xe9\n",
          "bad.csv: "),
@@ -351,7 +369,8 @@ class TestBadInput:
          "bad.csv: record starting at line 2: "),
     ], ids=["zero-joules", "nan-joules", "inf-joules", "negative-current",
             "nan-current", "inf-voltage", "empty-packet", "total-overflow",
-            "huge-packet", "duplicate-column", "non-utf8-csv", "stray-quote"])
+            "huge-packet", "current-in-calibrated", "bits-in-calibrated",
+            "joules-in-physical", "duplicate-column", "non-utf8-csv", "stray-quote"])
     def test_bad_simulate_input(self, tmp_path, fixture_csv, options, csv_bytes,
                                 where):
         # A separate process, so the assertion sees what a shell user sees.
@@ -388,28 +407,41 @@ ENERGY_FLOATS = st.one_of(
     st.sampled_from([0.0, -0.0, -1.0, float("nan"), float("inf"), float("-inf")]))
 
 
+#: The energy flags each mode reads, with the values to try.
+ENERGY_FLAGS = {
+    "physical": {"--current": ENERGY_FLOATS, "--voltage": ENERGY_FLOATS,
+                 "--header-bits": st.integers(), "--data-bits": st.integers()},
+    "calibrated": {"--per-packet-joules": ENERGY_FLOATS},
+}
+
+
 @settings(max_examples=60, deadline=None)
-@given(mode=st.sampled_from(["physical", "calibrated"]),
-       joules=st.none() | ENERGY_FLOATS, current=ENERGY_FLOATS,
-       voltage=ENERGY_FLOATS, header_bits=st.integers(), data_bits=st.integers())
-def test_simulate_energy_flags_never_crash(fixture_csv, mode, joules, current,
-                                           voltage, header_bits, data_bits):
-    """Any value of the energy flags either prices the replay with valid JSON
-    (exit 0) or is refused with an error line (exit 1)."""
+@given(mode=st.sampled_from(sorted(ENERGY_FLAGS)), data=st.data())
+def test_simulate_energy_flags_never_crash(fixture_csv, mode, data):
+    """Any value of the flags the energy mode reads either prices the replay
+    with valid JSON (exit 0) or is refused with an error line (exit 1). A
+    flag of the other mode is always refused."""
+    other = ENERGY_FLAGS["calibrated" if mode == "physical" else "physical"]
+    flags = {flag: data.draw(st.none() | values, label=flag)
+             for flag, values in ENERGY_FLAGS[mode].items()}
+    foreign = data.draw(st.none() | st.sampled_from(sorted(other)),
+                        label="foreign flag")
+    if foreign is not None:
+        flags[foreign] = data.draw(other[foreign], label=foreign)
     with tempfile.TemporaryDirectory() as tmp:
         # --flag=value, so that argparse reads "-inf" as a value.
         argv = ["simulate", "--dataset", str(fixture_csv), "--out", tmp,
-                f"--energy-mode={mode}", f"--current={current!r}",
-                f"--voltage={voltage!r}", f"--header-bits={header_bits}",
-                f"--data-bits={data_bits}"]
-        if joules is not None:
-            argv.append(f"--per-packet-joules={joules!r}")
+                f"--energy-mode={mode}", *(f"{flag}={value!r}"
+                                           for flag, value in flags.items()
+                                           if value is not None)]
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), \
                 contextlib.redirect_stderr(err):
             code = main(argv)
         assert code in (0, 1)
         assert "Traceback" not in err.getvalue()
+        if foreign is not None:
+            assert code == 1 and foreign in err.getvalue()
         if code == 0:
             json.loads((Path(tmp) / "summary.json").read_text(),
                        parse_constant=_reject_constant)

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from fuzzgate.core import (CHUNK_ROWS, NARROW_ROWS, AggregatedOutput, FuzzyRule,
-                           FuzzySubsystem, GRID_POINTS, LinguisticVariable, MembershipFunction,
-                           NoRuleFiredError, OutOfUniverseError,
-                           UnknownTermError)
+from fuzzgate.core import (CHUNK_ROWS, AggregatedOutput, FuzzyRule,
+                           FuzzySubsystem, GRID_POINTS, LinguisticVariable,
+                           MembershipFunction, NoRuleFiredError,
+                           OutOfUniverseError, UnknownTermError)
 
 TRI = MembershipFunction.triangle
 TRAP = MembershipFunction.trapezoid
@@ -172,7 +172,7 @@ class TestCentroids:
     def test_rows_do_not_depend_on_their_neighbours(self, fs1):
         _, humidity = fs1.inputs
         rng = np.random.default_rng(7)
-        n = NARROW_ROWS // 2 + 5  # repeated 3 times, it crosses a narrow block
+        n = 32 * CHUNK_ROWS + 5
         t = rng.uniform(15.0, 25.0, n)
         h = rng.uniform(humidity.lo, humidity.hi, n)
         t[::7] = 10.0  # plateau rows share their strength rows
@@ -333,6 +333,13 @@ class TestInfer:
         with pytest.raises(UnknownTermError):
             FuzzySubsystem("bad", (x,), out,
                            (FuzzyRule((("nope", "on"),), ("y", "t")),))
+
+    def test_output_universe_whose_centroid_sum_overflows_rejected(self):
+        # 1e308 is a finite width, but the grid sum of x * degree is not.
+        x = LinguisticVariable("x", 0, 1, (("on", TRAP(0, 0, 0.5, 1)),))
+        out = LinguisticVariable("y", 0, 1e308, (("t", TRI(0, 5e307, 1e308)),))
+        with pytest.raises(ValueError, match="centroid sum would overflow"):
+            FuzzySubsystem("huge", (x,), out, (FuzzyRule((("x", "on"),), ("y", "t")),))
 
 
 class TestDefuzzify:

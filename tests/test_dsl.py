@@ -6,9 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import FIS_FILES
-from fuzzgate.cascade import DEFAULT_EXTERNALS, build_cascade, bundled_fis_dir
-from fuzzgate.dsl import (FisDocument, load_subsystem, parse, serialize,
-                          validate)
+from fuzzgate.cascade import DEFAULT_EXTERNALS, Cascade, bundled_fis_dir
+from fuzzgate.dsl import SourceSpan, load_subsystem, parse, serialize, validate
 
 MINIMAL = """\
 system demo
@@ -93,6 +92,173 @@ class TestParse:
         assert any("outside" in d.message for d in diags)
 
 
+SYS = "system s\n"
+VAR = "system s\ninput x universe 0 10\n"
+
+#: (preceding lines, line under test, every diagnostic of the whole text as
+#: (severity, message, line, column, length)), one case per way a line can
+#: fail. Three lines report two problems: a bad system name still has its
+#: trailing tokens checked, both universe bounds are read before the line
+#: stops, and a bad term name still has its missing shape reported.
+DIAGNOSTIC_TABLE = [
+    ('', 'system', [
+        ('error', 'expected system name, found end of line', 1, 6, 1),
+        ('error', "missing 'system' declaration", 1, 1, 1),
+    ]),
+    ('', 'system if', [
+        ('error', "expected system name, found 'if'", 1, 8, 2),
+        ('error', "missing 'system' declaration", 1, 1, 1),
+    ]),
+    ('', 'system 9x extra', [
+        ('error', "expected system name, found '9x'", 1, 8, 2),
+        ('error', "unexpected trailing token 'extra'", 1, 11, 5),
+        ('error', "missing 'system' declaration", 1, 1, 1),
+    ]),
+    ('', 'system s extra', [
+        ('error', "unexpected trailing token 'extra'", 1, 10, 5),
+    ]),
+    (SYS, 'system t', [
+        ('error', "duplicate 'system' declaration", 2, 1, 6),
+    ]),
+    (SYS, 'input', [
+        ('error', 'expected variable name, found end of line', 2, 5, 1),
+    ]),
+    (SYS, 'input if', [
+        ('error', "expected variable name, found 'if'", 2, 7, 2),
+    ]),
+    (SYS, 'input x', [
+        ('error', "expected 'universe', found end of line", 2, 7, 1),
+    ]),
+    (SYS, 'input x range 0 1', [
+        ('error', "expected 'universe', found 'range'", 2, 9, 5),
+    ]),
+    (SYS, 'input x universe', [
+        ('error', 'expected universe lower bound, found end of line', 2, 16, 1),
+        ('error', 'expected universe upper bound, found end of line', 2, 16, 1),
+    ]),
+    (SYS, 'input x universe a b', [
+        ('error', "expected universe lower bound (a finite number), found 'a'",
+         2, 18, 1),
+        ('error', "expected universe upper bound (a finite number), found 'b'",
+         2, 20, 1),
+    ]),
+    (SYS, 'input x universe 0', [
+        ('error', 'expected universe upper bound, found end of line', 2, 18, 1),
+    ]),
+    (SYS, 'input x universe 0 nan', [
+        ('error', "expected universe upper bound (a finite number), found 'nan'",
+         2, 20, 3),
+    ]),
+    (SYS, 'input x universe 0 1 unit', [
+        ('error', 'expected unit label, found end of line', 2, 25, 1),
+    ]),
+    (SYS, 'input x universe 0 1 extra', [
+        ('error', "unexpected trailing token 'extra'", 2, 22, 5),
+    ]),
+    (SYS, 'output y universe 0 1 unit C extra', [
+        ('error', "unexpected trailing token 'extra'", 2, 30, 5),
+    ]),
+    (SYS, 'term t triangle 0 1 2', [
+        ('error', "'term' outside a variable declaration", 2, 1, 4),
+    ]),
+    (VAR, 'term', [
+        ('error', 'expected term name, found end of line', 3, 4, 1),
+        ('error', "expected 'triangle' or 'trapezoid', found end of line", 3, 4, 1),
+    ]),
+    (VAR, 'term if', [
+        ('error', "expected term name, found 'if'", 3, 6, 2),
+        ('error', "expected 'triangle' or 'trapezoid', found end of line", 3, 7, 1),
+    ]),
+    (VAR, 'term if triangle 0 1 2', [
+        ('error', "expected term name, found 'if'", 3, 6, 2),
+    ]),
+    (VAR, 'term t', [
+        ('error', "expected 'triangle' or 'trapezoid', found end of line", 3, 6, 1),
+    ]),
+    (VAR, 'term t circle 0 1 2', [
+        ('error', "expected 'triangle' or 'trapezoid', found 'circle'", 3, 8, 6),
+    ]),
+    (VAR, 'term t triangle', [
+        ('error', 'expected breakpoint 1 of 3, found end of line', 3, 15, 1),
+    ]),
+    (VAR, 'term t triangle 0 1', [
+        ('error', 'expected breakpoint 3 of 3, found end of line', 3, 19, 1),
+    ]),
+    (VAR, 'term t trapezoid 0 1 2 x', [
+        ('error', "expected breakpoint 4 of 4 (a finite number), found 'x'", 3, 24, 1),
+    ]),
+    (VAR, 'term t triangle 0 1 2 3', [
+        ('error', "unexpected trailing token '3'", 3, 23, 1),
+    ]),
+    (SYS, 'rule', [
+        ('error', "expected 'if', found end of line", 2, 4, 1),
+    ]),
+    (SYS, 'rule when', [
+        ('error', "expected 'if', found 'when'", 2, 6, 4),
+    ]),
+    (SYS, 'rule if', [
+        ('error', 'expected variable name, found end of line', 2, 7, 1),
+    ]),
+    (SYS, 'rule if then', [
+        ('error', "expected variable name, found 'then'", 2, 9, 4),
+    ]),
+    (SYS, 'rule if x', [
+        ('error', "expected 'is', found end of line", 2, 9, 1),
+    ]),
+    (SYS, 'rule if x was', [
+        ('error', "expected 'is', found 'was'", 2, 11, 3),
+    ]),
+    (SYS, 'rule if x is', [
+        ('error', 'expected term name, found end of line', 2, 12, 1),
+    ]),
+    (SYS, 'rule if x is if', [
+        ('error', "expected term name, found 'if'", 2, 14, 2),
+    ]),
+    (SYS, 'rule if x is a', [
+        ('error', "expected 'and' or 'then', found end of line", 2, 14, 1),
+    ]),
+    (SYS, 'rule if x is a or', [
+        ('error', "expected 'and' or 'then', found 'or'", 2, 16, 2),
+    ]),
+    (SYS, 'rule if x is a and', [
+        ('error', 'expected variable name, found end of line', 2, 18, 1),
+    ]),
+    (SYS, 'rule if x is a then', [
+        ('error', 'expected consequent variable name, found end of line', 2, 19, 1),
+    ]),
+    (SYS, 'rule if x is a then is', [
+        ('error', "expected consequent variable name, found 'is'", 2, 21, 2),
+    ]),
+    (SYS, 'rule if x is a then y', [
+        ('error', "expected 'is', found end of line", 2, 21, 1),
+    ]),
+    (SYS, 'rule if x is a then y be', [
+        ('error', "expected 'is', found 'be'", 2, 23, 2),
+    ]),
+    (SYS, 'rule if x is a then y is', [
+        ('error', 'expected consequent term name, found end of line', 2, 24, 1),
+    ]),
+    (SYS, 'rule if x is a then y is then', [
+        ('error', "expected consequent term name, found 'then'", 2, 26, 4),
+    ]),
+    (SYS, 'rule if x is a then y is b extra', [
+        ('error', "unexpected trailing token 'extra'", 2, 28, 5),
+    ]),
+    (SYS, 'ruel if x is a then y is b', [
+        ('error', "unknown keyword 'ruel'", 2, 1, 4),
+    ]),
+]
+
+
+class TestDiagnosticTable:
+    @pytest.mark.parametrize("before, line, expected", DIAGNOSTIC_TABLE,
+                             ids=[case[1] for case in DIAGNOSTIC_TABLE])
+    def test_every_line_error(self, before, line, expected):
+        _, diags = parse(before + line + "\n")
+        assert [(d.severity, d.message, d.span.line, d.span.column, d.span.length)
+                for d in diags] == expected
+
+
 class TestLoadSubsystem:
     def test_non_utf8_file_is_spanned_error(self, tmp_path):
         path = tmp_path / "latin1.fis.txt"
@@ -141,6 +307,16 @@ class TestValidate:
         err = next(d for d in diags if d.severity == "error")
         assert "wider than a float" in err.message
         assert err.span.line == 4
+
+    def test_output_universe_too_large_for_the_centroid(self):
+        text = ("system s\ninput x universe 0 10\n  term a triangle 0 5 10\n"
+                "output y universe 0 1e308\n  term t triangle 0 5e307 1e308\n"
+                "rule if x is a then y is t\n")
+        subsystem, diags = self.build(text)
+        assert subsystem is None
+        assert [(d.severity, d.span) for d in diags] == [
+            ("error", SourceSpan(4, 1, 6))]
+        assert "centroid sum would overflow" in diags[0].message
 
     def test_incomplete_rule_grid_is_warning(self):
         text = ("system s\n"
@@ -220,7 +396,7 @@ class TestSerialize:
         for key in ("fs1", "fs2", "fs3"):
             subsystem, _ = validate(parse_ok(serialize(parse_ok(read_bundled(key)))))
             nodes.append(subsystem)
-        rebuilt = build_cascade(*nodes)
+        rebuilt = Cascade(*nodes)
         grid = itertools.product((-5, 12, 19, 21, 27, 110),  # degrees C
                                  (0.1, 0.3, 0.45, 0.7, 1.2),  # humidity fraction
                                  (20, 150, 700),  # Wh

@@ -244,12 +244,12 @@ class TestRunFuzzy:
         assert a.total_joules == b.total_joules
 
     def test_no_rule_fired_sends(self, cascade, fs2, fs3):
-        from fuzzgate.cascade import build_cascade
+        from fuzzgate.cascade import Cascade
         from fuzzgate.core import FuzzySubsystem
         # FS1 with no rules: NoRuleFired on every record
         empty_fs1 = FuzzySubsystem(cascade.fs1.name, cascade.fs1.inputs,
                                    cascade.fs1.output, ())
-        broken = build_cascade(empty_fs1, fs2, fs3)
+        broken = Cascade(empty_fs1, fs2, fs3)
         records = make_records(5)
         sent = run_fuzzy(records, broken, CALIBRATED)
         assert sent.transmissions == 5
