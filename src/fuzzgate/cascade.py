@@ -123,16 +123,19 @@ class Cascade:
         With clamp=True, out-of-universe externals are pulled to the nearest
         universe bound and reported in the trace; otherwise they raise
         OutOfUniverseError. NoRuleFiredError propagates with the node name.
+        The trace's inputs are the four readings as floats, before clamping,
+        in DEFAULT_EXTERNALS order; other keys of `inputs` are not read.
         """
         missing = set(DEFAULT_EXTERNALS) - set(inputs)
         if missing:
             raise KeyError(f"missing external inputs: {sorted(missing)}")
 
+        readings: dict[str, float] = {}
         node_inputs: tuple[dict[str, float], dict[str, float]] = ({}, {})
         clamped: list[str] = []
         slots = zip(DEFAULT_EXTERNALS, self.fs1.inputs + self.fs2.inputs)
         for i, (name, var) in enumerate(slots):
-            value = float(inputs[name])
+            value = readings[name] = float(inputs[name])
             if not var.contains(value):
                 if not clamp:
                     raise OutOfUniverseError(var.name, value, var.lo, var.hi)
@@ -141,36 +144,21 @@ class Cascade:
             node_inputs[i // 2][var.name] = value  # two readings per node
 
         fired: list[FiredRule] = []
-        intermediates: dict[str, float] = {}
 
-        def run(node: str, fs: FuzzySubsystem, node_inputs: dict[str, float]) -> float:
-            agg = fs.infer(node_inputs)
-            for rule, act in zip(fs.rules, agg.activations):
-                if act > 0.0:
-                    fired.append(FiredRule(node, rule.antecedents, rule.consequent, act))
+        def run(node: str, fs: FuzzySubsystem, crisp: dict[str, float]) -> float:
             try:
-                return agg.defuzzify_centroid()
+                agg = fs.infer(crisp)
             except NoRuleFiredError:
                 raise NoRuleFiredError(f"{node}.{fs.output.name}") from None
+            fired.extend(FiredRule(node, rule.antecedents, rule.consequent, act)
+                         for rule, act in zip(fs.rules, agg.activations) if act > 0.0)
+            return agg.centroid
 
-        apparent = run("fs1", self.fs1, node_inputs[0])
-        usage = run("fs2", self.fs2, node_inputs[1])
-        intermediates[self.fs1.output.name] = apparent
-        intermediates[self.fs2.output.name] = usage
-
-        score = run("fs3", self.fs3, {
-            self.fs1.output.name: apparent,
-            self.fs2.output.name: usage,
-        })
-        label = decide(score, self.threshold)
-        return DecisionTrace(
-            inputs={k: float(v) for k, v in inputs.items()},
-            clamped=tuple(clamped),
-            intermediates=intermediates,
-            score=score,
-            label=label,
-            fired=tuple(fired),
-        )
+        intermediates = {self.fs1.output.name: run("fs1", self.fs1, node_inputs[0]),
+                         self.fs2.output.name: run("fs2", self.fs2, node_inputs[1])}
+        score = run("fs3", self.fs3, intermediates)
+        return DecisionTrace(readings, tuple(clamped), intermediates, score,
+                             decide(score, self.threshold), tuple(fired))
 
     def evaluate_columns(self, columns: Sequence[np.ndarray]
                          ) -> tuple[np.ndarray, ...]:

@@ -7,11 +7,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
-from .cascade import (BUNDLED_MANIFEST, FIS_KEYS, NOT_SEND, SEND,
-                      CascadeBuildError, load_manifest, parse_manifest)
+from .cascade import (BUNDLED_MANIFEST, DEFAULT_EXTERNALS, FIS_KEYS, NOT_SEND,
+                      SEND, CascadeBuildError, load_manifest, parse_manifest)
 from .core import FuzzyError
 from .dsl import load_subsystem
 from .energy import REFERENCE_JOULES_PER_PACKET, packet_energy
@@ -114,10 +115,14 @@ def cmd_check(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    c = _load_cascade(args)
-    inputs = {"temperature": args.temp, "humidity": args.humidity,
-              "appliance_energy": args.energy, "time_of_day": args.time}
-    trace = c.evaluate(inputs, clamp=args.clamp)
+    readings = (args.temp, args.humidity, args.energy, args.time)
+    for flag, value in zip(("--temp", "--humidity", "--energy", "--time"), readings):
+        if not math.isfinite(value):
+            print(f"error: {flag} must be a finite number, got {value!r}",
+                  file=sys.stderr)
+            return EXIT_DOMAIN
+    trace = _load_cascade(args).evaluate(dict(zip(DEFAULT_EXTERNALS, readings)),
+                                         clamp=args.clamp)
     if args.json:
         payload = {
             "inputs": trace.inputs,

@@ -205,40 +205,14 @@ class FuzzyRule:
     antecedents: tuple[tuple[str, str], ...]
     consequent: tuple[str, str]
 
-    def activation(self, fuzzified: dict[str, dict[str, float]]) -> float:
-        """Min over antecedent term degrees (Mamdani AND)."""
-        degree = 1.0
-        for var, term in self.antecedents:
-            if var not in fuzzified:
-                raise UnknownTermError(var, term)
-            degrees = fuzzified[var]
-            if term not in degrees:
-                raise UnknownTermError(var, term)
-            degree = min(degree, degrees[term])
-        return degree
-
 
 @dataclass(frozen=True)
 class AggregatedOutput:
-    """Pre-defuzzification fuzzy output sampled on a uniform grid, with the
-    rule activations that produced it in rule-bank order."""
+    """One reading's rule activations, in rule-bank order, and the centroid
+    of their aggregate."""
 
-    variable: str
-    xs: np.ndarray
-    degrees: np.ndarray
-    activations: tuple[float, ...] = ()
-
-    def defuzzify_centroid(self) -> float:
-        """Center of gravity over the sample grid, summed in ascending-x order.
-
-        Raises NoRuleFiredError when the aggregate is zero everywhere; the
-        fail-safe policy belongs to the caller.
-        """
-        total = float(np.sum(self.degrees))
-        if total <= 0.0:
-            raise NoRuleFiredError(self.variable)
-        weighted = float(np.sum(self.xs * self.degrees))
-        return weighted / total
+    activations: tuple[float, ...]
+    centroid: float
 
 
 @dataclass(frozen=True)
@@ -258,10 +232,11 @@ class FuzzySubsystem:
             # The centroid's weighted grid sum, at most this product, would be inf.
             raise ValueError(f"output universe of '{self.name}' [{lo}, {hi}] is too "
                              f"large: its centroid sum would overflow a float")
-        known = {v.name: v for v in self.inputs}
-        known[self.output.name] = self.output
+        inputs = {v.name: v for v in self.inputs}
+        output = {self.output.name: self.output}
         for rule in self.rules:
-            for var, term in list(rule.antecedents) + [rule.consequent]:
+            for (var, term), known in [*((a, inputs) for a in rule.antecedents),
+                                       (rule.consequent, output)]:
                 if var not in known:
                     raise UnknownTermError(var, term)
                 known[var].term(term)  # raises UnknownTermError
@@ -277,11 +252,21 @@ class FuzzySubsystem:
         raise KeyError(name)
 
     def activations(self, crisp_inputs: dict[str, float]) -> list[float]:
+        """Each rule's min over its antecedent term degrees (Mamdani AND).
+        The names were checked when the subsystem was built."""
         fuzzified = {v.name: v.fuzzify(crisp_inputs[v.name]) for v in self.inputs}
-        return [rule.activation(fuzzified) for rule in self.rules]
+        acts = []
+        for rule in self.rules:
+            degree = 1.0
+            for var, term in rule.antecedents:
+                degree = min(degree, fuzzified[var][term])
+            acts.append(degree)
+        return acts
 
     def infer(self, crisp_inputs: dict[str, float]) -> AggregatedOutput:
-        """Clip each consequent at its rule's activation, combine by max."""
+        """Clip each consequent at its rule's activation, combine by max and
+        take the centroid over the grid, summed in ascending-x order. Raises
+        NoRuleFiredError when no rule fired; fail-safe is the caller's policy."""
         acts = tuple(self.activations(crisp_inputs))
         aggregate = np.zeros(GRID_POINTS)
         for rule, act in zip(self.rules, acts):
@@ -289,11 +274,13 @@ class FuzzySubsystem:
                 continue
             clipped = np.minimum(act, self._consequent_samples[rule.consequent[1]])
             np.maximum(aggregate, clipped, out=aggregate)
-        return AggregatedOutput(self.output.name, self._grid, aggregate, acts)
+        total = float(np.sum(aggregate))
+        if total <= 0.0:
+            raise NoRuleFiredError(self.output.name)
+        return AggregatedOutput(acts, float(np.sum(self._grid * aggregate)) / total)
 
     def evaluate(self, crisp_inputs: dict[str, float]) -> float:
-        """infer + centroid defuzzification in one step."""
-        return self.infer(crisp_inputs).defuzzify_centroid()
+        return self.infer(crisp_inputs).centroid
 
     def centroids(self, columns: Sequence[np.ndarray]
                   ) -> tuple[np.ndarray, np.ndarray]:
@@ -307,7 +294,7 @@ class FuzzySubsystem:
         sums the grid once per distinct strength row. Each fired row is
         bit-identical to `evaluate`: min and max only select values, the
         aggregate depends on the strength row alone, and a block's row-wise
-        sums add each row as `defuzzify_centroid` does. Raises
+        sums add each row as `infer` does. Raises
         OutOfUniverseError on the first value outside its input's universe.
         """
         columns = [np.asarray(xs, dtype=float) for xs in columns]

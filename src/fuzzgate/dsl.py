@@ -371,6 +371,8 @@ def validate(doc: FisDocument) -> tuple[FuzzySubsystem | None, list[Diagnostic]]
         if rule.antecedents and rule.consequent[0] in {v.name for v in inputs}:
             error(f"rule consequent targets input variable '{rule.consequent[0]}'",
                   rule.span)
+        for var_name in {v for v, _ in rule.antecedents} & {v.name for v in outputs}:
+            error(f"rule antecedent reads output variable '{var_name}'", rule.span)
 
     if any(d.severity == "error" for d in diagnostics):
         return None, diagnostics

@@ -128,6 +128,18 @@ class TestEvaluate:
         with pytest.raises(KeyError):
             cascade.evaluate({"temperature": 20.0})
 
+    def test_trace_inputs_are_the_four_readings(self, cascade):
+        # Other keys are not read; the readings come out as floats, unclamped,
+        # in DEFAULT_EXTERNALS order whatever the order given.
+        inputs = {"time_of_day": 3, "station": "A", "appliance_energy": 60,
+                  "humidity": 1.5, "gateway": 7.0, "temperature": 20}
+        trace = cascade.evaluate(inputs, clamp=True)
+        assert list(trace.inputs.items()) == [
+            ("temperature", 20.0), ("humidity", 1.5),
+            ("appliance_energy", 60.0), ("time_of_day", 3.0)]
+        assert all(type(v) is float for v in trace.inputs.values())
+        assert trace.clamped == ("humidity",)
+
     def test_trace_completeness(self, cascade):
         inputs = {"temperature": 20.8, "humidity": 0.37,
                   "appliance_energy": 120.0, "time_of_day": 12.5}

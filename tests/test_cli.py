@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import os
@@ -78,6 +79,37 @@ class TestEval:
                                     "--clamp"])
         assert code == 0
         assert "clamped" in out
+
+    # SHA-256 of the exact stdout of `eval` (text, then --json) for the two
+    # README readings, a clamped humidity, and a reading that fires 12 rules
+    # across the three nodes. Update only for an intended change to a score
+    # bit, an activation or the output format.
+    PINNED_STDOUT = {
+        "20 0.35 60 3": (
+            "bc4d751650039fc5bf3dbcefa1de5d2ae973f4b2f5fd0a7eebe67ee458cbf84f",
+            "9a725f087d3b3cb40a1d2517362d7f1a7a38b2c03bfe1bb8b6440b572e94d0b8"),
+        "20 0.35 400 9.5": (
+            "98a0d91c76a2aca416a0e35973682eca17067f9c6afcdf624f6fb98609daa833",
+            "3a4eddf2f5b3761351a89e7c3b354b372d0b2f24cb8e0b2837d45c787b7347a1"),
+        "20 1.5 60 3 --clamp": (
+            "6d79e6f807d1b4d2893e55797ac4a97dc83594997ade2bb851ed10f9e4d20fac",
+            "8726e9741d0472d4266d55fc3869757905a2e7d7778b6fd819a4ada69c9db22b"),
+        "20.8 0.37 120 12.5": (
+            "8093cebb6fc8a8abbf8d36377602cc578c34deb11f570a0debdb61640537938b",
+            "b14b5c856883e9a77b89e1badcfb40e2c2d8213c2fe3bd94b36cd49c08a71f8a"),
+    }
+
+    @pytest.mark.parametrize("reading", PINNED_STDOUT)
+    def test_stdout_pinned(self, capsys, reading):
+        temp, humidity, energy, time_of_day, *flags = reading.split()
+        argv = ["eval", "--temp", temp, "--humidity", humidity, "--energy",
+                energy, "--time", time_of_day, *flags]
+        digests = []
+        for extra in ([], ["--json"]):
+            code, out, err = run(capsys, argv + extra)
+            assert (code, err) == (0, "")
+            digests.append(hashlib.sha256(out.encode("utf-8")).hexdigest())
+        assert tuple(digests) == self.PINNED_STDOUT[reading]
 
 
 class TestSimulate:
@@ -277,6 +309,19 @@ class TestBadInput:
         assert code == 1
         assert "finite" in err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("clamp", [[], ["--clamp"]], ids=["strict", "clamp"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("flag", ["--temp", "--humidity", "--energy", "--time"])
+    def test_non_finite_reading(self, capsys, flag, value, clamp):
+        # A clamped inf would print as "Infinity" in --json, which is not JSON.
+        argv = READING.copy()
+        i = argv.index(flag)
+        argv[i:i + 2] = [f"{flag}={value}"]
+        code, out, err = run(capsys, ["eval", *argv, "--json", *clamp])
+        assert code == 1
+        assert out == ""
+        assert err == f"error: {flag} must be a finite number, got {value}\n"
 
     @pytest.mark.parametrize("value", ["abc", "nan"])
     def test_bad_manifest_threshold(self, capsys, tmp_path, value):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from fuzzgate.core import (CHUNK_ROWS, AggregatedOutput, FuzzyRule,
+from fuzzgate.core import (CHUNK_ROWS, FuzzyRule,
                            FuzzySubsystem, GRID_POINTS, LinguisticVariable,
                            MembershipFunction, NoRuleFiredError,
                            OutOfUniverseError, UnknownTermError)
@@ -268,10 +268,35 @@ class TestFuzzify:
             LinguisticVariable("v", -1e308, 1e308, (("a", TRI(0, 5, 10)),))
 
 
+def ramp_variable(name):
+    """A variable on [0, 1] whose term `ramp` has degree exactly x: at each
+    x in (0, 1) the rising edge gives (x - 0) / (1 - 0)."""
+    return LinguisticVariable(name, 0, 1, (("ramp", TRI(0, 1, 1)),))
+
+
+def one_rule_subsystem(out_mf):
+    """One input read through `ramp_variable`, so the single rule's
+    activation equals the input, and an output on [0, 100] with one term."""
+    out = LinguisticVariable("v", 0, 100, (("t", out_mf),))
+    return FuzzySubsystem("one", (ramp_variable("x"),), out,
+                          (FuzzyRule((("x", "ramp"),), ("v", "t")),))
+
+
+def grid_centroid(lo, hi, mu):
+    """The centroid of degrees `mu` on the output grid of [lo, hi], with the
+    two sums of the scalar engine."""
+    xs = np.linspace(lo, hi, GRID_POINTS)
+    return float(np.sum(xs * mu)) / float(np.sum(mu))
+
+
 class TestRuleActivation:
     def make(self, d1, d2):
-        rule = FuzzyRule((("x", "a"), ("y", "b")), ("z", "c"))
-        return rule.activation({"x": {"a": d1}, "y": {"b": d2}})
+        out = LinguisticVariable("z", 0, 1, (("c", TRI(0, 0.5, 1)),))
+        fs = FuzzySubsystem("pair", (ramp_variable("x"), ramp_variable("y")),
+                            out, (FuzzyRule((("x", "ramp"), ("y", "ramp")),
+                                            ("z", "c")),))
+        [activation] = fs.activations({"x": d1, "y": d2})
+        return activation
 
     def test_min_of_degrees(self):
         assert self.make(0.6, 0.4) == 0.4
@@ -283,9 +308,18 @@ class TestRuleActivation:
         assert self.make(0.0, 0.9) == 0.0
 
     def test_unknown_term(self):
-        rule = FuzzyRule((("x", "missing"),), ("z", "c"))
+        out = LinguisticVariable("z", 0, 1, (("c", TRI(0, 0.5, 1)),))
+        with pytest.raises(UnknownTermError) as exc:
+            FuzzySubsystem("bad", (ramp_variable("x"),), out,
+                           (FuzzyRule((("x", "missing"),), ("z", "c")),))
+        assert (exc.value.variable, exc.value.term) == ("x", "missing")
+
+    def test_antecedent_on_the_output_variable_rejected(self):
+        # Only inputs are fuzzified, so such a rule could never be evaluated.
+        out = LinguisticVariable("z", 0, 1, (("c", TRI(0, 0.5, 1)),))
         with pytest.raises(UnknownTermError):
-            rule.activation({"x": {"a": 1.0}})
+            FuzzySubsystem("bad", (ramp_variable("x"),), out,
+                           (FuzzyRule((("z", "c"),), ("z", "c")),))
 
 
 def tiny_subsystem():
@@ -306,20 +340,23 @@ class TestInfer:
     def test_single_full_rule_equals_consequent(self):
         fs = tiny_subsystem()
         agg = fs.infer({"x": 0.25})
-        expected = fs.output.term("mid").sample(agg.xs)
-        assert np.array_equal(agg.degrees, expected)
+        assert agg.activations == (1.0,)
+        grid = np.linspace(0, 100, GRID_POINTS)
+        assert agg.centroid == grid_centroid(0, 100, TRI(40, 55, 70).sample(grid))
 
     def test_all_zero_activations_give_zero_aggregate(self):
         fs = tiny_subsystem()
-        agg = fs.infer({"x": 1.0})  # "on" degree is 0 at x=1
-        assert not np.any(agg.degrees)
-        with pytest.raises(NoRuleFiredError):
-            agg.defuzzify_centroid()
+        with pytest.raises(NoRuleFiredError) as exc:
+            fs.infer({"x": 1.0})  # "on" degree is 0 at x=1
+        assert exc.value.variable == "level"
 
     def test_fs1_cool_cell_fires_fully(self, fs1):
         agg = fs1.infer({"indoor_temperature": 20.0, "indoor_humidity": 0.35})
-        expected = fs1.output.term("cool").sample(agg.xs)
-        assert np.array_equal(agg.degrees, expected)
+        out = fs1.output
+        grid = np.linspace(out.lo, out.hi, GRID_POINTS)
+        assert agg.centroid == grid_centroid(out.lo, out.hi,
+                                             out.term("cool").sample(grid))
+        assert [act for act in agg.activations if act > 0.0] == [1.0]
 
     def test_aggregate_carries_activations_in_rule_order(self, fs1):
         crisp = {"indoor_temperature": 20.5, "indoor_humidity": 0.37}
@@ -343,44 +380,45 @@ class TestInfer:
 
 
 class TestDefuzzify:
-    def grid_for(self, lo, hi):
-        return np.linspace(lo, hi, GRID_POINTS)
+    grid = np.linspace(0, 100, GRID_POINTS)
 
     def test_full_symmetric_triangle(self):
-        xs = self.grid_for(0, 100)
-        agg = AggregatedOutput("v", xs, TRI(40, 55, 70).sample(xs))
-        assert agg.defuzzify_centroid() == pytest.approx(55.0, abs=0.1)
+        centroid = one_rule_subsystem(TRI(40, 55, 70)).infer({"x": 1.0}).centroid
+        assert centroid == grid_centroid(0, 100, TRI(40, 55, 70).sample(self.grid))
+        assert centroid == pytest.approx(55.0, abs=0.1)
 
     def test_clipped_symmetric_triangle_keeps_centroid(self):
-        xs = self.grid_for(0, 100)
-        clipped = np.minimum(0.5, TRI(40, 55, 70).sample(xs))
-        agg = AggregatedOutput("v", xs, clipped)
-        assert agg.defuzzify_centroid() == pytest.approx(55.0, abs=0.1)
+        centroid = one_rule_subsystem(TRI(40, 55, 70)).infer({"x": 0.5}).centroid
+        clipped = np.minimum(0.5, TRI(40, 55, 70).sample(self.grid))
+        assert centroid == grid_centroid(0, 100, clipped)
+        assert centroid == pytest.approx(55.0, abs=0.1)
 
     def test_all_zero_raises(self):
-        xs = self.grid_for(0, 100)
         with pytest.raises(NoRuleFiredError):
-            AggregatedOutput("v", xs, np.zeros_like(xs)).defuzzify_centroid()
+            one_rule_subsystem(TRI(40, 55, 70)).infer({"x": 0.0})
 
     @given(st.floats(0.01, 1.0), st.floats(0.0, 100.0), st.floats(0.0, 100.0))
     def test_centroid_stays_in_universe(self, height, p1, p2):
         a, c = sorted((p1, p2))
-        if c - a < 1e-6:
-            c = a + 1e-6
-        xs = self.grid_for(0, 100)
-        mu = np.minimum(height, TRI(a, (a + c) / 2, c).sample(xs))
+        if c - a < 1e-6:  # widen towards the middle of the universe
+            a, c = (a, a + 1e-6) if a < 50 else (c - 1e-6, c)
+        mf = TRI(a, (a + c) / 2, c)
+        fs = one_rule_subsystem(mf)
+        assert fs.activations({"x": height}) == [height]
+        mu = np.minimum(height, mf.sample(self.grid))
         if not np.any(mu):
+            with pytest.raises(NoRuleFiredError):
+                fs.infer({"x": height})
             return
-        value = AggregatedOutput("v", xs, mu).defuzzify_centroid()
+        value = fs.infer({"x": height}).centroid
+        assert value == grid_centroid(0, 100, mu)
         assert 0.0 <= value <= 100.0
 
     def test_centroid_within_hull_of_active_supports(self, fs1):
         crisp = {"indoor_temperature": 20.5, "indoor_humidity": 0.37}
-        fuzzified = {v.name: v.fuzzify(crisp[v.name]) for v in fs1.inputs}
-        supports = []
-        for rule in fs1.rules:
-            if rule.activation(fuzzified) > 0:
-                supports.append(fs1.output.term(rule.consequent[1]).support)
+        supports = [fs1.output.term(rule.consequent[1]).support
+                    for rule, act in zip(fs1.rules, fs1.activations(crisp))
+                    if act > 0]
         lo = min(s[0] for s in supports)
         hi = max(s[1] for s in supports)
         value = fs1.evaluate(crisp)

@@ -284,6 +284,18 @@ class TestValidate:
         assert "blazing" in err.message
         assert err.span.line == 6
 
+    def test_antecedent_on_output_variable(self):
+        # Only inputs are fuzzified, so the rule could never be evaluated.
+        text = MINIMAL + (
+            "output y universe 0 1\n  term t triangle 0 0.5 1\n"
+            "rule if x is small then y is t\n"
+            "rule if y is t then y is t\n")
+        subsystem, diags = self.build(text)
+        assert subsystem is None
+        err = next(d for d in diags if d.severity == "error")
+        assert err.message == "rule antecedent reads output variable 'y'"
+        assert err.span.line == 7
+
     def test_non_monotone_breakpoints(self):
         text = ("system s\ninput x universe 0 10\n  term bad triangle 5 3 7\n"
                 "output y universe 0 1\n  term t triangle 0 0.5 1\n")
