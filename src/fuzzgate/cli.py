@@ -11,12 +11,15 @@ import math
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .cascade import (BUNDLED_MANIFEST, DEFAULT_EXTERNALS, FIS_KEYS, NOT_SEND,
                       SEND, CascadeBuildError, load_manifest, parse_manifest)
 from .core import FuzzyError
 from .dsl import load_subsystem
 from .energy import REFERENCE_JOULES_PER_PACKET, packet_energy
-from .sim import ColumnMapping, TelemetryError, load_telemetry, run_fuzzy
+from .sim import (TIMESTAMP_FORMAT, ColumnMapping, SimulationResult,
+                  TelemetryError, TelemetryRecord, load_telemetry, run_fuzzy)
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -24,6 +27,16 @@ EXIT_IO = 2
 
 #: Skipped file lines that `simulate` names on stderr before eliding the rest.
 SHOWN_SKIPPED = 10
+
+#: Rows of a report built and written at a time. Within a block each float
+#: is formatted once per distinct value; the block bounds the text held in
+#: memory, which grows with the run when whole columns are formatted at once.
+REPORT_BLOCK = 4096
+
+#: The last three fields of a decisions.csv line, label, clamped and
+#: failsafe, at index 4 * send + 2 * clamped + failsafe.
+_TAILS = np.array([f"{label},{clamped},{failsafe}\n" for label in (NOT_SEND, SEND)
+                   for clamped in (0, 1) for failsafe in (0, 1)], dtype=object)
 
 
 def _add_fis_options(parser: argparse.ArgumentParser):
@@ -109,6 +122,12 @@ def cmd_check(args) -> int:
             rule_counts.append(len(subsystem.rules))
             print(f"{path}: ok, system '{subsystem.name}', "
                   f"{len(subsystem.inputs)} inputs, {len(subsystem.rules)} rules")
+            for var in subsystem.inputs:
+                for lo, hi in var.coverage_gaps():
+                    print(f"{path}: warning: input '{var.name}' has no term "
+                          f"over [{lo:g}, {hi:g}]: readings there fire no rule "
+                          f"that reads it, and a record that fires no rule is "
+                          f"sent as a fail-safe")
     if not had_error and len(rule_counts) > 1:
         print("/".join(str(n) for n in rule_counts) + " rules")
     return EXIT_DOMAIN if had_error else EXIT_OK
@@ -156,6 +175,69 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
+def _reprs(column: np.ndarray) -> np.ndarray:
+    """`repr` of each float of `column`, as an object array, computed once
+    per distinct value. Values are keyed on their bits: keyed on the floats,
+    -0.0 would merge with 0.0 and be written as 0.0."""
+    bits, inverse = np.unique(column.view(np.int64), return_inverse=True)
+    texts = [repr(x) for x in bits.view(np.float64).tolist()]
+    return np.array(texts, dtype=object)[inverse]
+
+
+def _timestamps(records: list[TelemetryRecord]) -> list[str]:
+    stamps = [r.timestamp for r in records]
+    if min(stamps).year >= 1000:
+        # The same text as TIMESTAMP_FORMAT, faster: the loader keeps no
+        # fraction of a second and no time zone.
+        return [t.isoformat(" ") for t in stamps]
+    # isoformat pads a year below 1000 to four digits; strftime's %Y does not.
+    return [f"{t:{TIMESTAMP_FORMAT}}" for t in stamps]
+
+
+def _decision_lines(records: list[TelemetryRecord], result: SimulationResult,
+                    rows: slice) -> str:
+    readings = [_reprs(column) for column in result.readings[rows].T]
+    outputs = [_reprs(column[rows]) for column in (
+        result.apparent_temperature, result.appliance_usage_time, result.score)]
+    for texts in outputs:
+        texts[result.failsafe[rows]] = ""  # NaN, written as nothing
+    tails = _TAILS[4 * result.decisions[rows] + 2 * result.clamped[rows]
+                   + result.failsafe[rows]]
+    columns = (range(rows.start, rows.stop), _timestamps(records[rows]),
+               *(texts.tolist() for texts in readings + outputs), tails.tolist())
+    return "".join([f"{i},{ts},{t},{h},{e},{d},{a},{u},{s},{tail}"
+                    for i, ts, t, h, e, d, a, u, s, tail in zip(*columns)])
+
+
+def _cumulative_lines(result: SimulationResult, rows: slice) -> str:
+    always, gated = (_reprs(column).tolist()
+                     for column in result.cumulative[rows].T)
+    return "".join([f"{i},{t},{g}\n" for i, t, g in
+                    zip(range(rows.start, rows.stop), always, gated)])
+
+
+def _write_reports(out_dir: Path, records: list[TelemetryRecord],
+                   result: SimulationResult) -> None:
+    """Write decisions.csv and cumulative.csv, REPORT_BLOCK rows at a time:
+    a block's lines are built with one `repr` per distinct float of each
+    column and written with one join. Each block of each report is built in
+    a call of its own, so that its strings are freed before the next are
+    made: the writer then holds the text of one block at a time."""
+    n = len(records)
+    with (open(out_dir / "decisions.csv", "w", encoding="utf-8",
+               newline="") as decisions,
+          open(out_dir / "cumulative.csv", "w", encoding="utf-8",
+               newline="") as cumulative):
+        decisions.write("index,timestamp,temperature,humidity,appliance_energy,"
+                        "time_of_day,apparent_temperature,appliance_usage_time,"
+                        "score,label,clamped,failsafe\n")
+        cumulative.write("index,traditional_joules,fuzzy_joules\n")
+        for start in range(0, n, REPORT_BLOCK):
+            rows = slice(start, min(start + REPORT_BLOCK, n))
+            decisions.write(_decision_lines(records, result, rows))
+            cumulative.write(_cumulative_lines(result, rows))
+
+
 def cmd_simulate(args) -> int:
     c = _load_cascade(args)
     policy = "strict" if args.strict else "skip-bad"
@@ -201,24 +283,7 @@ def cmd_simulate(args) -> int:
     (out_dir / "summary.json").write_text(
         json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
-    with open(out_dir / "decisions.csv", "w", encoding="utf-8", newline="") as fh:
-        fh.write("index,timestamp,temperature,humidity,appliance_energy,"
-                 "time_of_day,apparent_temperature,appliance_usage_time,"
-                 "score,label,clamped,failsafe\n")
-        rows = zip(records, *(column.tolist() for column in (
-            result.apparent_temperature, result.appliance_usage_time,
-            result.score, result.decisions, result.clamped, result.failsafe)))
-        for i, (r, apparent, usage, score, send, clamped, failsafe) in enumerate(rows):
-            outputs = ",," if failsafe else f"{apparent!r},{usage!r},{score!r}"
-            fh.write(f"{i},{r.timestamp:%Y-%m-%d %H:%M:%S},{r.temperature!r},"
-                     f"{r.humidity!r},{r.appliance_energy!r},{r.time_of_day!r},"
-                     f"{outputs},{SEND if send else NOT_SEND},{int(clamped)},"
-                     f"{int(failsafe)}\n")
-
-    with open(out_dir / "cumulative.csv", "w", encoding="utf-8", newline="") as fh:
-        fh.write("index,traditional_joules,fuzzy_joules\n")
-        for i, (t, f) in enumerate(result.cumulative.tolist()):
-            fh.write(f"{i},{t!r},{f!r}\n")
+    _write_reports(out_dir, records, result)
 
     print(f"{'':<28}{'Traditional':>14}{'Fuzzy':>14}")
     print(f"{'Total transmissions':<28}{len(records):>14}"

@@ -189,13 +189,17 @@ class LinguisticVariable:
             raise OutOfUniverseError(self.name, x, self.lo, self.hi)
         return {term: mf(x) for term, mf in self.terms}
 
-    def coverage_gaps(self, samples: int = 1000) -> list[float]:
-        """Sample points of the universe where no term has degree > 0."""
+    def coverage_gaps(self, samples: int = 1000) -> list[tuple[float, float]]:
+        """Runs of sample points of the universe where no term has degree
+        > 0, each as its first and last point."""
         xs = np.linspace(self.lo, self.hi, samples)
         best = np.zeros(samples)
         for _, mf in self.terms:
             np.maximum(best, mf.sample(xs), out=best)
-        return [float(x) for x in xs[best <= 0.0]]
+        gap = np.concatenate(([False], best <= 0.0, [False]))
+        edges = np.flatnonzero(gap[1:] != gap[:-1]).tolist()  # start, end + 1
+        return [(float(xs[a]), float(xs[b - 1]))
+                for a, b in zip(edges[::2], edges[1::2])]
 
 
 @dataclass(frozen=True)
@@ -279,20 +283,17 @@ class FuzzySubsystem:
             raise NoRuleFiredError(self.output.name)
         return AggregatedOutput(acts, float(np.sum(self._grid * aggregate)) / total)
 
-    def evaluate(self, crisp_inputs: dict[str, float]) -> float:
-        return self.infer(crisp_inputs).centroid
-
     def centroids(self, columns: Sequence[np.ndarray]
                   ) -> tuple[np.ndarray, np.ndarray]:
-        """Batch form of `evaluate`: one column of crisp values per input, in
-        input order.
+        """Batch form of `infer`'s centroid: one column of crisp values per
+        input, in input order.
 
         Returns the centroid of each row and the mask of rows where some rule
         fired; where none fired the centroid is NaN. The narrow stage gives
         each row its strength per output term: the largest activation among
         the rules with that consequent. The wide stage clips, aggregates and
         sums the grid once per distinct strength row. Each fired row is
-        bit-identical to `evaluate`: min and max only select values, the
+        bit-identical to `infer`: min and max only select values, the
         aggregate depends on the strength row alone, and a block's row-wise
         sums add each row as `infer` does. Raises
         OutOfUniverseError on the first value outside its input's universe.

@@ -180,6 +180,7 @@ class SimulationResult:
     apparent_temperature: np.ndarray
     appliance_usage_time: np.ndarray
     score: np.ndarray
+    readings: np.ndarray  # (n, 4): the unclamped readings, DEFAULT_EXTERNALS order
     cumulative: np.ndarray  # (n, 2): joules so far, always-send then gated
 
 
@@ -199,11 +200,13 @@ def run_fuzzy(records: list[TelemetryRecord], cascade: Cascade,
         raise ValueError(f"joules per packet must be finite and > 0, "
                          f"got {joules_per_packet!r}")
     n = len(records)
-    clamped, apparent, usage, score, failsafe = cascade.evaluate_columns((
+    # (4, n), so that each external's column is contiguous for the engine.
+    columns = np.array([
         np.fromiter((r.temperature for r in records), float, n),
         np.fromiter((r.humidity for r in records), float, n),
         np.fromiter((r.appliance_energy for r in records), float, n),
-        np.fromiter((r.time_of_day for r in records), float, n)))
+        np.fromiter((r.time_of_day for r in records), float, n)])
+    clamped, apparent, usage, score, failsafe = cascade.evaluate_columns(columns)
     send = failsafe | (score <= cascade.threshold)
     clamped &= ~failsafe
     # cumsum adds in sequence, as a running total would.
@@ -235,5 +238,6 @@ def run_fuzzy(records: list[TelemetryRecord], cascade: Cascade,
         apparent_temperature=apparent,
         appliance_usage_time=usage,
         score=score,
+        readings=columns.T,
         cumulative=np.column_stack((always, gated)),
     )

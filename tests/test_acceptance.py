@@ -51,7 +51,7 @@ class TestAcceptance:
             for (t1, t2), expected in table.items():
                 crisp = {first.name: core_point(first, t1),
                          second.name: core_point(second, t2)}
-                value = fs.evaluate(crisp)
+                value = fs.infer(crisp).centroid
                 degrees = fs.output.fuzzify(value)
                 argmax = max(degrees, key=degrees.get)
                 if argmax != expected:
@@ -60,7 +60,7 @@ class TestAcceptance:
         for (t1, t2), expected in FS3_TABLE.items():
             crisp = {first.name: core_point(first, t1),
                      second.name: core_point(second, t2)}
-            label = decide(cascade.fs3.evaluate(crisp), cascade.threshold)
+            label = decide(cascade.fs3.infer(crisp).centroid, cascade.threshold)
             if label != expected:
                 failures.append(("fs3", t1, t2, label, expected))
         elapsed = time.perf_counter() - start
@@ -77,7 +77,7 @@ class TestAcceptance:
             tolerance = 1e-3 * span
             for _ in range(1000):
                 crisp = {v.name: rng.uniform(v.lo, v.hi) for v in fs.inputs}
-                engine = fs.evaluate(crisp)
+                engine = fs.infer(crisp).centroid
                 reference = oracle.crisp_output(crisp)
                 delta = abs(engine - reference)
                 worst = max(worst, delta / span)
@@ -195,7 +195,7 @@ class TestAcceptance:
         for fs in (fs1, fs2, cascade.fs3):
             for _ in range(200):
                 crisp = {v.name: rng.uniform(v.lo, v.hi) for v in fs.inputs}
-                value = fs.evaluate(crisp)
+                value = fs.infer(crisp).centroid
                 if not fs.output.lo <= value <= fs.output.hi:
                     problems.append(f"centroid {fs.name}")
 

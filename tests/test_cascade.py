@@ -103,16 +103,16 @@ class TestEvaluate:
         hot = core_point(cascade.fs3.inputs[0], "hot")
         for usage_term in ("low", "medium", "high", "v.high"):
             usage = core_point(cascade.fs3.inputs[1], usage_term)
-            score = cascade.fs3.evaluate({"apparent_temperature": hot,
-                                          "appliance_usage_time": usage})
+            score = cascade.fs3.infer({"apparent_temperature": hot,
+                                       "appliance_usage_time": usage}).centroid
             assert decide(score, cascade.threshold) == "send"
 
     def test_fs3_table_at_cores(self, cascade):
         for (app_term, usage_term), expected in FS3_TABLE.items():
-            score = cascade.fs3.evaluate({
+            score = cascade.fs3.infer({
                 "apparent_temperature": core_point(cascade.fs3.inputs[0], app_term),
                 "appliance_usage_time": core_point(cascade.fs3.inputs[1], usage_term),
-            })
+            }).centroid
             assert decide(score, cascade.threshold) == expected, \
                 (app_term, usage_term)
 

@@ -31,6 +31,24 @@ class TestCheck:
         code, out, _ = run(capsys, ["check"])
         assert code == 0
         assert "16/20/16 rules" in out
+        assert "warning" not in out
+
+    def test_coverage_gap_warns(self, capsys, tmp_path):
+        gap = tmp_path / "gap.fis.txt"
+        gap.write_text("system s\ninput x universe 0 10\n"
+                       "  term a trapezoid 0 0 2 4\n  term b trapezoid 6 8 10 10\n"
+                       "input z universe -1 1\n  term c trapezoid -1 -1 0.5 0.9\n"
+                       "output y universe 0 1\n  term t triangle 0 0.5 1\n"
+                       "rule if x is a and z is c then y is t\n"
+                       "rule if x is b and z is c then y is t\n")
+        code, out, _ = run(capsys, ["check", str(gap)])
+        assert code == 0
+        reason = ("readings there fire no rule that reads it, and a record "
+                  "that fires no rule is sent as a fail-safe")
+        assert out.splitlines() == [
+            f"{gap}: ok, system 's', 2 inputs, 2 rules",
+            f"{gap}: warning: input 'x' has no term over [4.004, 5.996]: {reason}",
+            f"{gap}: warning: input 'z' has no term over [0.901902, 1]: {reason}"]
 
     def test_unknown_term_fails(self, capsys, tmp_path):
         bad = tmp_path / "bad.fis.txt"
@@ -228,6 +246,24 @@ class TestSimulate:
             "1,0.0970626437866347,0.04853132189331735",
             "2,0.14559396567995206,0.0970626437866347",
             "3,0.1941252875732694,0.14559396567995206"]
+
+    def test_negative_zero_and_three_digit_year(self, capsys, tmp_path):
+        # -0.0 keeps its sign, and a year below 1000 is written without a
+        # leading zero, as strftime's %Y writes it.
+        dataset = tmp_path / "t.csv"
+        dataset.write_text("date,T1,RH_1,Appliances\n"
+                           "0999-01-02 03:04:05,20,40,-0.0\n"
+                           "2016-01-11 17:00:00,-0.0,40,0\n")
+        out_dir = tmp_path / "out"
+        code, *_ = run(capsys, ["simulate", "--dataset", str(dataset),
+                                "--out", str(out_dir)])
+        assert code == 0
+        decisions = (out_dir / "decisions.csv").read_text().splitlines()
+        assert decisions[1:] == [
+            "0,999-01-02 03:04:05,20.0,0.4,-0.0,3.068055555555556,55.0,"
+            "15.529617304492511,27.056243756243752,send,0,0",
+            "1,2016-01-11 17:00:00,-0.0,0.4,0.0,17.0,23.922152120574832,"
+            "18.358690234635656,27.056243756243752,send,0,0"]
 
     @pytest.mark.parametrize("bad_rows, shown", [
         (3, "lines 3, 5, 7\n"),

@@ -124,7 +124,7 @@ class TestSampleEqualsCall:
 
 
 class TestCentroids:
-    """`FuzzySubsystem.centroids` is the batch form of `evaluate`."""
+    """`FuzzySubsystem.centroids` is the batch form of `infer`'s centroid."""
 
     def test_rows_equal_evaluate(self, fs1):
         temperature, humidity = fs1.inputs
@@ -136,7 +136,7 @@ class TestCentroids:
         h = np.resize(np.linspace(humidity.lo, humidity.hi, 31), len(t))
         centroid, fired = fs1.centroids((t, h))
         assert fired.all()
-        expected = [fs1.evaluate({temperature.name: a, humidity.name: b})
+        expected = [fs1.infer({temperature.name: a, humidity.name: b}).centroid
                     for a, b in zip(t.tolist(), h.tolist())]
         assert centroid.tolist() == expected
 
@@ -145,7 +145,7 @@ class TestCentroids:
         centroid, fired = fs.centroids((np.array([0.25, 1.0, 0.0]),))
         assert fired.tolist() == [True, False, True]
         assert math.isnan(centroid[1])
-        assert centroid[0] == fs.evaluate({"x": 0.25})
+        assert centroid[0] == fs.infer({"x": 0.25}).centroid
 
     @pytest.mark.parametrize("bad", [1.5, -0.1, math.nan, math.inf])
     def test_out_of_universe_raises(self, bad):
@@ -160,10 +160,10 @@ class TestCentroids:
         centroid, fired = fs.centroids((xs,))
         for x, c, f in zip(xs.tolist(), centroid.tolist(), fired.tolist()):
             if f:
-                assert c == fs.evaluate({"x": x})
+                assert c == fs.infer({"x": x}).centroid
             else:
                 with pytest.raises(NoRuleFiredError):
-                    fs.evaluate({"x": x})
+                    fs.infer({"x": x}).centroid
 
     @staticmethod
     def bits(xs):
@@ -194,7 +194,7 @@ class TestCentroids:
         t, h = (np.ravel(grid) for grid in np.meshgrid(t, h))
         centroid, fired = fs1.centroids((t, h))
         assert fired.all()
-        expected = [fs1.evaluate({temperature.name: a, humidity.name: b})
+        expected = [fs1.infer({temperature.name: a, humidity.name: b}).centroid
                     for a, b in zip(t.tolist(), h.tolist())]
         assert self.bits(centroid) == self.bits(expected)
         assert len(set(expected)) < len(expected)
@@ -213,7 +213,7 @@ class TestCentroids:
             FuzzyRule((("y", "low"),), ("z", "right"))))
         xs, ys = np.array([0.2, 0.4, 0.2]), np.array([0.5, 0.5, 0.7])
         centroid, fired = fs.centroids((xs, ys))
-        expected = [fs.evaluate({"x": a, "y": b})
+        expected = [fs.infer({"x": a, "y": b}).centroid
                     for a, b in zip(xs.tolist(), ys.tolist())]
         assert len(set(expected)) == 3
         assert self.bits(centroid) == self.bits(expected)
@@ -224,7 +224,7 @@ class TestCentroids:
         centroid, fired = fs.centroids((np.array([0.2, 0.8]),))
         assert not fired.any() and np.isnan(centroid).all()
         with pytest.raises(NoRuleFiredError):
-            fs.evaluate({"x": 0.2})
+            fs.infer({"x": 0.2}).centroid
 
 
 class TestFuzzify:
@@ -421,12 +421,12 @@ class TestDefuzzify:
                     if act > 0]
         lo = min(s[0] for s in supports)
         hi = max(s[1] for s in supports)
-        value = fs1.evaluate(crisp)
+        value = fs1.infer(crisp).centroid
         assert lo <= value <= hi
 
 
 class TestDeterminism:
     def test_repeat_evaluations_bit_identical(self, fs1):
         crisp = {"indoor_temperature": 21.3, "indoor_humidity": 0.41}
-        values = {fs1.evaluate(crisp) for _ in range(5)}
+        values = {fs1.infer(crisp).centroid for _ in range(5)}
         assert len(values) == 1
