@@ -6,7 +6,7 @@ from .core import (AggregatedOutput, FuzzyError, FuzzyRule, FuzzySubsystem,
 from .cascade import (Cascade, CascadeBuildError, DecisionTrace,
                       WiringMismatchError, decide, load_manifest)
 from .energy import REFERENCE_JOULES_PER_PACKET, packet_energy, packet_time
-from .sim import (ColumnMapping, SimulationResult, TelemetryRecord,
+from .sim import (ColumnMapping, SimulationResult, Telemetry, TelemetryRecord,
                   load_telemetry, run_fuzzy)
 
 __version__ = "0.1.0"

@@ -9,6 +9,7 @@ import argparse
 import json
 import math
 import sys
+from datetime import datetime
 from pathlib import Path
 
 import numpy as np
@@ -18,8 +19,8 @@ from .cascade import (BUNDLED_MANIFEST, DEFAULT_EXTERNALS, FIS_KEYS, NOT_SEND,
 from .core import FuzzyError
 from .dsl import load_subsystem
 from .energy import REFERENCE_JOULES_PER_PACKET, packet_energy
-from .sim import (TIMESTAMP_FORMAT, ColumnMapping, SimulationResult,
-                  TelemetryError, TelemetryRecord, load_telemetry, run_fuzzy)
+from .sim import (TIMESTAMP_FORMAT, ColumnMapping, SimulationResult, Telemetry,
+                  TelemetryError, load_telemetry, run_fuzzy)
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -184,8 +185,7 @@ def _reprs(column: np.ndarray) -> np.ndarray:
     return np.array(texts, dtype=object)[inverse]
 
 
-def _timestamps(records: list[TelemetryRecord]) -> list[str]:
-    stamps = [r.timestamp for r in records]
+def _timestamps(stamps: list[datetime]) -> list[str]:
     if min(stamps).year >= 1000:
         # The same text as TIMESTAMP_FORMAT, faster: the loader keeps no
         # fraction of a second and no time zone.
@@ -194,7 +194,7 @@ def _timestamps(records: list[TelemetryRecord]) -> list[str]:
     return [f"{t:{TIMESTAMP_FORMAT}}" for t in stamps]
 
 
-def _decision_lines(records: list[TelemetryRecord], result: SimulationResult,
+def _decision_lines(timestamps: list[datetime], result: SimulationResult,
                     rows: slice) -> str:
     readings = [_reprs(column) for column in result.readings[rows].T]
     outputs = [_reprs(column[rows]) for column in (
@@ -203,7 +203,7 @@ def _decision_lines(records: list[TelemetryRecord], result: SimulationResult,
         texts[result.failsafe[rows]] = ""  # NaN, written as nothing
     tails = _TAILS[4 * result.decisions[rows] + 2 * result.clamped[rows]
                    + result.failsafe[rows]]
-    columns = (range(rows.start, rows.stop), _timestamps(records[rows]),
+    columns = (range(rows.start, rows.stop), _timestamps(timestamps[rows]),
                *(texts.tolist() for texts in readings + outputs), tails.tolist())
     return "".join([f"{i},{ts},{t},{h},{e},{d},{a},{u},{s},{tail}"
                     for i, ts, t, h, e, d, a, u, s, tail in zip(*columns)])
@@ -216,14 +216,14 @@ def _cumulative_lines(result: SimulationResult, rows: slice) -> str:
                     zip(range(rows.start, rows.stop), always, gated)])
 
 
-def _write_reports(out_dir: Path, records: list[TelemetryRecord],
+def _write_reports(out_dir: Path, telemetry: Telemetry,
                    result: SimulationResult) -> None:
     """Write decisions.csv and cumulative.csv, REPORT_BLOCK rows at a time:
     a block's lines are built with one `repr` per distinct float of each
     column and written with one join. Each block of each report is built in
     a call of its own, so that its strings are freed before the next are
     made: the writer then holds the text of one block at a time."""
-    n = len(records)
+    n = len(telemetry)
     with (open(out_dir / "decisions.csv", "w", encoding="utf-8",
                newline="") as decisions,
           open(out_dir / "cumulative.csv", "w", encoding="utf-8",
@@ -234,7 +234,7 @@ def _write_reports(out_dir: Path, records: list[TelemetryRecord],
         cumulative.write("index,traditional_joules,fuzzy_joules\n")
         for start in range(0, n, REPORT_BLOCK):
             rows = slice(start, min(start + REPORT_BLOCK, n))
-            decisions.write(_decision_lines(records, result, rows))
+            decisions.write(_decision_lines(telemetry.timestamps, result, rows))
             cumulative.write(_cumulative_lines(result, rows))
 
 
@@ -243,9 +243,9 @@ def cmd_simulate(args) -> int:
     policy = "strict" if args.strict else "skip-bad"
     try:
         joules_per_packet = _joules_per_packet(args)
-        records, report = load_telemetry(args.dataset, _build_mapping(args),
-                                         policy)
-        result = run_fuzzy(records, c, joules_per_packet)
+        telemetry, report = load_telemetry(args.dataset, _build_mapping(args),
+                                           policy)
+        result = run_fuzzy(telemetry, c, joules_per_packet)
     except (ValueError, OverflowError) as exc:
         # OverflowError: a packet size too large for a float.
         print(f"error: {exc}", file=sys.stderr)
@@ -256,17 +256,18 @@ def cmd_simulate(args) -> int:
             lines.append("…")
         print(f"skipped {args.dataset}: lines {', '.join(lines)}",
               file=sys.stderr)
+    records = len(telemetry)
     if records and not result.transmissions:
-        print(f"warning: none of the {len(records)} records was sent: every "
+        print(f"warning: none of the {records} records was sent: every "
               f"score is above the threshold {c.threshold!r}", file=sys.stderr)
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     summary = {
-        "records": len(records),
+        "records": records,
         "skipped_rows": report.skipped,
         "traditional": {
-            "transmissions": len(records),
+            "transmissions": records,
             "total_joules": result.traditional_joules,
         },
         "fuzzy": {
@@ -283,10 +284,10 @@ def cmd_simulate(args) -> int:
     (out_dir / "summary.json").write_text(
         json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
-    _write_reports(out_dir, records, result)
+    _write_reports(out_dir, telemetry, result)
 
     print(f"{'':<28}{'Traditional':>14}{'Fuzzy':>14}")
-    print(f"{'Total transmissions':<28}{len(records):>14}"
+    print(f"{'Total transmissions':<28}{records:>14}"
           f"{result.transmissions:>14}")
     print(f"{'Total energy (J)':<28}{result.traditional_joules:>14.1f}"
           f"{result.total_joules:>14.1f}")

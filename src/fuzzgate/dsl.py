@@ -81,24 +81,6 @@ class FisDocument:
     rules: tuple[RuleDecl, ...]
     span: SourceSpan = field(default=SourceSpan(1, 1, 0))
 
-    def structurally_equal(self, other: "FisDocument") -> bool:
-        """Equality up to spans and the order of outputs and rules. Input
-        order counts: the cascade binds its readings to inputs by position."""
-        def var_key(v: VariableDecl):
-            return (v.name, v.direction, v.lo, v.hi, v.unit,
-                    tuple((t.name, t.kind, t.breakpoints) for t in v.terms))
-
-        def rule_key(r: RuleDecl):
-            return (r.antecedents, r.consequent)
-
-        def input_keys(doc: FisDocument):
-            return [var_key(v) for v in doc.variables if v.direction == "input"]
-
-        return (self.name == other.name
-                and input_keys(self) == input_keys(other)
-                and sorted(map(var_key, self.variables)) == sorted(map(var_key, other.variables))
-                and sorted(map(rule_key, self.rules)) == sorted(map(rule_key, other.rules)))
-
 
 _WORD_RE = re.compile(r"\S+")
 
@@ -417,33 +399,3 @@ def load_subsystem(path) -> tuple[FuzzySubsystem | None, list[Diagnostic]]:
         return None, diags
     subsystem, vdiags = validate(doc)
     return subsystem, diags + vdiags
-
-
-def _fmt(value: float) -> str:
-    """Shortest round-trippable decimal, without a trailing '.0'."""
-    text = repr(float(value))
-    if text.endswith(".0"):
-        text = text[:-2]
-    return text
-
-
-def serialize(doc: FisDocument) -> str:
-    """Canonical text: inputs in declaration order, output last, rules
-    sorted, normalized whitespace and number formatting. parse(serialize(d))
-    is structurally equal to d, and serializing twice is byte-identical."""
-    lines = [f"system {doc.name}"]
-    inputs = [v for v in doc.variables if v.direction == "input"]
-    outputs = [v for v in doc.variables if v.direction == "output"]
-    for var in inputs + outputs:
-        decl = f"{var.direction} {var.name} universe {_fmt(var.lo)} {_fmt(var.hi)}"
-        if var.unit:
-            decl += f" unit {var.unit}"
-        lines.append(decl)
-        for term in var.terms:
-            pts = " ".join(_fmt(p) for p in term.breakpoints)
-            lines.append(f"  term {term.name} {term.kind} {pts}")
-    for rule in sorted(doc.rules, key=lambda r: (r.antecedents, r.consequent)):
-        clause = " and ".join(f"{v} is {t}" for v, t in rule.antecedents)
-        lines.append(f"rule if {clause} then "
-                     f"{rule.consequent[0]} is {rule.consequent[1]}")
-    return "\n".join(lines) + "\n"

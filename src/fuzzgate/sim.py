@@ -7,8 +7,10 @@ from __future__ import annotations
 import csv
 import math
 import re
+from collections.abc import Iterator
 from dataclasses import dataclass
 from datetime import datetime
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +24,14 @@ TIMESTAMP_FORMAT = "%Y-%m-%d %H:%M:%S"
 #: other string goes to `strptime`, which also accepts shapes such as
 #: unpadded fields and non-ASCII digits.
 FIXED_TIMESTAMP = r"\d{4}-\d\d-\d\d ([01]\d|2[0-3]):\d\d:\d\d"
+_fixed_timestamp = re.compile(FIXED_TIMESTAMP, re.ASCII).fullmatch
+#: Timestamps of that shape joined by newlines.
+_fixed_timestamps = re.compile(rf"{FIXED_TIMESTAMP}(?:\n{FIXED_TIMESTAMP})*",
+                               re.ASCII).fullmatch
+
+#: Data rows read before their mapped fields are converted. The block bounds
+#: the field text held at once.
+LOAD_BLOCK = 4096
 
 
 class TelemetryError(Exception):
@@ -60,6 +70,8 @@ class ColumnMapping:
 
 @dataclass(frozen=True, slots=True)
 class TelemetryRecord:
+    """One row of a `Telemetry`, as indexing and iteration give it."""
+
     timestamp: datetime
     temperature: float
     humidity: float  # relative humidity as a fraction in [0, 1]
@@ -72,6 +84,29 @@ class TelemetryRecord:
         return t.hour + t.minute / 60 + t.second / 3600
 
 
+@dataclass(frozen=True, eq=False)  # a generated == fails on array fields
+class Telemetry:
+    """Loaded records as columns, in file order.
+
+    `readings` is `(n, 4)`, in DEFAULT_EXTERNALS order: temperature,
+    humidity as a fraction, appliance energy in Wh, and time of day as
+    `TelemetryRecord.time_of_day` computes it from the timestamp.
+    """
+
+    timestamps: list[datetime]
+    readings: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.timestamps)
+
+    def __getitem__(self, i: int) -> TelemetryRecord:
+        return TelemetryRecord(self.timestamps[i], *self.readings[i, :3].tolist())
+
+    def __iter__(self) -> Iterator[TelemetryRecord]:
+        return map(TelemetryRecord, self.timestamps,
+                   *self.readings[:, :3].T.tolist())
+
+
 @dataclass(frozen=True)
 class LoadReport:
     loaded: int
@@ -80,24 +115,55 @@ class LoadReport:
 
 
 def load_telemetry(path: str | Path, mapping: ColumnMapping | None = None,
-                   policy: str = "strict"
-                   ) -> tuple[list[TelemetryRecord], LoadReport]:
+                   policy: str = "strict") -> tuple[Telemetry, LoadReport]:
     """Read records in file order from an RFC-4180-style CSV with a header.
 
     policy="strict" raises RowError on the first bad row; "skip-bad" counts
     and skips bad rows instead. Blank lines are skipped. Errors name the
     file line a row starts on. Humidity is divided by 100 under the percent
     scale.
+
+    The mapped fields of LOAD_BLOCK rows at a time are converted a column at
+    a time. A block with a field that this does not take, such as a bad
+    number or a timestamp of another shape, is parsed row by row, which
+    takes every field the column pass takes with the same value.
     """
     if policy not in ("strict", "skip-bad"):
         raise ValueError(f"unknown policy {policy!r}")
     mapping = mapping or ColumnMapping()
     wanted = (mapping.timestamp, mapping.temperature, mapping.humidity,
               mapping.appliance_energy)
-    fixed_timestamp = re.compile(FIXED_TIMESTAMP, re.ASCII).fullmatch
     humidity_unit = 100.0 if mapping.humidity_scale == "percent" else 1.0
-    records: list[TelemetryRecord] = []
+    timestamps: list[datetime] = []
+    blocks: list[np.ndarray] = []  # (4, m) readings of each block
     skipped_rows: list[int] = []
+    rows: list[tuple[str, ...]] = []  # the mapped fields of the block's rows
+    lines: list[int] = []  # file line each of those rows starts on
+
+    def convert_block():
+        if not rows:
+            return
+        converted = _convert_columns(rows)
+        if converted is None:
+            parsed = []
+            for fields, row_line in zip(rows, lines):
+                try:
+                    parsed.append(_parse_row(fields, wanted, path, row_line))
+                except RowError:
+                    if policy == "strict":
+                        raise
+                    skipped_rows.append(row_line)
+            converted = ([p[0] for p in parsed],
+                         np.array([p[1:] for p in parsed]).reshape(-1, 3).T)
+        stamps, values = converted
+        values[1] /= humidity_unit
+        # The expression of TelemetryRecord.time_of_day.
+        hours = [t.hour + t.minute / 60 + t.second / 3600 for t in stamps]
+        timestamps.extend(stamps)
+        blocks.append(np.vstack((values, hours)))
+        rows.clear()
+        lines.clear()
+
     line = 1  # first file line of the record being read
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
@@ -110,36 +176,64 @@ def load_telemetry(path: str | Path, mapping: ColumnMapping | None = None,
             # repeated name wins, and a field a short row lacks reads "".
             index = {name: i for i, name in enumerate(header)}
             columns = [index[c] for c in wanted]
+            pick = itemgetter(*columns)
             width = max(columns) + 1
             line = reader.line_num + 1
-            for fields in reader:
-                if fields:
-                    if len(fields) < width:
-                        row = dict(zip(header, fields))
-                        fields = [row.get(name, "") for name in header]
-                    try:
-                        records.append(_parse_row(
-                            [fields[i] for i in columns], wanted,
-                            fixed_timestamp, humidity_unit, path, line))
-                    except RowError:
-                        if policy == "strict":
-                            raise
-                        skipped_rows.append(line)
-                line = reader.line_num + 1
+            try:
+                for fields in reader:
+                    if fields:
+                        if len(fields) < width:
+                            row = dict(zip(header, fields))
+                            fields = [row.get(name, "") for name in header]
+                        rows.append(pick(fields))
+                        lines.append(line)
+                        if len(rows) == LOAD_BLOCK:
+                            convert_block()
+                    line = reader.line_num + 1
+            except (csv.Error, UnicodeDecodeError):
+                # Rows read before the error are converted first: under
+                # "strict", a bad row among them is the error reported.
+                convert_block()
+                raise
+            convert_block()
     except UnicodeDecodeError as exc:
         raise TelemetryError(f"{path}: {exc}") from None
     except csv.Error as exc:
         raise TelemetryError(f"{path}: record starting at line {line}: {exc}"
                              ) from None
-    return records, LoadReport(len(records), len(skipped_rows), tuple(skipped_rows))
+    # (4, n), so that each external's column is contiguous for the engine.
+    readings = np.concatenate(blocks, axis=1) if blocks else np.empty((4, 0))
+    return (Telemetry(timestamps, readings.T),
+            LoadReport(len(timestamps), len(skipped_rows), tuple(skipped_rows)))
 
 
-def _parse_row(fields: list[str], names: tuple[str, ...], fixed_timestamp,
-               humidity_unit: float, path, line: int) -> TelemetryRecord:
+def _convert_columns(rows: list[tuple[str, ...]]
+                     ) -> tuple[list[datetime], np.ndarray] | None:
+    """The timestamps and the (3, m) numbers of rows of mapped fields, each
+    column converted in one pass; None if some field needs `_parse_row`.
+
+    What this takes, `_parse_row` takes with the same value: a timestamp of
+    exactly FIXED_TIMESTAMP's shape has no space or quote to strip, and when
+    `float(raw)` takes a field, it equals `float(raw.strip().strip('"'))`.
+    """
+    texts, *numbers = zip(*rows)
+    joined = "\n".join(texts)
+    if joined.count("\n") != len(texts) - 1 or not _fixed_timestamps(joined):
+        return None
+    try:
+        stamps = list(map(datetime.fromisoformat, texts))
+        values = np.array([list(map(float, column)) for column in numbers])
+    except ValueError:
+        return None
+    return (stamps, values) if np.isfinite(values).all() else None
+
+
+def _parse_row(fields: tuple[str, ...], names: tuple[str, ...], path,
+               line: int) -> tuple[datetime, float, float, float]:
     """Parse a row's fields of the columns `names` (ColumnMapping order)."""
     raw = [field.strip().strip('"') for field in fields]
     try:
-        timestamp = (datetime.fromisoformat(raw[0]) if fixed_timestamp(raw[0])
+        timestamp = (datetime.fromisoformat(raw[0]) if _fixed_timestamp(raw[0])
                      else datetime.strptime(raw[0], TIMESTAMP_FORMAT))
     except ValueError:
         raise RowError(path, line, names[0],
@@ -153,8 +247,7 @@ def _parse_row(fields: list[str], names: tuple[str, ...], fixed_timestamp,
                            f"not a number: {raw[k]!r}") from None
         if not math.isfinite(values[k]):
             raise RowError(path, line, names[k], f"not finite: {raw[k]!r}")
-    return TelemetryRecord(timestamp, values[1], values[2] / humidity_unit,
-                           values[3])
+    return timestamp, values[1], values[2], values[3]
 
 
 @dataclass(frozen=True, eq=False)  # a generated == fails on array fields
@@ -184,7 +277,7 @@ class SimulationResult:
     cumulative: np.ndarray  # (n, 2): joules so far, always-send then gated
 
 
-def run_fuzzy(records: list[TelemetryRecord], cascade: Cascade,
+def run_fuzzy(telemetry: Telemetry, cascade: Cascade,
               joules_per_packet: float) -> SimulationResult:
     """Gate each record through the cascade; transmit only on a Send label.
 
@@ -199,14 +292,9 @@ def run_fuzzy(records: list[TelemetryRecord], cascade: Cascade,
     if not (math.isfinite(joules_per_packet) and joules_per_packet > 0):
         raise ValueError(f"joules per packet must be finite and > 0, "
                          f"got {joules_per_packet!r}")
-    n = len(records)
-    # (4, n), so that each external's column is contiguous for the engine.
-    columns = np.array([
-        np.fromiter((r.temperature for r in records), float, n),
-        np.fromiter((r.humidity for r in records), float, n),
-        np.fromiter((r.appliance_energy for r in records), float, n),
-        np.fromiter((r.time_of_day for r in records), float, n)])
-    clamped, apparent, usage, score, failsafe = cascade.evaluate_columns(columns)
+    n = len(telemetry)
+    clamped, apparent, usage, score, failsafe = \
+        cascade.evaluate_columns(telemetry.readings.T)
     send = failsafe | (score <= cascade.threshold)
     clamped &= ~failsafe
     # cumsum adds in sequence, as a running total would.
@@ -220,7 +308,7 @@ def run_fuzzy(records: list[TelemetryRecord], cascade: Cascade,
     transmissions = int(send.sum())
     total_joules = transmissions * joules_per_packet
     reduction = count_reduction = 0.0
-    if records:
+    if n:
         reduction = (1.0 - total_joules / traditional_joules) * 100.0
         count_reduction = (1.0 - transmissions / n) * 100.0
     return SimulationResult(
@@ -238,6 +326,6 @@ def run_fuzzy(records: list[TelemetryRecord], cascade: Cascade,
         apparent_temperature=apparent,
         appliance_usage_time=usage,
         score=score,
-        readings=columns.T,
+        readings=telemetry.readings,
         cumulative=np.column_stack((always, gated)),
     )

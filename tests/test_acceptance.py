@@ -12,12 +12,13 @@ import numpy as np
 import pytest
 
 from fuzzgate.cli import main as cli_main
-from fuzzgate.dsl import parse, serialize, validate
+from fuzzgate.dsl import parse, validate
 from fuzzgate.energy import REFERENCE_JOULES_PER_PACKET, packet_energy, \
     packet_time
 from fuzzgate.sim import load_telemetry, run_fuzzy
 
 from conftest import FIS_FILES, load_bundled
+from fis_format import serialize, structurally_equal
 from fuzzgate.cascade import bundled_fis_dir, decide
 from oracle import DenseOracle
 from tables import FS1_TABLE, FS2_TABLE, FS3_TABLE, core_point
@@ -154,7 +155,7 @@ class TestAcceptance:
             assert doc is not None
             assert not any(d.severity == "error" for d in diags)
             doc2, diags2 = parse(serialize(doc))
-            assert doc2 is not None and doc.structurally_equal(doc2)
+            assert doc2 is not None and structurally_equal(doc, doc2)
 
         rng = random.Random(99)
         alphabet = "systeminputoutputtermruleifandthen#0123456789.- \n\t"

@@ -16,6 +16,7 @@ from fuzzgate.cascade import DEFAULT_EXTERNALS, SEND, Cascade
 from fuzzgate.core import FuzzySubsystem, NoRuleFiredError
 from fuzzgate.energy import REFERENCE_JOULES_PER_PACKET
 from fuzzgate.sim import TelemetryRecord, load_telemetry, run_fuzzy
+from telemetry import telemetry_of
 
 MIDNIGHT = datetime(2016, 1, 11)
 
@@ -46,7 +47,8 @@ def scalar_decision(cascade, inputs, failed_nodes=None):
 
 
 def assert_paths_agree(cascade, records, failed_nodes=None):
-    result = run_fuzzy(records, cascade, REFERENCE_JOULES_PER_PACKET)
+    result = run_fuzzy(telemetry_of(records), cascade,
+                       REFERENCE_JOULES_PER_PACKET)
     assert len(result.decisions) == len(records)
     columns = (result.apparent_temperature, result.appliance_usage_time,
                result.score, result.decisions, result.clamped, result.failsafe)
@@ -165,7 +167,8 @@ class TestPathsAgree:
         assert result.clamped_records == 0
 
     def test_no_records(self, cascade):
-        result = run_fuzzy([], cascade, REFERENCE_JOULES_PER_PACKET)
+        result = run_fuzzy(telemetry_of([]), cascade,
+                           REFERENCE_JOULES_PER_PACKET)
         assert len(result.decisions) == 0 and len(result.cumulative) == 0
         assert result.transmissions == result.failsafe_sends == 0
         empty = cascade.evaluate_columns([np.array([])] * 4)

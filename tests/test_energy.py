@@ -4,6 +4,7 @@ from hypothesis import given, strategies as st
 from fuzzgate.energy import (REFERENCE_JOULES_PER_PACKET, packet_energy,
                              packet_time)
 from fuzzgate.sim import run_fuzzy
+from telemetry import telemetry_of
 
 
 class TestPacketTime:
@@ -44,12 +45,13 @@ class TestPacketEnergy:
             packet_energy(header_bits=-1, data_bits=0)
         for joules in (0.0, -1.0, float("nan"), float("inf"), float("-inf")):
             with pytest.raises(ValueError, match="finite and > 0"):
-                run_fuzzy([], cascade, joules)
+                run_fuzzy(telemetry_of([]), cascade, joules)
 
 
 class TestTotalEnergy:
     def test_zero_packets(self, cascade):
-        result = run_fuzzy([], cascade, REFERENCE_JOULES_PER_PACKET)
+        result = run_fuzzy(telemetry_of([]), cascade,
+                           REFERENCE_JOULES_PER_PACKET)
         assert result.traditional_joules == 0.0
         assert result.total_joules == 0.0
 

@@ -10,14 +10,16 @@ from fuzzgate.energy import REFERENCE_JOULES_PER_PACKET, packet_energy
 from fuzzgate.sim import (ColumnMapping, MissingColumnError, RowError,
                           TelemetryError, TelemetryRecord, load_telemetry,
                           run_fuzzy)
+from telemetry import telemetry_of
 
 CALIBRATED = REFERENCE_JOULES_PER_PACKET
 
 
 def make_records(n, temperature=20.0, humidity=0.35, energy=60.0, hour=3):
     start = datetime(2016, 1, 11, hour, 0, 0)
-    return [TelemetryRecord(start + timedelta(minutes=10 * i), temperature,
-                            humidity, energy) for i in range(n)]
+    return telemetry_of(TelemetryRecord(start + timedelta(minutes=10 * i),
+                                        temperature, humidity, energy)
+                        for i in range(n))
 
 
 class TestLoadTelemetry:
@@ -170,7 +172,7 @@ class TestRunTraditional:
         assert result.transmissions + result.suppressed == 10
 
     def test_empty_run(self, cascade):
-        result = run_fuzzy([], cascade, CALIBRATED)
+        result = run_fuzzy(telemetry_of([]), cascade, CALIBRATED)
         assert result.transmissions == 0
         assert result.total_joules == 0.0
         assert result.traditional_joules == 0.0
@@ -200,7 +202,7 @@ class TestRunFuzzy:
         records = [TelemetryRecord(r.timestamp.replace(hour=9, minute=30),
                                    r.temperature, r.humidity,
                                    r.appliance_energy) for r in records]
-        result = run_fuzzy(records, cascade, CALIBRATED)
+        result = run_fuzzy(telemetry_of(records), cascade, CALIBRATED)
         assert result.transmissions == 0
         assert result.suppressed == 20
 
@@ -220,7 +222,7 @@ class TestRunFuzzy:
     def test_out_of_universe_clamped_and_counted(self, cascade):
         records = [TelemetryRecord(datetime(2016, 1, 11, 3, 0, 0),
                                    20.0, 1.4, 60.0)]
-        result = run_fuzzy(records, cascade, CALIBRATED)
+        result = run_fuzzy(telemetry_of(records), cascade, CALIBRATED)
         assert result.clamped_records == 1
         assert result.clamped[0]
 
@@ -236,10 +238,10 @@ class TestRunFuzzy:
 
     def test_shuffle_invariance_of_totals(self, cascade, fixture_csv):
         records, _ = load_telemetry(fixture_csv)
-        shuffled = records[:]
+        shuffled = list(records)
         random.Random(7).shuffle(shuffled)
         a = run_fuzzy(records, cascade, CALIBRATED)
-        b = run_fuzzy(shuffled, cascade, CALIBRATED)
+        b = run_fuzzy(telemetry_of(shuffled), cascade, CALIBRATED)
         assert a.transmissions == b.transmissions
         assert a.total_joules == b.total_joules
 
@@ -270,7 +272,7 @@ class TestFullScaleReplay:
                             rng.choice([30, 50, 70, 100, 150, 200, 300, 500]))
             for i in range(19735)]
         t0 = time.perf_counter()
-        fuzzy = run_fuzzy(records, cascade, CALIBRATED)
+        fuzzy = run_fuzzy(telemetry_of(records), cascade, CALIBRATED)
         elapsed = time.perf_counter() - t0
         assert elapsed < 60.0
         assert fuzzy.transmissions < len(records)
