@@ -229,6 +229,11 @@ class FuzzySubsystem:
     rules: tuple[FuzzyRule, ...]
     _grid: np.ndarray = field(init=False, repr=False, compare=False)
     _consequent_samples: dict[str, np.ndarray] = field(init=False, repr=False, compare=False)
+    # Per rule: its antecedents as (input position, term), and the index of
+    # its consequent's term among the output terms.
+    _rule_slots: tuple[tuple[tuple[int, str], ...], ...] = field(
+        init=False, repr=False, compare=False)
+    _rule_term: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         lo, hi = self.output.lo, self.output.hi
@@ -238,16 +243,26 @@ class FuzzySubsystem:
                              f"large: its centroid sum would overflow a float")
         inputs = {v.name: v for v in self.inputs}
         output = {self.output.name: self.output}
-        for rule in self.rules:
+        for number, rule in enumerate(self.rules, 1):
+            if not rule.antecedents:
+                # `infer` would fire it at 1.0 and `centroids` has no min to take.
+                raise ValueError(f"rule {number} of '{self.name}' has no antecedent")
             for (var, term), known in [*((a, inputs) for a in rule.antecedents),
                                        (rule.consequent, output)]:
                 if var not in known:
                     raise UnknownTermError(var, term)
                 known[var].term(term)  # raises UnknownTermError
+        position = {v.name: i for i, v in enumerate(self.inputs)}
+        terms = [term for term, _ in self.output.terms]
         grid = np.linspace(self.output.lo, self.output.hi, GRID_POINTS)
         samples = {term: mf.sample(grid) for term, mf in self.output.terms}
         object.__setattr__(self, "_grid", grid)
         object.__setattr__(self, "_consequent_samples", samples)
+        object.__setattr__(self, "_rule_slots", tuple(
+            tuple((position[var], term) for var, term in rule.antecedents)
+            for rule in self.rules))
+        object.__setattr__(self, "_rule_term", tuple(
+            terms.index(rule.consequent[1]) for rule in self.rules))
 
     def input_variable(self, name: str) -> LinguisticVariable:
         for var in self.inputs:
@@ -256,32 +271,43 @@ class FuzzySubsystem:
         raise KeyError(name)
 
     def activations(self, crisp_inputs: dict[str, float]) -> list[float]:
-        """Each rule's min over its antecedent term degrees (Mamdani AND).
-        The names were checked when the subsystem was built."""
-        fuzzified = {v.name: v.fuzzify(crisp_inputs[v.name]) for v in self.inputs}
+        """Each rule's min over its antecedent term degrees (Mamdani AND),
+        through the rule slots built with the subsystem."""
+        fuzzified = [v.fuzzify(crisp_inputs[v.name]) for v in self.inputs]
         acts = []
-        for rule in self.rules:
+        for slots in self._rule_slots:
             degree = 1.0
-            for var, term in rule.antecedents:
-                degree = min(degree, fuzzified[var][term])
+            for i, term in slots:
+                d = fuzzified[i][term]
+                if d < degree:
+                    degree = d
             acts.append(degree)
         return acts
 
     def infer(self, crisp_inputs: dict[str, float]) -> AggregatedOutput:
-        """Clip each consequent at its rule's activation, combine by max and
-        take the centroid over the grid, summed in ascending-x order. Raises
+        """Fold the activations into one strength per output term (the
+        largest among the rules with that consequent), clip each fired
+        term's consequent at its strength, combine by max and take the
+        centroid over the grid, summed in ascending-x order. The same bits as
+        clipping once per rule: min and max only select values, so
+        min(max(a, b), s) is max(min(a, s), min(b, s)) at every point. Raises
         NoRuleFiredError when no rule fired; fail-safe is the caller's policy."""
         acts = tuple(self.activations(crisp_inputs))
+        strength = [0.0] * len(self._consequent_samples)
+        for t, act in zip(self._rule_term, acts):
+            if act > strength[t]:
+                strength[t] = act
         aggregate = np.zeros(GRID_POINTS)
-        for rule, act in zip(self.rules, acts):
-            if act <= 0.0:
-                continue
-            clipped = np.minimum(act, self._consequent_samples[rule.consequent[1]])
-            np.maximum(aggregate, clipped, out=aggregate)
-        total = float(np.sum(aggregate))
+        clipped = np.empty(GRID_POINTS)
+        for act, samples in zip(strength, self._consequent_samples.values()):
+            if act > 0.0:
+                np.minimum(act, samples, out=clipped)
+                np.maximum(aggregate, clipped, out=aggregate)
+        total = float(np.add.reduce(aggregate))
         if total <= 0.0:
             raise NoRuleFiredError(self.output.name)
-        return AggregatedOutput(acts, float(np.sum(self._grid * aggregate)) / total)
+        weighted = np.add.reduce(np.multiply(self._grid, aggregate, out=clipped))
+        return AggregatedOutput(acts, float(weighted) / total)
 
     def centroids(self, columns: Sequence[np.ndarray]
                   ) -> tuple[np.ndarray, np.ndarray]:
@@ -335,16 +361,14 @@ class FuzzySubsystem:
         not one 2-D table: on 19,735 rows that one allocation, larger than a
         wide-stage block, raised the peak RSS of repeated replays by about
         1.5 MB."""
-        terms = list(self._consequent_samples)
-        strength = [np.zeros(n) for _ in terms]
+        strength = [np.zeros(n) for _ in self._consequent_samples]
         degrees = {(var.name, term): mf.sample(xs)
                    for var, xs in zip(self.inputs, columns)
                    for term, mf in var.terms}
-        for rule in self.rules:
+        for rule, t in zip(self.rules, self._rule_term):
             act = functools.reduce(np.minimum,
                                    (degrees[a] for a in rule.antecedents))
-            best = strength[terms.index(rule.consequent[1])]
-            np.maximum(best, act, out=best)
+            np.maximum(strength[t], act, out=strength[t])
         return strength
 
 

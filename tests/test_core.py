@@ -321,6 +321,16 @@ class TestRuleActivation:
             FuzzySubsystem("bad", (ramp_variable("x"),), out,
                            (FuzzyRule((("z", "c"),), ("z", "c")),))
 
+    def test_rule_without_antecedent_rejected(self):
+        # The DSL cannot write one; built in Python, it would fire at 1.0
+        # on every reading.
+        out = LinguisticVariable("z", 0, 1, (("c", TRI(0, 0.5, 1)),))
+        with pytest.raises(ValueError) as exc:
+            FuzzySubsystem("bad", (ramp_variable("x"),), out,
+                           (FuzzyRule((("x", "ramp"),), ("z", "c")),
+                            FuzzyRule((), ("z", "c"))))
+        assert str(exc.value) == "rule 2 of 'bad' has no antecedent"
+
 
 def tiny_subsystem():
     """One input, one output, one rule; used for controlled activations."""

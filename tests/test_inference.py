@@ -1,0 +1,146 @@
+"""Single-reading inference against the per-rule reference in
+`inference.py`: the same readings must give the same activations, the same
+centroid bits and the same full cascade traces, or NoRuleFiredError on both.
+"""
+import itertools
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from fuzzgate.cascade import DEFAULT_EXTERNALS
+from fuzzgate.core import (FuzzyRule, FuzzySubsystem, LinguisticVariable,
+                           MembershipFunction, NoRuleFiredError)
+from inference import activations_per_rule, infer_per_rule
+from test_telemetry import gen
+
+
+def bits(values):
+    return [float(v).hex() for v in values]
+
+
+def outcome(infer, fs, crisp):
+    """The activations and centroid of `infer`, as bits, or the error."""
+    try:
+        agg = infer(fs, crisp)
+    except NoRuleFiredError as exc:
+        return type(exc), str(exc)
+    return bits(agg.activations), float(agg.centroid).hex()
+
+
+def assert_same(fs, crisp):
+    assert bits(fs.activations(crisp)) == bits(activations_per_rule(fs, crisp))
+    assert outcome(FuzzySubsystem.infer, fs, crisp) == \
+        outcome(infer_per_rule, fs, crisp), crisp
+
+
+def probe_points(var):
+    """Both universe bounds and each breakpoint (so every core point) of the
+    variable's terms with its float neighbours, inside the universe."""
+    points = {var.lo, var.hi}
+    for _, mf in var.terms:
+        for p in mf.breakpoints:
+            points |= {np.nextafter(p, -np.inf), p, np.nextafter(p, np.inf)}
+    return sorted(float(p) for p in points if var.lo <= p <= var.hi)
+
+
+@st.composite
+def variables(draw, name):
+    lo = draw(st.sampled_from([-5.0, 0.0, 0.1, 18.5]))
+    hi = lo + draw(st.sampled_from([0.3, 1.0, 24.0, 1000.0]))
+    point = st.one_of(st.sampled_from([lo, hi]),
+                      st.floats(lo, hi, allow_subnormal=False))
+    terms = []
+    for k in range(draw(st.integers(1, 4))):
+        kind, n = draw(st.sampled_from([("triangle", 3), ("trapezoid", 4)]))
+        breakpoints = sorted(draw(st.lists(point, min_size=n, max_size=n)))
+        terms.append((f"t{k}", MembershipFunction(kind, tuple(breakpoints))))
+    return LinguisticVariable(name, lo, hi, tuple(terms))
+
+
+@st.composite
+def subsystems(draw):
+    """1-3 inputs; 0-8 rules of 1-3 antecedents drawn with replacement, so a
+    rule may name a variable twice and several rules share a consequent;
+    and, in about half the examples, an output term that no rule names."""
+    inputs = tuple(draw(variables(f"x{i}")) for i in range(draw(st.integers(1, 3))))
+    output = draw(variables("y"))
+    names = [term for term, _ in output.terms]
+    if len(names) > 1 and draw(st.booleans()):
+        names.pop()
+    antecedent = st.sampled_from([(var.name, term) for var in inputs
+                                  for term, _ in var.terms])
+    rules = draw(st.lists(st.builds(
+        lambda antecedents, term: FuzzyRule(tuple(antecedents), ("y", term)),
+        st.lists(antecedent, min_size=1, max_size=3), st.sampled_from(names)),
+        max_size=8))
+    return FuzzySubsystem("drawn", inputs, output, tuple(rules))
+
+
+def readings(fs):
+    """A crisp value per input: a probe point or any value in the universe."""
+    return st.fixed_dictionaries({var.name: st.one_of(
+        st.sampled_from(probe_points(var)), st.floats(var.lo, var.hi))
+        for var in fs.inputs})
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_drawn_subsystems(data):
+    fs = data.draw(subsystems())
+    for _ in range(5):
+        assert_same(fs, data.draw(readings(fs)))
+
+
+def probe_grid(fs):
+    """Every combination of the inputs' probe points."""
+    for values in itertools.product(*map(probe_points, fs.inputs)):
+        yield {var.name: x for var, x in zip(fs.inputs, values)}
+
+
+@pytest.mark.parametrize("node", ["fs1", "fs2", "fs3"])
+def test_bundled_subsystems(request, node):
+    fs = request.getfixturevalue(node)
+    for crisp in probe_grid(fs):
+        assert_same(fs, crisp)
+
+
+@pytest.mark.parametrize("node", ["fs1", "fs2", "fs3"])
+def test_one_clip_per_fired_output_term(request, node):
+    """`infer` clips each output term with strength > 0 once, in term order,
+    and no other term: several bundled rules share each consequent."""
+    fs = request.getfixturevalue(node)
+    terms = [term for term, _ in fs.output.terms]
+    for crisp in probe_grid(fs):
+        strength = dict.fromkeys(terms, 0.0)
+        for rule, act in zip(fs.rules, activations_per_rule(fs, crisp)):
+            strength[rule.consequent[1]] = max(strength[rule.consequent[1]], act)
+        with mock.patch.object(np, "minimum", wraps=np.minimum) as clip:
+            fs.infer(crisp)
+        clipped = [args[1] for args, _ in clip.call_args_list]
+        expected = [fs._consequent_samples[term] for term in terms
+                    if strength[term] > 0.0]
+        assert len(clipped) == len(expected), crisp
+        assert all(a is b for a, b in zip(clipped, expected)), crisp
+
+
+def trace_bits(trace):
+    """A `DecisionTrace` with every float as its bits."""
+    return (bits(trace.inputs.values()), trace.clamped,
+            sorted((name, float(v).hex()) for name, v in trace.intermediates.items()),
+            float(trace.score).hex(), trace.label,
+            [(f.node, f.antecedents, f.consequent, float(f.activation).hex())
+             for f in trace.fired])
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("writer", sorted(gen.WRITERS))
+def test_cascade_traces(cascade, writer, seed, tmp_path, monkeypatch):
+    expected = gen.WRITERS[writer](tmp_path / "data.csv", seed)
+    inputs = [dict(zip(DEFAULT_EXTERNALS, values))
+              for values in expected if values is not None]
+    traces = [trace_bits(cascade.evaluate(x, clamp=True)) for x in inputs]
+    monkeypatch.setattr(FuzzySubsystem, "infer", infer_per_rule)
+    assert traces == [trace_bits(cascade.evaluate(x, clamp=True))
+                      for x in inputs]
