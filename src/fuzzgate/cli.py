@@ -129,6 +129,10 @@ def cmd_check(args) -> int:
                           f"over [{lo:g}, {hi:g}]: readings there fire no rule "
                           f"that reads it, and a record that fires no rule is "
                           f"sent as a fail-safe")
+            for term in subsystem.unseen_output_terms():
+                print(f"{path}: warning: output term '{term}' is 0 at every "
+                      f"grid point: rules that conclude it never move the "
+                      f"centroid")
     if not had_error and len(rule_counts) > 1:
         print("/".join(str(n) for n in rule_counts) + " rules")
     return EXIT_DOMAIN if had_error else EXIT_OK

@@ -234,6 +234,9 @@ class FuzzySubsystem:
     _rule_slots: tuple[tuple[tuple[int, str], ...], ...] = field(
         init=False, repr=False, compare=False)
     _rule_term: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    # The output grid as runs of points, for `centroids`: see `_grid_runs`.
+    _segments: tuple[tuple[slice, tuple[int, ...]], ...] = field(
+        init=False, repr=False, compare=False)
 
     def __post_init__(self):
         lo, hi = self.output.lo, self.output.hi
@@ -263,6 +266,14 @@ class FuzzySubsystem:
             for rule in self.rules))
         object.__setattr__(self, "_rule_term", tuple(
             terms.index(rule.consequent[1]) for rule in self.rules))
+        object.__setattr__(self, "_segments", _grid_runs(list(samples.values())))
+
+    def unseen_output_terms(self) -> list[str]:
+        """The output terms that are 0 at every grid point, so in no run of
+        the grid: a rule that concludes one never moves the centroid."""
+        seen = {t for _, alive in self._segments for t in alive}
+        return [term for t, (term, _) in enumerate(self.output.terms)
+                if t not in seen]
 
     def input_variable(self, name: str) -> LinguisticVariable:
         for var in self.inputs:
@@ -317,11 +328,14 @@ class FuzzySubsystem:
         Returns the centroid of each row and the mask of rows where some rule
         fired; where none fired the centroid is NaN. The narrow stage gives
         each row its strength per output term: the largest activation among
-        the rules with that consequent. The wide stage clips, aggregates and
-        sums the grid once per distinct strength row. Each fired row is
-        bit-identical to `infer`: min and max only select values, the
-        aggregate depends on the strength row alone, and a block's row-wise
-        sums add each row as `infer` does. Raises
+        the rules with that consequent. The wide stage aggregates the grid
+        once per distinct strength row, one run of the grid at a time (see
+        `_grid_runs`): a run where no term is > 0 is 0, and any other run
+        clips only the terms > 0 on it and combines them by max. Then it sums
+        the whole grid of each row. Each fired row is bit-identical to
+        `infer`: min and max only select values, a term clips to 0 outside
+        its runs, the aggregate depends on the strength row alone, and a
+        block's row-wise sums add each row as `infer` does. Raises
         OutOfUniverseError on the first value outside its input's universe.
         """
         columns = [np.asarray(xs, dtype=float) for xs in columns]
@@ -334,6 +348,7 @@ class FuzzySubsystem:
         if not self.output.terms:  # no rule can fire
             return np.full(n, np.nan), np.zeros(n, dtype=bool)
         strength, inverse = _group_rows(self._strengths(columns, n))
+        samples = list(self._consequent_samples.values())
         m = len(strength[0])
         centroid = np.full(m, np.nan)
         fired = np.empty(m, dtype=bool)
@@ -342,11 +357,19 @@ class FuzzySubsystem:
         for start in range(0, m, CHUNK_ROWS):
             rows = slice(start, start + CHUNK_ROWS)
             block, clipped = agg[:m - start], work[:m - start]
-            block.fill(0.0)
-            for act, samples in zip(strength,
-                                    self._consequent_samples.values()):
-                np.minimum(act[rows, None], samples, out=clipped)
-                np.maximum(block, clipped, out=block)
+            act = [s[rows, None] for s in strength]
+            # Every point of the block is written: the buffer holds the
+            # previous block's rows.
+            for run, alive in self._segments:
+                out = block[:, run]
+                if not alive:
+                    out.fill(0.0)
+                else:
+                    first, *rest = alive
+                    np.minimum(act[first], samples[first][run], out=out)
+                    for t in rest:
+                        np.minimum(act[t], samples[t][run], out=clipped[:, run])
+                        np.maximum(out, clipped[:, run], out=out)
             total = np.sum(block, axis=1)
             weighted = np.sum(np.multiply(self._grid, block, out=clipped),
                               axis=1)
@@ -370,6 +393,20 @@ class FuzzySubsystem:
                                    (degrees[a] for a in rule.antecedents))
             np.maximum(strength[t], act, out=strength[t])
         return strength
+
+
+def _grid_runs(samples: list[np.ndarray]
+               ) -> tuple[tuple[slice, tuple[int, ...]], ...]:
+    """The grid as maximal runs of points where the same terms are > 0,
+    given each term's samples on it. Each run is its points and the indices
+    of those terms. No terms, no runs."""
+    if not samples:
+        return ()
+    alive = np.array(samples) > 0.0  # (terms, GRID_POINTS)
+    edges = np.flatnonzero((alive[:, 1:] != alive[:, :-1]).any(axis=0)) + 1
+    bounds = [0, *edges.tolist(), GRID_POINTS]
+    return tuple((slice(a, b), tuple(np.flatnonzero(alive[:, a]).tolist()))
+                 for a, b in zip(bounds, bounds[1:]))
 
 
 def _group_rows(columns: list[np.ndarray]

@@ -50,6 +50,20 @@ class TestCheck:
             f"{gap}: warning: input 'x' has no term over [4.004, 5.996]: {reason}",
             f"{gap}: warning: input 'z' has no term over [0.901902, 1]: {reason}"]
 
+    def test_output_term_between_grid_points_warns(self, capsys, tmp_path):
+        # FS3 with `send` narrower than the grid step: its rules fire, but
+        # no grid point sees it, so those records are sent as fail-safe.
+        bundled = (bundled_fis_dir() / FIS_FILES["fs3"]).read_text()
+        narrow = tmp_path / "fs3.fis.txt"
+        narrow.write_text(bundled.replace("term send trapezoid 0 0 25 75",
+                                          "term send triangle 10.01 10.02 10.03"))
+        code, out, _ = run(capsys, ["check", str(narrow)])
+        assert code == 0
+        assert out.splitlines() == [
+            f"{narrow}: ok, system 'fs3_sending_decision', 2 inputs, 16 rules",
+            f"{narrow}: warning: output term 'send' is 0 at every grid point: "
+            f"rules that conclude it never move the centroid"]
+
     def test_unknown_term_fails(self, capsys, tmp_path):
         bad = tmp_path / "bad.fis.txt"
         bad.write_text("system s\ninput x universe 0 10\n"

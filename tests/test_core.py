@@ -218,9 +218,28 @@ class TestCentroids:
         assert len(set(expected)) == 3
         assert self.bits(centroid) == self.bits(expected)
 
+    @pytest.mark.parametrize("node, plans", [
+        ("fs1", ["cool", "cool+medium", "medium", "medium+warm", "warm",
+                 "warm+hot", "hot"]),
+        ("fs2", ["low", "low+medium", "medium", "medium+high", "high",
+                 "high+v.high", "v.high"]),
+        ("fs3", ["send", "send+not_send", "not_send"])])
+    def test_segments_of_bundled_nodes(self, request, node, plans):
+        """The runs tile the grid in order, each with the terms > 0 on it."""
+        fs = request.getfixturevalue(node)
+        terms = [term for term, _ in fs.output.terms]
+        runs = [run for run, _ in fs._segments]
+        assert [run.start for run in runs] == \
+            [0] + [run.stop for run in runs[:-1]]
+        assert runs[-1].stop == GRID_POINTS
+        assert all(run.start < run.stop for run in runs)
+        assert ["+".join(terms[t] for t in alive)
+                for _, alive in fs._segments] == plans
+
     def test_output_without_terms_fires_no_row(self):
         x = LinguisticVariable("x", 0, 1, (("on", TRAP(0, 0, 0.5, 1)),))
         fs = FuzzySubsystem("bare", (x,), LinguisticVariable("y", 0, 1, ()), ())
+        assert fs._segments == ()
         centroid, fired = fs.centroids((np.array([0.2, 0.8]),))
         assert not fired.any() and np.isnan(centroid).all()
         with pytest.raises(NoRuleFiredError):

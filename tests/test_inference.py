@@ -1,6 +1,7 @@
 """Single-reading inference against the per-rule reference in
 `inference.py`: the same readings must give the same activations, the same
 centroid bits and the same full cascade traces, or NoRuleFiredError on both.
+The batch engine's `centroids` must give the same centroid bits row by row.
 """
 import itertools
 from unittest import mock
@@ -10,8 +11,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fuzzgate.cascade import DEFAULT_EXTERNALS
-from fuzzgate.core import (FuzzyRule, FuzzySubsystem, LinguisticVariable,
-                           MembershipFunction, NoRuleFiredError)
+from fuzzgate.core import (CHUNK_ROWS, FuzzyRule, FuzzySubsystem,
+                           LinguisticVariable, MembershipFunction,
+                           NoRuleFiredError)
 from inference import activations_per_rule, infer_per_rule
 from test_telemetry import gen
 
@@ -91,6 +93,78 @@ def test_drawn_subsystems(data):
     fs = data.draw(subsystems())
     for _ in range(5):
         assert_same(fs, data.draw(readings(fs)))
+
+
+def poisoned(empty):
+    """`empty` whose arrays start at 7, as reused memory may: an engine that
+    leaves a point of its buffers unwritten reads 7 there."""
+    def allocate(*args, **kwargs):
+        out = empty(*args, **kwargs)
+        out.fill(7)
+        return out
+    return allocate
+
+
+def assert_batch_same(fs, columns):
+    """`centroids` against `infer_per_rule` row by row: the same centroid
+    bits where a rule fired, NoRuleFiredError where none did."""
+    with mock.patch.object(np, "empty", poisoned(np.empty)), \
+            mock.patch.object(np, "empty_like", poisoned(np.empty_like)):
+        centroid, fired = fs.centroids(columns)
+    for row, (c, f) in enumerate(zip(centroid.tolist(), fired.tolist())):
+        crisp = {var.name: float(xs[row]) for var, xs in zip(fs.inputs, columns)}
+        try:
+            expected = float(infer_per_rule(fs, crisp).centroid).hex()
+        except NoRuleFiredError:
+            expected = None
+        assert (c.hex() if f else None) == expected, crisp
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_drawn_subsystems_batch(data):
+    """Two to three blocks of rows per drawn subsystem: each input's probe
+    points and drawn readings, and uniform draws, in a seeded order."""
+    fs = data.draw(subsystems())
+    drawn = [data.draw(readings(fs)) for _ in range(3)]
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    n = 2 * CHUNK_ROWS + 1 + data.draw(st.integers(0, CHUNK_ROWS))
+    columns = []
+    for var in fs.inputs:
+        points = np.array(probe_points(var) + [r[var.name] for r in drawn])
+        xs = np.where(rng.random(n) < 0.5, rng.choice(points, n),
+                      rng.uniform(var.lo, var.hi, n))
+        columns.append(np.clip(xs, var.lo, var.hi))
+    assert_batch_same(fs, columns)
+
+
+TRI = MembershipFunction.triangle
+TRAP = MembershipFunction.trapezoid
+RAMPS = LinguisticVariable("x", 0, 1, (("down", TRI(0, 0, 1)),
+                                       ("mid", TRI(0, 0.5, 1)),
+                                       ("up", TRI(0, 1, 1))))
+OUTPUT_SHAPES = {
+    "three_overlapping": (TRI(0, 5, 10), TRAP(2, 4, 6, 8), TRI(3, 6, 9)),
+    "two_at_full_height": (TRAP(2, 2, 6, 6), TRAP(2, 2, 6, 6)),
+    "gap": (TRI(0, 1, 3), TRI(6, 8, 10)),
+    "narrower_than_a_step": (TRI(4.001, 4.002, 4.003), TRI(0, 5, 10)),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(OUTPUT_SHAPES))
+def test_batch_output_shapes(shape):
+    """Output terms on [0, 10] (grid step 0.01), term k concluded from a
+    ramp of x, so the terms' strengths differ row by row, over more than
+    three blocks of rows."""
+    terms = OUTPUT_SHAPES[shape]
+    ramps = ("down", "up") if len(terms) == 2 else ("down", "mid", "up")
+    output = LinguisticVariable("y", 0, 10, tuple(
+        (f"t{k}", mf) for k, mf in enumerate(terms)))
+    fs = FuzzySubsystem(shape, (RAMPS,), output, tuple(
+        FuzzyRule((("x", ramp),), ("y", f"t{k}")) for k, ramp in enumerate(ramps)))
+    xs = np.concatenate([np.linspace(0, 1, 3 * CHUNK_ROWS + 5),
+                         probe_points(RAMPS)])
+    assert_batch_same(fs, [xs])
 
 
 def probe_grid(fs):
