@@ -66,7 +66,8 @@ class Cascade:
     inputs. Every cascade, however made (`dataclasses.replace` too), is
     checked: WiringMismatchError when an FS3 input does not match the name and
     universe of its producer's output, CascadeBuildError when FS1 or FS2 does
-    not have two inputs or the threshold is not finite."""
+    not have two inputs, a node has an output term that no grid point sees,
+    or the threshold is not finite."""
 
     fs1: FuzzySubsystem
     fs2: FuzzySubsystem
@@ -101,6 +102,14 @@ class Cascade:
                 f"expected {len(DEFAULT_EXTERNALS)} stage-one inputs, two per node, "
                 f"found {len(fs1.inputs)} on '{fs1.name}' and {len(fs2.inputs)} "
                 f"on '{fs2.name}'")
+        for node, fs in self.nodes.items():
+            unseen = fs.unseen_output_terms()
+            if unseen:
+                raise CascadeBuildError(
+                    f"node '{node}' (system '{fs.name}'): output term(s) "
+                    f"{', '.join(repr(t) for t in unseen)} of '{fs.output.name}' "
+                    f"are 0 at every grid point: rules that conclude them "
+                    f"would fire and never move the centroid")
 
     @property
     def nodes(self) -> dict[str, FuzzySubsystem]:

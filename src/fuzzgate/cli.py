@@ -198,16 +198,17 @@ def _timestamps(stamps: list[datetime]) -> list[str]:
     return [f"{t:{TIMESTAMP_FORMAT}}" for t in stamps]
 
 
-def _decision_lines(timestamps: list[datetime], result: SimulationResult,
+def _decision_lines(telemetry: Telemetry, result: SimulationResult,
                     rows: slice) -> str:
-    readings = [_reprs(column) for column in result.readings[rows].T]
+    readings = [_reprs(column) for column in telemetry.readings[rows].T]
     outputs = [_reprs(column[rows]) for column in (
         result.apparent_temperature, result.appliance_usage_time, result.score)]
     for texts in outputs:
         texts[result.failsafe[rows]] = ""  # NaN, written as nothing
     tails = _TAILS[4 * result.decisions[rows] + 2 * result.clamped[rows]
                    + result.failsafe[rows]]
-    columns = (range(rows.start, rows.stop), _timestamps(timestamps[rows]),
+    columns = (range(rows.start, rows.stop),
+               _timestamps(telemetry.timestamps[rows]),
                *(texts.tolist() for texts in readings + outputs), tails.tolist())
     return "".join([f"{i},{ts},{t},{h},{e},{d},{a},{u},{s},{tail}"
                     for i, ts, t, h, e, d, a, u, s, tail in zip(*columns)])
@@ -238,7 +239,7 @@ def _write_reports(out_dir: Path, telemetry: Telemetry,
         cumulative.write("index,traditional_joules,fuzzy_joules\n")
         for start in range(0, n, REPORT_BLOCK):
             rows = slice(start, min(start + REPORT_BLOCK, n))
-            decisions.write(_decision_lines(telemetry.timestamps, result, rows))
+            decisions.write(_decision_lines(telemetry, result, rows))
             cumulative.write(_cumulative_lines(result, rows))
 
 

@@ -66,6 +66,10 @@ class MembershipFunction:
 
     kind: str  # "triangle" | "trapezoid"
     breakpoints: tuple[float, ...]
+    # The breakpoints as (a, start of core, end of core, d): a triangle
+    # (a, b, c) is the trapezoid (a, b, b, c).
+    _corners: tuple[float, float, float, float] = field(
+        init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = len(self.breakpoints)
@@ -79,6 +83,8 @@ class MembershipFunction:
             raise ValueError("breakpoints must be finite")
         if any(a > b for a, b in zip(self.breakpoints, self.breakpoints[1:])):
             raise ValueError(f"breakpoints must be non-decreasing: {self.breakpoints}")
+        a, *peak, d = self.breakpoints
+        object.__setattr__(self, "_corners", (a, peak[0], peak[-1], d))
 
     @classmethod
     def triangle(cls, a: float, b: float, c: float) -> "MembershipFunction":
@@ -95,18 +101,10 @@ class MembershipFunction:
     @property
     def core(self) -> tuple[float, float]:
         """Interval where the degree is 1."""
-        if self.kind == "triangle":
-            b = self.breakpoints[1]
-            return b, b
-        return self.breakpoints[1], self.breakpoints[2]
+        return self._corners[1:3]
 
     def __call__(self, x: float) -> float:
-        if self.kind == "triangle":
-            a, b, c = self.breakpoints
-            lo_core = hi_core = b
-            d = c
-        else:
-            a, lo_core, hi_core, d = self.breakpoints
+        a, lo_core, hi_core, d = self._corners
         if lo_core <= x <= hi_core:
             return 1.0
         if x <= a or x >= d:
@@ -124,11 +122,7 @@ class MembershipFunction:
         branches of `__call__` leave to them.
         """
         xs = np.asarray(xs, dtype=float)
-        if self.kind == "triangle":
-            a, lo_core, d = self.breakpoints
-            hi_core = lo_core
-        else:
-            a, lo_core, hi_core, d = self.breakpoints
+        a, lo_core, hi_core, d = self._corners
         degree = np.zeros(xs.shape)
         if a < lo_core:
             rising = (a < xs) & (xs < lo_core)
@@ -185,7 +179,7 @@ class LinguisticVariable:
 
         Raises OutOfUniverseError when x falls outside [lo, hi].
         """
-        if not math.isfinite(x) or not self.contains(x):
+        if not self.contains(x):  # NaN and ±inf too: the bounds are finite
             raise OutOfUniverseError(self.name, x, self.lo, self.hi)
         return {term: mf(x) for term, mf in self.terms}
 
@@ -193,13 +187,10 @@ class LinguisticVariable:
         """Runs of sample points of the universe where no term has degree
         > 0, each as its first and last point."""
         xs = np.linspace(self.lo, self.hi, samples)
-        best = np.zeros(samples)
-        for _, mf in self.terms:
-            np.maximum(best, mf.sample(xs), out=best)
-        gap = np.concatenate(([False], best <= 0.0, [False]))
-        edges = np.flatnonzero(gap[1:] != gap[:-1]).tolist()  # start, end + 1
-        return [(float(xs[a]), float(xs[b - 1]))
-                for a, b in zip(edges[::2], edges[1::2])]
+        runs = _grid_runs([mf.sample(xs) for _, mf in self.terms]) or (
+            (slice(0, samples), ()),)  # no terms: one run, none alive on it
+        return [(float(xs[run.start]), float(xs[run.stop - 1]))
+                for run, alive in runs if not alive]
 
 
 @dataclass(frozen=True)
@@ -385,26 +376,25 @@ class FuzzySubsystem:
         wide-stage block, raised the peak RSS of repeated replays by about
         1.5 MB."""
         strength = [np.zeros(n) for _ in self._consequent_samples]
-        degrees = {(var.name, term): mf.sample(xs)
-                   for var, xs in zip(self.inputs, columns)
-                   for term, mf in var.terms}
-        for rule, t in zip(self.rules, self._rule_term):
+        degrees = [{term: mf.sample(xs) for term, mf in var.terms}
+                   for var, xs in zip(self.inputs, columns)]
+        for slots, t in zip(self._rule_slots, self._rule_term):
             act = functools.reduce(np.minimum,
-                                   (degrees[a] for a in rule.antecedents))
+                                   (degrees[i][term] for i, term in slots))
             np.maximum(strength[t], act, out=strength[t])
         return strength
 
 
 def _grid_runs(samples: list[np.ndarray]
                ) -> tuple[tuple[slice, tuple[int, ...]], ...]:
-    """The grid as maximal runs of points where the same terms are > 0,
+    """A grid as maximal runs of points where the same terms are > 0,
     given each term's samples on it. Each run is its points and the indices
     of those terms. No terms, no runs."""
     if not samples:
         return ()
-    alive = np.array(samples) > 0.0  # (terms, GRID_POINTS)
+    alive = np.array(samples) > 0.0  # (terms, points)
     edges = np.flatnonzero((alive[:, 1:] != alive[:, :-1]).any(axis=0)) + 1
-    bounds = [0, *edges.tolist(), GRID_POINTS]
+    bounds = [0, *edges.tolist(), alive.shape[1]]
     return tuple((slice(a, b), tuple(np.flatnonzero(alive[:, a]).tolist()))
                  for a, b in zip(bounds, bounds[1:]))
 

@@ -112,10 +112,10 @@ class _LineParser:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
 
     def next(self) -> str | None:
-        tok = self.peek()
-        if tok is not None:
-            self.pos += 1
-        return tok
+        if self.pos == len(self.tokens):
+            return None
+        self.pos += 1
+        return self.tokens[self.pos - 1]
 
     def eol_span(self) -> SourceSpan:
         return SourceSpan(self.lineno, max(len(self.line), 1), 1)
@@ -189,13 +189,13 @@ def parse(text: str) -> tuple[FisDocument | None, list[Diagnostic]]:
 
     def expect_keyword(lp: _LineParser, *keywords: str) -> str:
         """The next token, lower-cased, if it is one of `keywords`."""
-        what = " or ".join(f"'{k}'" for k in keywords)
         tok = lp.next()
+        if tok is not None and tok.lower() in keywords:
+            return tok.lower()
+        what = " or ".join(f"'{k}'" for k in keywords)
         if tok is None:
             fail(f"expected {what}, found end of line", lp.eol_span())
-        if tok.lower() not in keywords:
-            fail(f"expected {what}, found {tok!r}", lp.last_span())
-        return tok.lower()
+        fail(f"expected {what}, found {tok!r}", lp.last_span())
 
     def check_trailing(lp: _LineParser):
         tok = lp.peek()

@@ -273,7 +273,6 @@ class SimulationResult:
     apparent_temperature: np.ndarray
     appliance_usage_time: np.ndarray
     score: np.ndarray
-    readings: np.ndarray  # (n, 4): the unclamped readings, DEFAULT_EXTERNALS order
     cumulative: np.ndarray  # (n, 2): joules so far, always-send then gated
 
 
@@ -326,6 +325,5 @@ def run_fuzzy(telemetry: Telemetry, cascade: Cascade,
         apparent_temperature=apparent,
         appliance_usage_time=usage,
         score=score,
-        readings=telemetry.readings,
         cumulative=np.column_stack((always, gated)),
     )

@@ -382,6 +382,25 @@ class TestBadInput:
         if value == "abc":
             assert f"{manifest}:4:" in err
 
+    @pytest.mark.parametrize("command", ["eval", "simulate"])
+    def test_output_term_between_grid_points_refused(self, capsys, tmp_path,
+                                                     fixture_csv, command):
+        # Rules concluding `send` fire, but no grid point sees it: the reading
+        # would read as "no rule fired" and be sent as a fail-safe.
+        bundled = (bundled_fis_dir() / FIS_FILES["fs3"]).read_text()
+        narrow = tmp_path / "fs3.fis.txt"
+        narrow.write_text(bundled.replace("term send trapezoid 0 0 25 75",
+                                          "term send triangle 10.01 10.02 10.03"))
+        args = READING if command == "eval" else [
+            "--dataset", str(fixture_csv), "--out", str(tmp_path / "out")]
+        code, out, err = run(capsys, [command, *args, "--fis3", str(narrow)])
+        assert (code, out) == (1, "")
+        assert err == ("error: node 'fs3' (system 'fs3_sending_decision'): "
+                       "output term(s) 'send' of 'sending_decision' are 0 at "
+                       "every grid point: rules that conclude them would fire "
+                       "and never move the centroid\n")
+        assert not (tmp_path / "out").exists()
+
     def test_non_finite_breakpoint(self, capsys, tmp_path):
         bad = tmp_path / "nan.fis.txt"
         bad.write_text("system s\ninput x universe 0 10\n"

@@ -123,6 +123,20 @@ class TestSampleEqualsCall:
         self.assert_bitwise(mf, xs)
 
 
+    @pytest.mark.parametrize("a, b, c", [
+        (18.5, 20, 21.5), (0, 0, 5), (0, 5, 5), (5, 5, 5),
+        (0.1, 0.2, 0.30000000000000004)])
+    def test_triangle_is_trapezoid_with_one_point_core(self, a, b, c):
+        tri, trap = TRI(a, b, c), TRAP(a, b, b, c)
+        xs = np.concatenate([np.linspace(-1, 22, 1001),
+                             probe_points(tri, -1.0, 22.0)])
+        assert tri.sample(xs).tobytes() == trap.sample(xs).tobytes()
+        assert np.array([tri(x) for x in xs.tolist()]).tobytes() == \
+            np.array([trap(x) for x in xs.tolist()]).tobytes()
+        assert (tri.core, tri.support) == (trap.core, trap.support) == \
+            ((b, b), (a, c))
+
+
 class TestCentroids:
     """`FuzzySubsystem.centroids` is the batch form of `infer`'s centroid."""
 
@@ -263,8 +277,9 @@ class TestFuzzify:
             var.fuzzify(150.0)
         with pytest.raises(OutOfUniverseError):
             var.fuzzify(-0.001)
-        with pytest.raises(OutOfUniverseError):
-            var.fuzzify(float("nan"))
+        for bad in ("nan", "inf", "-inf"):
+            with pytest.raises(OutOfUniverseError):
+                var.fuzzify(float(bad))
 
     def test_coverage_of_bundled_variables(self, fs1, fs2, fs3):
         variables = [*fs1.inputs, fs1.output, *fs2.inputs, fs2.output,
@@ -272,6 +287,19 @@ class TestFuzzify:
         assert len(variables) == 7
         for var in variables:
             assert var.coverage_gaps(1000) == [], var.name
+
+    @pytest.mark.parametrize("terms, gaps", [
+        # At the start, inside and at the end: the edge samples are 0.
+        ((TRI(2, 3, 4), TRAP(5, 6, 7, 8)),
+         [(0.0, 2.0), (4.0, 5.0), (8.0, 10.0)]),
+        # Two terms meeting at one sample where both are 0.
+        ((TRAP(0, 0, 4, 5), TRAP(5, 6, 10, 10)), [(5.0, 5.0)]),
+        ((), [(0.0, 10.0)]),
+    ], ids=["start-inside-end", "meeting-at-zero", "no-terms"])
+    def test_coverage_gaps(self, terms, gaps):
+        var = LinguisticVariable(
+            "v", 0, 10, tuple((f"t{i}", mf) for i, mf in enumerate(terms)))
+        assert var.coverage_gaps(11) == gaps
 
     def test_duplicate_term_names_rejected(self):
         with pytest.raises(ValueError):
