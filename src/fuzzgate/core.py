@@ -320,14 +320,18 @@ class FuzzySubsystem:
         fired; where none fired the centroid is NaN. The narrow stage gives
         each row its strength per output term: the largest activation among
         the rules with that consequent. The wide stage aggregates the grid
-        once per distinct strength row, one run of the grid at a time (see
-        `_grid_runs`): a run where no term is > 0 is 0, and any other run
-        clips only the terms > 0 on it and combines them by max. Then it sums
-        the whole grid of each row. Each fired row is bit-identical to
-        `infer`: min and max only select values, a term clips to 0 outside
-        its runs, the aggregate depends on the strength row alone, and a
-        block's row-wise sums add each row as `infer` does. Raises
-        OutOfUniverseError on the first value outside its input's universe.
+        once per distinct strength row, taking those rows a group at a time:
+        the rows that fired the same terms (see `_group_rows`). A group that
+        fired none is left NaN. For the others it takes the grid's runs (see
+        `_grid_runs`) with only the group's terms on each, neighbours with
+        the same terms merged: a run with none is 0, and any other run clips
+        only those terms and combines them by max. Then it sums the whole
+        grid of each row. Each fired row is bit-identical to `infer`: min and
+        max only select values, a term clips to 0 outside its runs, a term
+        of strength 0 clips to 0 everywhere, the aggregate depends on the
+        strength row alone, and a block's row-wise sums add each row as
+        `infer` does. Raises OutOfUniverseError on the first value outside
+        its input's universe.
         """
         columns = [np.asarray(xs, dtype=float) for xs in columns]
         for var, xs in zip(self.inputs, columns):
@@ -336,37 +340,58 @@ class FuzzySubsystem:
                 raise OutOfUniverseError(var.name, float(xs[outside.argmax()]),
                                          var.lo, var.hi)
         n = len(columns[0])
-        if not self.output.terms:  # no rule can fire
+        if not (n and self.output.terms):  # no row, or no rule can fire
             return np.full(n, np.nan), np.zeros(n, dtype=bool)
-        strength, inverse = _group_rows(self._strengths(columns, n))
+        strength = self._strengths(columns, n)
+        distinct, inverse = _group_rows([*strength, *(s > 0.0 for s in strength)])
+        strength, alive = distinct[:len(strength)], distinct[len(strength):]
         samples = list(self._consequent_samples.values())
         m = len(strength[0])
         centroid = np.full(m, np.nan)
-        fired = np.empty(m, dtype=bool)
+        fired = np.zeros(m, dtype=bool)
         agg = np.empty((min(m, CHUNK_ROWS), GRID_POINTS))
         work = np.empty_like(agg)
-        for start in range(0, m, CHUNK_ROWS):
-            rows = slice(start, start + CHUNK_ROWS)
-            block, clipped = agg[:m - start], work[:m - start]
-            act = [s[rows, None] for s in strength]
-            # Every point of the block is written: the buffer holds the
-            # previous block's rows.
-            for run, alive in self._segments:
-                out = block[:, run]
-                if not alive:
-                    out.fill(0.0)
-                else:
-                    first, *rest = alive
-                    np.minimum(act[first], samples[first][run], out=out)
-                    for t in rest:
-                        np.minimum(act[t], samples[t][run], out=clipped[:, run])
-                        np.maximum(out, clipped[:, run], out=out)
-            total = np.sum(block, axis=1)
-            weighted = np.sum(np.multiply(self._grid, block, out=clipped),
-                              axis=1)
-            fired[rows] = total > 0.0
-            np.divide(weighted, total, out=centroid[rows], where=fired[rows])
+        edges = functools.reduce(np.logical_or, (a[1:] != a[:-1] for a in alive))
+        bounds = [0, *(np.flatnonzero(edges) + 1).tolist(), m]
+        for first, stop in zip(bounds, bounds[1:]):
+            terms = {t for t, a in enumerate(alive) if a[first]}
+            if not terms:  # no rule fired on these rows
+                continue
+            runs = self._runs_of(terms)
+            for start in range(first, stop, CHUNK_ROWS):
+                rows = slice(start, min(start + CHUNK_ROWS, stop))
+                block, clipped = agg[:rows.stop - start], work[:rows.stop - start]
+                act = [s[rows, None] for s in strength]
+                # Every point of the block is written: the buffer holds the
+                # previous block's rows.
+                for run, on in runs:
+                    out = block[:, run]
+                    if not on:
+                        out.fill(0.0)
+                    else:
+                        t, *rest = on
+                        np.minimum(act[t], samples[t][run], out=out)
+                        for t in rest:
+                            np.minimum(act[t], samples[t][run], out=clipped[:, run])
+                            np.maximum(out, clipped[:, run], out=out)
+                total = np.sum(block, axis=1)
+                weighted = np.sum(np.multiply(self._grid, block, out=clipped),
+                                  axis=1)
+                fired[rows] = total > 0.0
+                np.divide(weighted, total, out=centroid[rows], where=fired[rows])
         return centroid[inverse], fired[inverse]
+
+    def _runs_of(self, terms: set[int]) -> list[tuple[slice, tuple[int, ...]]]:
+        """The grid's runs with only `terms` alive on each (see
+        `_grid_runs`), neighbouring runs with the same terms merged."""
+        runs = []
+        for run, alive in self._segments:
+            on = tuple(t for t in alive if t in terms)
+            if runs and runs[-1][1] == on:
+                runs[-1] = (slice(runs[-1][0].start, run.stop), on)
+            else:
+                runs.append((run, on))
+        return runs
 
     def _strengths(self, columns: list[np.ndarray], n: int
                    ) -> list[np.ndarray]:
@@ -402,7 +427,9 @@ def _grid_runs(samples: list[np.ndarray]
 def _group_rows(columns: list[np.ndarray]
                 ) -> tuple[list[np.ndarray], np.ndarray]:
     """The distinct rows of a table given as equal-length columns, again as
-    columns, and for each row the index of its distinct row."""
+    columns, sorted by the last column first, and for each row the index of
+    its distinct row. So the distinct rows that agree on the last columns,
+    such as the boolean keys that `centroids` puts there, are contiguous."""
     order = np.lexsort(columns)
     first = np.arange(len(order)) == 0  # first of its equals, once sorted
     for key in columns:

@@ -25,9 +25,8 @@ TIMESTAMP_FORMAT = "%Y-%m-%d %H:%M:%S"
 #: unpadded fields and non-ASCII digits.
 FIXED_TIMESTAMP = r"\d{4}-\d\d-\d\d ([01]\d|2[0-3]):\d\d:\d\d"
 _fixed_timestamp = re.compile(FIXED_TIMESTAMP, re.ASCII).fullmatch
-#: Timestamps of that shape joined by newlines.
-_fixed_timestamps = re.compile(rf"{FIXED_TIMESTAMP}(?:\n{FIXED_TIMESTAMP})*",
-                               re.ASCII).fullmatch
+#: A run of timestamps of that shape, each followed by a newline.
+_fixed_timestamp_lines = re.compile(rf"(?:{FIXED_TIMESTAMP}\n)*", re.ASCII).match
 
 #: Data rows read before their mapped fields are converted. The block bounds
 #: the field text held at once.
@@ -124,9 +123,10 @@ def load_telemetry(path: str | Path, mapping: ColumnMapping | None = None,
     scale.
 
     The mapped fields of LOAD_BLOCK rows at a time are converted a column at
-    a time. A block with a field that this does not take, such as a bad
-    number or a timestamp of another shape, is parsed row by row, which
-    takes every field the column pass takes with the same value.
+    a time. Only the rows with a field that this does not take, such as a
+    bad number or a timestamp of another shape, are then parsed one by one,
+    in file order, by `_parse_row`, which takes every field the column pass
+    takes with the same value.
     """
     if policy not in ("strict", "skip-bad"):
         raise ValueError(f"unknown policy {policy!r}")
@@ -143,19 +143,21 @@ def load_telemetry(path: str | Path, mapping: ColumnMapping | None = None,
     def convert_block():
         if not rows:
             return
-        converted = _convert_columns(rows)
-        if converted is None:
-            parsed = []
-            for fields, row_line in zip(rows, lines):
-                try:
-                    parsed.append(_parse_row(fields, wanted, path, row_line))
-                except RowError:
-                    if policy == "strict":
-                        raise
-                    skipped_rows.append(row_line)
-            converted = ([p[0] for p in parsed],
-                         np.array([p[1:] for p in parsed]).reshape(-1, 3).T)
-        stamps, values = converted
+        stamps, values, marked = _convert_columns(rows)
+        dropped = []
+        for i in marked:
+            try:
+                stamps[i], *numbers = _parse_row(rows[i], wanted, path, lines[i])
+            except RowError:
+                if policy == "strict":
+                    raise
+                skipped_rows.append(lines[i])
+                dropped.append(i)
+            else:
+                values[:, i] = numbers
+        for i in reversed(dropped):
+            del stamps[i]
+        values = np.delete(values, dropped, axis=1)
         values[1] /= humidity_unit
         # The expression of TelemetryRecord.time_of_day.
         hours = [t.hour + t.minute / 60 + t.second / 3600 for t in stamps]
@@ -208,24 +210,57 @@ def load_telemetry(path: str | Path, mapping: ColumnMapping | None = None,
 
 
 def _convert_columns(rows: list[tuple[str, ...]]
-                     ) -> tuple[list[datetime], np.ndarray] | None:
+                     ) -> tuple[list[datetime], np.ndarray, list[int]]:
     """The timestamps and the (3, m) numbers of rows of mapped fields, each
-    column converted in one pass; None if some field needs `_parse_row`.
+    column converted in one pass, and the indexes of the rows, in order, that
+    some field marks: a timestamp not of FIXED_TIMESTAMP's shape or that
+    `datetime.fromisoformat` rejects, a number that `float` rejects, or a
+    value that is not finite. A marked row's entries are not its values:
+    `_parse_row` gives those, or rejects the row.
 
     What this takes, `_parse_row` takes with the same value: a timestamp of
     exactly FIXED_TIMESTAMP's shape has no space or quote to strip, and when
     `float(raw)` takes a field, it equals `float(raw.strip().strip('"'))`.
     """
     texts, *numbers = zip(*rows)
-    joined = "\n".join(texts)
-    if joined.count("\n") != len(texts) - 1 or not _fixed_timestamps(joined):
-        return None
-    try:
-        stamps = list(map(datetime.fromisoformat, texts))
-        values = np.array([list(map(float, column)) for column in numbers])
-    except ValueError:
-        return None
-    return (stamps, values) if np.isfinite(values).all() else None
+    stamps, rejected = _convert(datetime.fromisoformat, texts, None)
+    values = np.array([_convert(float, column, math.nan)[0]
+                       for column in numbers])
+    nonfinite = np.flatnonzero(~np.isfinite(values).all(axis=0)).tolist()
+    return stamps, values, sorted({*_misshapen(texts), *rejected, *nonfinite})
+
+
+def _convert(convert, texts, failed) -> tuple[list, list[int]]:
+    """`convert` of each text, or `failed` where it raises ValueError, and
+    the indexes of those texts. A text that converts costs no more than in
+    `list(map(convert, texts))`: `extend` keeps what it took before an error,
+    and the next `extend` resumes after the text that raised."""
+    out, failures = [], []
+    remaining = iter(texts)
+    while True:
+        try:
+            out.extend(map(convert, remaining))
+            return out, failures
+        except ValueError:
+            failures.append(len(out))
+            out.append(failed)
+
+
+def _misshapen(texts: tuple[str, ...]) -> list[int]:
+    """The indexes of the texts not of FIXED_TIMESTAMP's shape, in order,
+    found by one regex match per run of texts of that shape."""
+    joined = "\n".join(texts) + "\n"
+    if joined.count("\n") != len(texts):  # some text holds a newline
+        return [i for i, text in enumerate(texts) if not _fixed_timestamp(text)]
+    misshapen, row, pos = [], 0, 0
+    while True:
+        end = _fixed_timestamp_lines(joined, pos).end()
+        row += (end - pos) // 20  # 19 characters and a newline each
+        if row == len(texts):
+            return misshapen
+        misshapen.append(row)
+        pos = end + len(texts[row]) + 1
+        row += 1
 
 
 def _parse_row(fields: tuple[str, ...], names: tuple[str, ...], path,

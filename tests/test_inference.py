@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fuzzgate import core
 from fuzzgate.cascade import DEFAULT_EXTERNALS
 from fuzzgate.core import (CHUNK_ROWS, FuzzyRule, FuzzySubsystem,
                            LinguisticVariable, MembershipFunction,
@@ -197,6 +198,52 @@ def test_one_clip_per_fired_output_term(request, node):
                     if strength[term] > 0.0]
         assert len(clipped) == len(expected), crisp
         assert all(a is b for a, b in zip(clipped, expected)), crisp
+
+
+@pytest.mark.parametrize("node", ["fs1", "fs2", "fs3"])
+def test_wide_stage_clips_only_fired_terms(request, node):
+    """`centroids` clips an output term only in a block of rows that all gave
+    it a strength > 0: every combination of the inputs' probe points, then
+    seeded uniform readings."""
+    fs = request.getfixturevalue(node)
+    rng = np.random.default_rng(7)
+    grid = list(probe_grid(fs))
+    columns = [np.concatenate([[crisp[var.name] for crisp in grid],
+                               rng.uniform(var.lo, var.hi, 500)])
+               for var in fs.inputs]
+    with mock.patch.object(np, "minimum", wraps=np.minimum) as clip:
+        fs.centroids(columns)
+    # The narrow stage's minimums take 1-D degree columns; the wide stage
+    # clips with a (rows, 1) strength column.
+    strengths = [args[0] for args, _ in clip.call_args_list if np.ndim(args[0]) == 2]
+    assert strengths
+    assert all((s > 0.0).all() for s in strengths)
+
+
+#: Input x on [0, 10] whose terms fire {t0}, {t0, t1}, {t1}, {t1, t2}, {t2}
+#: and, from 8 up, nothing.
+GAPPED = FuzzySubsystem(
+    "gapped", (LinguisticVariable("x", 0, 10, (("lo", TRI(0, 0, 4)),
+                                               ("mid", TRI(2, 4, 6)),
+                                               ("hi", TRI(5, 7, 8)))),),
+    LinguisticVariable("y", 0, 10, (("t0", TRI(0, 2, 5)),
+                                    ("t1", TRAP(2, 4, 6, 8)),
+                                    ("t2", TRI(6, 9, 10)))),
+    tuple(FuzzyRule((("x", term),), ("y", f"t{k}"))
+          for k, term in enumerate(("lo", "mid", "hi"))))
+
+
+@pytest.mark.parametrize("chunk_rows", [1, 2, 3])
+def test_fired_term_groups_across_chunks(chunk_rows):
+    """Rows whose fired terms alternate, with seven rows of one set (a group
+    over several blocks) and rows that fire nothing between the others, give
+    the same bits whatever the block size."""
+    xs = np.array([1.0, 9.0, 3.0, 0.5, 8.5, 4.5, 1.5, 5.5, 0.25, 10.0, 7.0,
+                   1.75, 3.5, 0.75, 2.0, 9.5, 6.5])
+    expected = [a.tobytes() for a in GAPPED.centroids([xs])]
+    with mock.patch.object(core, "CHUNK_ROWS", chunk_rows):
+        assert [a.tobytes() for a in GAPPED.centroids([xs])] == expected
+        assert_batch_same(GAPPED, [xs])
 
 
 def trace_bits(trace):

@@ -201,16 +201,59 @@ def test_fraction_scale(tmp_path, policy):
 
 
 def test_simulate_converts_columns_only(tmp_path, capsys):
-    """A replay of a paper-shaped file builds no TelemetryRecord and parses
-    no row on its own."""
-    dataset = tmp_path / "paper.csv"
-    gen.write_paper_csv(dataset, seed=3, rows=2 * LOAD_BLOCK + 7)
-
+    """A replay builds no TelemetryRecord, and parses on its own only the
+    rows that the column pass marks: none of a paper-shaped file, and the
+    malformed rows of a full-size unique one."""
     def refuse(*args, **kwargs):
         raise AssertionError("row-wise work in a column replay")
 
-    with mock.patch.object(sim, "TelemetryRecord", refuse), \
-            mock.patch.object(sim, "_parse_row", refuse):
-        assert cli.main(["simulate", "--dataset", str(dataset), "--out",
-                         str(tmp_path / "out")]) == 0
-    assert f"{2 * LOAD_BLOCK + 7:>14}" in capsys.readouterr().out
+    for writer, rows, flags in [("replay_paper", 2 * LOAD_BLOCK + 7, ()),
+                                ("replay_unique", gen.PAPER_ROWS, ("--skip-bad",))]:
+        dataset = tmp_path / f"{writer}.csv"
+        skipped = gen.WRITERS[writer](dataset, seed=3, rows=rows).count(None)
+        with mock.patch.object(sim, "TelemetryRecord", refuse), \
+                mock.patch.object(sim, "_parse_row", wraps=sim._parse_row) as parse:
+            assert cli.main(["simulate", "--dataset", str(dataset), *flags,
+                             "--out", str(tmp_path / writer)]) == 0
+        assert parse.call_count == skipped
+        assert f"{rows - skipped:>14}" in capsys.readouterr().out
+    assert skipped > 0  # of the unique file
+
+
+STAMP = datetime(2016, 1, 11, 17)
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+@pytest.mark.parametrize("traps, error, skipped, parsed, kept", [
+    ({1: [BAD_ROW], LOAD_BLOCK: [BAD_ROW]}, (2, "RH_1"), (2, LOAD_BLOCK + 1), 2,
+     {}),
+    ({5: ["2016-01-11 17:00:00,x,oops,60"]}, (6, "RH_1"), (6,), 1, {}),
+    ({5: ["2016-01-11 17:00:00,20,40,oops"], 9: ["2016-01-11 17:00:00,x,40,60"]},
+     (6, "Appliances"), (6, 10), 2, {}),
+    # `float` takes " 1.5"; only `_parse_row` takes ' "1.5"'.
+    ({2: ["2016-01-11 17:00:00, 1.5,40,60"],
+      3: ['2016-01-11 17:00:00,20, "1.5",60'], 4: [BAD_ROW]}, (5, "RH_1"), (5,),
+     2, {2: (STAMP, 1.5, 0.4, 60.0), 3: (STAMP, 20.0, 0.015, 60.0)}),
+    ({2: ["2016-1-11 7:0:0,20,40,60"], 3: [BAD_ROW]}, (4, "RH_1"), (4,), 2,
+     {2: (datetime(2016, 1, 11, 7), 20.0, 0.4, 60.0)}),
+], ids=["first-and-last-of-block", "two-bad-fields", "later-column-first",
+        "spaced-and-quoted-numbers", "unpadded-stamp"])
+def test_traps_in_one_block(tmp_path, policy, traps, error, skipped, parsed,
+                            kept):
+    """Rows replacing data rows of the first block. Under "strict", the
+    first bad row in file order is the error, named by the field that
+    `_parse_row` checks first. Under "skip-bad", `_parse_row` runs only for
+    the `parsed` rows that the column pass marks, and the rows in `kept`
+    load as given."""
+    with mock.patch.object(sim, "_parse_row", wraps=sim._parse_row) as parse:
+        got = replay(tmp_path, traps, policy)
+    if policy == "strict":
+        assert isinstance(got, RowError)
+        assert (got.line, got.field_name) == error
+        return
+    telemetry, report = got
+    assert report.skipped_rows == skipped
+    assert parse.call_count == parsed
+    for row, record in kept.items():
+        assert (telemetry.timestamps[row - 1],
+                *telemetry.readings[row - 1, :3].tolist()) == record
