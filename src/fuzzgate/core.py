@@ -321,11 +321,12 @@ class FuzzySubsystem:
         each row its strength per output term: the largest activation among
         the rules with that consequent. The wide stage aggregates the grid
         once per distinct strength row, taking those rows a group at a time:
-        the rows that fired the same terms (see `_group_rows`). A group that
-        fired none is left NaN. For the others it takes the grid's runs (see
-        `_grid_runs`) with only the group's terms on each, neighbours with
-        the same terms merged: a run with none is 0, and any other run clips
-        only those terms and combines them by max. Then it sums the whole
+        the rows that fired the same terms (see `_group_rows`), found as runs
+        of their fired-term keys by `_grid_runs`. A group that fired none is
+        left NaN. For the others it takes the grid's runs as `_grid_runs`
+        finds them from the samples of the group's terms alone: a run with
+        none is 0, and any other run clips only those terms and combines
+        them by max. Then it sums the whole
         grid of each row. Each fired row is bit-identical to `infer`: min and
         max only select values, a term clips to 0 outside its runs, a term
         of strength 0 clips to 0 everywhere, the aggregate depends on the
@@ -351,14 +352,14 @@ class FuzzySubsystem:
         fired = np.zeros(m, dtype=bool)
         agg = np.empty((min(m, CHUNK_ROWS), GRID_POINTS))
         work = np.empty_like(agg)
-        edges = functools.reduce(np.logical_or, (a[1:] != a[:-1] for a in alive))
-        bounds = [0, *(np.flatnonzero(edges) + 1).tolist(), m]
-        for first, stop in zip(bounds, bounds[1:]):
-            terms = {t for t, a in enumerate(alive) if a[first]}
+        zero = np.zeros(GRID_POINTS)
+        for group, terms in _grid_runs(alive):
             if not terms:  # no rule fired on these rows
                 continue
-            runs = self._runs_of(terms)
-            for start in range(first, stop, CHUNK_ROWS):
+            runs = _grid_runs([s if t in terms else zero
+                               for t, s in enumerate(samples)])
+            stop = group.stop
+            for start in range(group.start, stop, CHUNK_ROWS):
                 rows = slice(start, min(start + CHUNK_ROWS, stop))
                 block, clipped = agg[:rows.stop - start], work[:rows.stop - start]
                 act = [s[rows, None] for s in strength]
@@ -381,18 +382,6 @@ class FuzzySubsystem:
                 np.divide(weighted, total, out=centroid[rows], where=fired[rows])
         return centroid[inverse], fired[inverse]
 
-    def _runs_of(self, terms: set[int]) -> list[tuple[slice, tuple[int, ...]]]:
-        """The grid's runs with only `terms` alive on each (see
-        `_grid_runs`), neighbouring runs with the same terms merged."""
-        runs = []
-        for run, alive in self._segments:
-            on = tuple(t for t in alive if t in terms)
-            if runs and runs[-1][1] == on:
-                runs[-1] = (slice(runs[-1][0].start, run.stop), on)
-            else:
-                runs.append((run, on))
-        return runs
-
     def _strengths(self, columns: list[np.ndarray], n: int
                    ) -> list[np.ndarray]:
         """The narrow stage of `centroids`: each output term's strength in
@@ -414,7 +403,8 @@ def _grid_runs(samples: list[np.ndarray]
                ) -> tuple[tuple[slice, tuple[int, ...]], ...]:
     """A grid as maximal runs of points where the same terms are > 0,
     given each term's samples on it. Each run is its points and the indices
-    of those terms. No terms, no runs."""
+    of those terms. No terms, no runs. `centroids` also passes its sorted
+    rows' boolean fired-term keys, as the samples of a grid of rows."""
     if not samples:
         return ()
     alive = np.array(samples) > 0.0  # (terms, points)

@@ -25,8 +25,6 @@ TIMESTAMP_FORMAT = "%Y-%m-%d %H:%M:%S"
 #: unpadded fields and non-ASCII digits.
 FIXED_TIMESTAMP = r"\d{4}-\d\d-\d\d ([01]\d|2[0-3]):\d\d:\d\d"
 _fixed_timestamp = re.compile(FIXED_TIMESTAMP, re.ASCII).fullmatch
-#: A run of timestamps of that shape, each followed by a newline.
-_fixed_timestamp_lines = re.compile(rf"(?:{FIXED_TIMESTAMP}\n)*", re.ASCII).match
 
 #: Data rows read before their mapped fields are converted. The block bounds
 #: the field text held at once.
@@ -227,14 +225,18 @@ def _convert_columns(rows: list[tuple[str, ...]]
     values = np.array([_convert(float, column, math.nan)[0]
                        for column in numbers])
     nonfinite = np.flatnonzero(~np.isfinite(values).all(axis=0)).tolist()
-    return stamps, values, sorted({*_misshapen(texts), *rejected, *nonfinite})
+    misshapen = [i for i, fixed in enumerate(map(_fixed_timestamp, texts))
+                 if not fixed]
+    return stamps, values, sorted({*misshapen, *rejected, *nonfinite})
 
 
 def _convert(convert, texts, failed) -> tuple[list, list[int]]:
     """`convert` of each text, or `failed` where it raises ValueError, and
     the indexes of those texts. A text that converts costs no more than in
-    `list(map(convert, texts))`: `extend` keeps what it took before an error,
-    and the next `extend` resumes after the text that raised."""
+    `list(map(convert, texts))`: the next `extend` resumes after the text
+    that raised. This relies on CPython's `list.extend`, which keeps the
+    items it appended before the iterator raised; the language does not
+    promise that, so `tests/test_telemetry.py` tests it here."""
     out, failures = [], []
     remaining = iter(texts)
     while True:
@@ -244,23 +246,6 @@ def _convert(convert, texts, failed) -> tuple[list, list[int]]:
         except ValueError:
             failures.append(len(out))
             out.append(failed)
-
-
-def _misshapen(texts: tuple[str, ...]) -> list[int]:
-    """The indexes of the texts not of FIXED_TIMESTAMP's shape, in order,
-    found by one regex match per run of texts of that shape."""
-    joined = "\n".join(texts) + "\n"
-    if joined.count("\n") != len(texts):  # some text holds a newline
-        return [i for i, text in enumerate(texts) if not _fixed_timestamp(text)]
-    misshapen, row, pos = [], 0, 0
-    while True:
-        end = _fixed_timestamp_lines(joined, pos).end()
-        row += (end - pos) // 20  # 19 characters and a newline each
-        if row == len(texts):
-            return misshapen
-        misshapen.append(row)
-        pos = end + len(texts[row]) + 1
-        row += 1
 
 
 def _parse_row(fields: tuple[str, ...], names: tuple[str, ...], path,

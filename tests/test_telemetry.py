@@ -220,6 +220,20 @@ def test_simulate_converts_columns_only(tmp_path, capsys):
     assert skipped > 0  # of the unique file
 
 
+@pytest.mark.parametrize("bad", [(), (0,), (3,), (6,), (0, 3, 6), (2, 3),
+                                 tuple(range(7))],
+                         ids=["none", "first", "middle", "last", "each-place",
+                              "neighbours", "all"])
+def test_convert_resumes_after_each_failure(bad):
+    """`_convert` keeps every value converted before a failure, in place,
+    and resumes after the text that failed: it relies on CPython's
+    `list.extend` keeping what it appended before its iterator raised."""
+    texts = ["x" if i in bad else f"{i}.5" for i in range(7)]
+    values, failures = sim._convert(float, texts, -1.0)
+    assert values == [-1.0 if i in bad else i + 0.5 for i in range(7)]
+    assert failures == list(bad)
+
+
 STAMP = datetime(2016, 1, 11, 17)
 
 
