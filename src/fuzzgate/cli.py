@@ -189,13 +189,13 @@ def _reprs(column: np.ndarray) -> np.ndarray:
     return np.array(texts, dtype=object)[inverse]
 
 
-def _timestamps(stamps: list[datetime]) -> list[str]:
-    if min(stamps).year >= 1000:
-        # The same text as TIMESTAMP_FORMAT, faster: the loader keeps no
-        # fraction of a second and no time zone.
-        return [t.isoformat(" ") for t in stamps]
-    # isoformat pads a year below 1000 to four digits; strftime's %Y does not.
-    return [f"{t:{TIMESTAMP_FORMAT}}" for t in stamps]
+def _timestamps(texts: list[str]) -> list[str]:
+    # The loader's ISO texts are TIMESTAMP_FORMAT's text, except that they
+    # pad a year below 1000 to four digits, where %Y does not. Fixed-width
+    # ISO texts sort as their times do, so `min` finds such a year.
+    if min(texts) >= "1000":
+        return texts
+    return [f"{datetime.fromisoformat(t):{TIMESTAMP_FORMAT}}" for t in texts]
 
 
 def _decision_lines(telemetry: Telemetry, result: SimulationResult,
@@ -215,19 +215,22 @@ def _decision_lines(telemetry: Telemetry, result: SimulationResult,
 
 
 def _cumulative_lines(result: SimulationResult, rows: slice) -> str:
-    always, gated = (_reprs(column).tolist()
-                     for column in result.cumulative[rows].T)
+    # One `repr` pass over both columns: a gated total that adds 0.0 on a
+    # suppressed row repeats an always-send total of an earlier row.
+    texts = _reprs(result.cumulative[rows].ravel()).tolist()
     return "".join([f"{i},{t},{g}\n" for i, t, g in
-                    zip(range(rows.start, rows.stop), always, gated)])
+                    zip(range(rows.start, rows.stop), texts[::2], texts[1::2])])
 
 
 def _write_reports(out_dir: Path, telemetry: Telemetry,
                    result: SimulationResult) -> None:
     """Write decisions.csv and cumulative.csv, REPORT_BLOCK rows at a time:
     a block's lines are built with one `repr` per distinct float of each
-    column and written with one join. Each block of each report is built in
-    a call of its own, so that its strings are freed before the next are
-    made: the writer then holds the text of one block at a time."""
+    column and written with one join. Timestamps are written as the loader
+    keeps them, and the two columns of cumulative.csv share one `repr` pass.
+    Each block of each report is built in a call of its own, so that its
+    strings are freed before the next are made: the writer then holds the
+    text of one block at a time."""
     n = len(telemetry)
     with (open(out_dir / "decisions.csv", "w", encoding="utf-8",
                newline="") as decisions,

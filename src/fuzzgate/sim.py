@@ -67,7 +67,8 @@ class ColumnMapping:
 
 @dataclass(frozen=True, slots=True)
 class TelemetryRecord:
-    """One row of a `Telemetry`, as indexing and iteration give it."""
+    """One row of a `Telemetry`, as indexing and iteration give it, with its
+    timestamp text parsed by `datetime.fromisoformat`."""
 
     timestamp: datetime
     temperature: float
@@ -85,22 +86,28 @@ class TelemetryRecord:
 class Telemetry:
     """Loaded records as columns, in file order.
 
+    `timestamps` holds ISO texts, `YYYY-MM-DD HH:MM:SS`: each is
+    `datetime.isoformat(" ")` of the parsed timestamp, which is the field
+    itself when the field has FIXED_TIMESTAMP's shape. Indexing and
+    iteration parse them back into `TelemetryRecord`s.
+
     `readings` is `(n, 4)`, in DEFAULT_EXTERNALS order: temperature,
     humidity as a fraction, appliance energy in Wh, and time of day as
     `TelemetryRecord.time_of_day` computes it from the timestamp.
     """
 
-    timestamps: list[datetime]
+    timestamps: list[str]
     readings: np.ndarray
 
     def __len__(self) -> int:
         return len(self.timestamps)
 
     def __getitem__(self, i: int) -> TelemetryRecord:
-        return TelemetryRecord(self.timestamps[i], *self.readings[i, :3].tolist())
+        return TelemetryRecord(datetime.fromisoformat(self.timestamps[i]),
+                               *self.readings[i, :3].tolist())
 
     def __iter__(self) -> Iterator[TelemetryRecord]:
-        return map(TelemetryRecord, self.timestamps,
+        return map(TelemetryRecord, map(datetime.fromisoformat, self.timestamps),
                    *self.readings[:, :3].T.tolist())
 
 
@@ -125,6 +132,12 @@ def load_telemetry(path: str | Path, mapping: ColumnMapping | None = None,
     bad number or a timestamp of another shape, are then parsed one by one,
     in file order, by `_parse_row`, which takes every field the column pass
     takes with the same value.
+
+    Timestamps are kept as text, not as datetimes: a field that the column
+    pass takes is kept as read, since it already equals the `isoformat(" ")`
+    of its value, and a row that `_parse_row` takes gets that text made
+    once. The datetimes of a block are dropped once its time of day is
+    computed.
     """
     if policy not in ("strict", "skip-bad"):
         raise ValueError(f"unknown policy {policy!r}")
@@ -132,7 +145,7 @@ def load_telemetry(path: str | Path, mapping: ColumnMapping | None = None,
     wanted = (mapping.timestamp, mapping.temperature, mapping.humidity,
               mapping.appliance_energy)
     humidity_unit = 100.0 if mapping.humidity_scale == "percent" else 1.0
-    timestamps: list[datetime] = []
+    timestamps: list[str] = []
     blocks: list[np.ndarray] = []  # (4, m) readings of each block
     skipped_rows: list[int] = []
     rows: list[tuple[str, ...]] = []  # the mapped fields of the block's rows
@@ -141,7 +154,7 @@ def load_telemetry(path: str | Path, mapping: ColumnMapping | None = None,
     def convert_block():
         if not rows:
             return
-        stamps, values, marked = _convert_columns(rows)
+        texts, stamps, values, marked = _convert_columns(rows)
         dropped = []
         for i in marked:
             try:
@@ -152,14 +165,15 @@ def load_telemetry(path: str | Path, mapping: ColumnMapping | None = None,
                 skipped_rows.append(lines[i])
                 dropped.append(i)
             else:
+                texts[i] = stamps[i].isoformat(" ")
                 values[:, i] = numbers
         for i in reversed(dropped):
-            del stamps[i]
+            del texts[i], stamps[i]
         values = np.delete(values, dropped, axis=1)
         values[1] /= humidity_unit
         # The expression of TelemetryRecord.time_of_day.
         hours = [t.hour + t.minute / 60 + t.second / 3600 for t in stamps]
-        timestamps.extend(stamps)
+        timestamps.extend(texts)
         blocks.append(np.vstack((values, hours)))
         rows.clear()
         lines.clear()
@@ -208,17 +222,20 @@ def load_telemetry(path: str | Path, mapping: ColumnMapping | None = None,
 
 
 def _convert_columns(rows: list[tuple[str, ...]]
-                     ) -> tuple[list[datetime], np.ndarray, list[int]]:
-    """The timestamps and the (3, m) numbers of rows of mapped fields, each
-    column converted in one pass, and the indexes of the rows, in order, that
-    some field marks: a timestamp not of FIXED_TIMESTAMP's shape or that
-    `datetime.fromisoformat` rejects, a number that `float` rejects, or a
-    value that is not finite. A marked row's entries are not its values:
-    `_parse_row` gives those, or rejects the row.
+                     ) -> tuple[list[str], list[datetime], np.ndarray, list[int]]:
+    """The timestamp texts, the timestamps and the (3, m) numbers of rows of
+    mapped fields, each column converted in one pass, and the indexes of the
+    rows, in order, that some field marks: a timestamp not of
+    FIXED_TIMESTAMP's shape or that `datetime.fromisoformat` rejects, a
+    number that `float` rejects, or a value that is not finite. A marked
+    row's entries are not its values: `_parse_row` gives those, or rejects
+    the row.
 
     What this takes, `_parse_row` takes with the same value: a timestamp of
     exactly FIXED_TIMESTAMP's shape has no space or quote to strip, and when
     `float(raw)` takes a field, it equals `float(raw.strip().strip('"'))`.
+    A timestamp text this takes is also the `isoformat(" ")` of its value,
+    which writes the same fixed-width fields back.
     """
     texts, *numbers = zip(*rows)
     stamps, rejected = _convert(datetime.fromisoformat, texts, None)
@@ -227,7 +244,8 @@ def _convert_columns(rows: list[tuple[str, ...]]
     nonfinite = np.flatnonzero(~np.isfinite(values).all(axis=0)).tolist()
     misshapen = [i for i, fixed in enumerate(map(_fixed_timestamp, texts))
                  if not fixed]
-    return stamps, values, sorted({*misshapen, *rejected, *nonfinite})
+    return (list(texts), stamps, values,
+            sorted({*misshapen, *rejected, *nonfinite}))
 
 
 def _convert(convert, texts, failed) -> tuple[list, list[int]]:

@@ -17,13 +17,15 @@ from fuzzgate.sim import (FIXED_TIMESTAMP, TIMESTAMP_FORMAT, ColumnMapping,
 
 
 def telemetry_of(records) -> Telemetry:
-    """The `Telemetry` of `records`, in their order."""
+    """The `Telemetry` of `records`, in their order, with each timestamp as
+    the ISO text that `load_telemetry` keeps."""
     records = list(records)
     columns = np.array([[r.temperature for r in records],
                         [r.humidity for r in records],
                         [r.appliance_energy for r in records],
                         [r.time_of_day for r in records]], dtype=float)
-    return Telemetry([r.timestamp for r in records], columns.reshape(4, -1).T)
+    return Telemetry([r.timestamp.isoformat(" ") for r in records],
+                     columns.reshape(4, -1).T)
 
 
 def load_telemetry_rowwise(path, mapping=None, policy="strict"):

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import FIS_FILES, write_manifest
 from fuzzgate import cli
-from fuzzgate.cascade import bundled_fis_dir
+from fuzzgate.cascade import NOT_SEND, SEND, bundled_fis_dir
 from reports import write_reports_rowwise
 from test_batch import generated_records
 
@@ -80,3 +80,38 @@ def test_short_replays(monkeypatch, capsys, tmp_path, records):
     blocked, rowwise = reports_both_ways(monkeypatch, capsys, tmp_path,
                                          ["--dataset", str(dataset)])
     assert blocked == rowwise
+
+
+def test_timestamps_of_every_origin_in_small_blocks(monkeypatch, capsys,
+                                                     tmp_path):
+    """Blocks of four that mix timestamps the column pass keeps as read,
+    timestamps that `_parse_row` takes (unpadded, spaced and quoted) and
+    years below 1000 by both routes. The first ten records are not sent, so
+    the gated total lags always-send by more than a block."""
+    monkeypatch.setattr(cli, "REPORT_BLOCK", 4)
+    stamps = ["2016-01-{day:02} {hour:02}:30:00",
+              "2016-1-{day} {hour}:30:0",
+              ' "2016-01-{day:02} {hour:02}:30:00"',
+              "0999-01-{day:02} {hour:02}:30:00",
+              ' "0999-01-{day:02} {hour:02}:30:00"']
+    # Cool, dry readings at 09:30 with v.high usage are not sent; hot, humid
+    # ones at 03:30 with low usage are.
+    suppressed, sent = "9.25,15,600", "61.5,72.5,25"
+    rows = [stamps[i % len(stamps)].format(day=1 + i, hour=9 if i < 10 else 3)
+            + "," + (suppressed if i < 10 else sent) for i in range(27)]
+    dataset = tmp_path / "origins.csv"
+    dataset.write_text("date,T1,RH_1,Appliances\n" + "\n".join(rows) + "\n")
+    blocked, rowwise = reports_both_ways(monkeypatch, capsys, tmp_path,
+                                         ["--dataset", str(dataset)])
+    assert blocked == rowwise
+    written = [line.split(",") for line in
+               blocked["decisions.csv"].decode().splitlines()[1:]]
+    assert [row[1] for row in written[:5]] == [
+        "2016-01-01 09:30:00", "2016-01-02 09:30:00", "2016-01-03 09:30:00",
+        "999-01-04 09:30:00", "999-01-05 09:30:00"]
+    assert [row[9] for row in written] == [NOT_SEND] * 10 + [SEND] * 17
+    cumulative = [line.split(",") for line in
+                  blocked["cumulative.csv"].decode().splitlines()[1:]]
+    assert [gated for _, _, gated in cumulative[:10]] == ["0.0"] * 10
+    assert [gated for _, _, gated in cumulative[10:]] == \
+        [always for _, always, _ in cumulative[:17]]

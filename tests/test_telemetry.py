@@ -2,6 +2,7 @@
 `telemetry.py`: the same file must give the same timestamps, the same
 readings bit for bit, the same load report, or the same error."""
 import importlib.util
+import re
 import tempfile
 from datetime import datetime, timedelta
 from pathlib import Path
@@ -149,9 +150,9 @@ def test_number_fields(tmp_path, policy, text, value):
 @pytest.mark.parametrize("policy", POLICIES)
 @pytest.mark.parametrize("lines, stamp, skipped", [
     (["2016-02-30 10:00:00,20,40,60"], None, (3,)),
-    (["2016-1-11 7:0:0,20,40,60"], datetime(2016, 1, 11, 7), ()),
-    (['"2016-01-11', '17:10:00",20,40,60', BAD_ROW],
-     datetime(2016, 1, 11, 17, 10), (5,)),
+    (["2016-1-11 7:0:0,20,40,60"], "2016-01-11 07:00:00", ()),
+    (['"2016-01-11', '17:10:00",20,40,60', BAD_ROW], "2016-01-11 17:10:00",
+     (5,)),
     (['"2016-01-11 17:10:00', '2016-01-11 17:20:00",20,40,60'], None, (3,)),
     (["2016-01-11 17:00:00,20,40"], None, (3,)),
     (["", "", BAD_ROW], None, (5,)),
@@ -234,7 +235,35 @@ def test_convert_resumes_after_each_failure(bad):
     assert failures == list(bad)
 
 
-STAMP = datetime(2016, 1, 11, 17)
+#: Texts of FIXED_TIMESTAMP's shape: any, and with each field near its range.
+FIXED_TEXTS = (st.from_regex(re.compile(sim.FIXED_TIMESTAMP, re.ASCII),
+                             fullmatch=True)
+               | st.tuples(*(st.integers(0, top) for top in
+                             (9999, 13, 32, 23, 60, 60))).map(
+                   lambda f: "%04d-%02d-%02d %02d:%02d:%02d" % f))
+
+
+@settings(max_examples=300, deadline=None)
+@given(moment=st.datetimes(min_value=datetime(1, 1, 1)).map(
+           lambda t: t.replace(microsecond=0)),
+       text=FIXED_TEXTS)
+def test_fixed_timestamps_are_iso_texts(moment, text):
+    """The loader keeps timestamps as ISO text in one form. It keeps the
+    text of a timestamp that the column pass takes, which must be the
+    `isoformat(" ")` of its value; and it keeps the `isoformat(" ")` of one
+    that `_parse_row` takes, which must have FIXED_TIMESTAMP's shape."""
+    iso = moment.isoformat(" ")
+    assert sim._fixed_timestamp(iso)
+    assert datetime.fromisoformat(iso) == moment
+    assert sim._fixed_timestamp(text)
+    try:
+        parsed = datetime.fromisoformat(text)
+    except ValueError:
+        return
+    assert parsed.isoformat(" ") == text
+
+
+STAMP = "2016-01-11 17:00:00"
 
 
 @pytest.mark.parametrize("policy", POLICIES)
@@ -249,7 +278,7 @@ STAMP = datetime(2016, 1, 11, 17)
       3: ['2016-01-11 17:00:00,20, "1.5",60'], 4: [BAD_ROW]}, (5, "RH_1"), (5,),
      2, {2: (STAMP, 1.5, 0.4, 60.0), 3: (STAMP, 20.0, 0.015, 60.0)}),
     ({2: ["2016-1-11 7:0:0,20,40,60"], 3: [BAD_ROW]}, (4, "RH_1"), (4,), 2,
-     {2: (datetime(2016, 1, 11, 7), 20.0, 0.4, 60.0)}),
+     {2: ("2016-01-11 07:00:00", 20.0, 0.4, 60.0)}),
 ], ids=["first-and-last-of-block", "two-bad-fields", "later-column-first",
         "spaced-and-quoted-numbers", "unpadded-stamp"])
 def test_traps_in_one_block(tmp_path, policy, traps, error, skipped, parsed,
