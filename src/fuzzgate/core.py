@@ -86,14 +86,6 @@ class MembershipFunction:
         a, *peak, d = self.breakpoints
         object.__setattr__(self, "_corners", (a, peak[0], peak[-1], d))
 
-    @classmethod
-    def triangle(cls, a: float, b: float, c: float) -> "MembershipFunction":
-        return cls("triangle", (float(a), float(b), float(c)))
-
-    @classmethod
-    def trapezoid(cls, a: float, b: float, c: float, d: float) -> "MembershipFunction":
-        return cls("trapezoid", (float(a), float(b), float(c), float(d)))
-
     @property
     def support(self) -> tuple[float, float]:
         return self.breakpoints[0], self.breakpoints[-1]

@@ -8,6 +8,10 @@ Line-oriented grammar, case-insensitive keywords, `#` comments:
       term <name> trapezoid <a> <b> <c> <d>
     rule if <var> is <term> [and <var> is <term>]... then <var> is <term>
 
+Words are separated by any run of Unicode whitespace. A word that starts
+with `#` begins a comment that runs to the end of the line; a `#` inside a
+word is part of that word.
+
 Parsing and validation are pure functions over immutable input; errors are
 reported as diagnostics with 1-based line/column spans, never exceptions.
 """
@@ -16,6 +20,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field, replace
+from itertools import islice
 
 from .core import (GRID_POINTS, FuzzyRule, FuzzySubsystem, LinguisticVariable,
                    MembershipFunction)
@@ -83,54 +88,9 @@ class FisDocument:
 
 
 _WORD_RE = re.compile(r"\S+")
-
-
-def _tokenize_line(line: str) -> list[str]:
-    words = line.split()
-    for i, word in enumerate(words):
-        if word.startswith("#"):
-            return words[:i]
-    return words
-
-
-class _LineParser:
-    """Cursor over the whitespace-separated tokens of one physical line.
-
-    Tokens are plain strings; source spans are recomputed from the raw
-    line only when a diagnostic actually needs one.
-    """
-
-    __slots__ = ("tokens", "pos", "lineno", "line")
-
-    def __init__(self, tokens: list[str], lineno: int, line: str):
-        self.tokens = tokens
-        self.pos = 0
-        self.lineno = lineno
-        self.line = line
-
-    def peek(self) -> str | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def next(self) -> str | None:
-        if self.pos == len(self.tokens):
-            return None
-        self.pos += 1
-        return self.tokens[self.pos - 1]
-
-    def eol_span(self) -> SourceSpan:
-        return SourceSpan(self.lineno, max(len(self.line), 1), 1)
-
-    def span_of(self, index: int) -> SourceSpan:
-        for i, m in enumerate(_WORD_RE.finditer(self.line)):
-            if i == index:
-                return SourceSpan(self.lineno, m.start() + 1, len(m.group(0)))
-        return self.eol_span()
-
-    def last_span(self) -> SourceSpan:
-        return self.span_of(self.pos - 1)
-
-    def here_span(self) -> SourceSpan:
-        return self.span_of(self.pos)
+# A word that starts with '#' and the rest of the line after it. The same
+# match as r"(?<!\S)#.*", but with '#' first the engine can search for it.
+_COMMENT_RE = re.compile(r"#(?<!\S#).*")
 
 
 class _LineError(Exception):
@@ -167,114 +127,122 @@ def parse(text: str) -> tuple[FisDocument | None, list[Diagnostic]]:
             variables.append(replace(decl, terms=tuple(terms)))
             open_var = None
 
-    def expect_name(lp: _LineParser, what: str) -> str:
-        tok = lp.next()
-        if tok is None:
-            fail(f"expected {what}, found end of line", lp.eol_span())
-        if not _NAME_RE.match(tok) or tok.lower() in KEYWORDS:
-            fail(f"expected {what}, found {tok!r}", lp.last_span())
-        return tok
+    def word_span(i: int) -> SourceSpan:
+        """The span of word `i` of the line, or of the line's end."""
+        m = next(islice(_WORD_RE.finditer(line), i, len(words)), None)
+        if m is None:
+            return SourceSpan(lineno, len(line), 1)
+        return SourceSpan(lineno, m.start() + 1, m.end() - m.start())
 
-    def expect_number(lp: _LineParser, what: str) -> float:
-        tok = lp.next()
-        if tok is None:
-            fail(f"expected {what}, found end of line", lp.eol_span())
+    def next_word(what: str) -> str:
+        nonlocal pos
+        if pos == len(words):
+            fail(f"expected {what}, found end of line", word_span(pos))
+        pos += 1
+        return words[pos - 1]
+
+    def expect_name(what: str) -> str:
+        word = next_word(what)
+        if not _NAME_RE.match(word) or word.lower() in KEYWORDS:
+            fail(f"expected {what}, found {word!r}", word_span(pos - 1))
+        return word
+
+    def expect_number(what: str) -> float:
+        word = next_word(what)
         try:
-            value = float(tok)
+            value = float(word)
         except ValueError:
             value = math.nan
         if not math.isfinite(value):
-            fail(f"expected {what} (a finite number), found {tok!r}", lp.last_span())
+            fail(f"expected {what} (a finite number), found {word!r}",
+                 word_span(pos - 1))
         return value
 
-    def expect_keyword(lp: _LineParser, *keywords: str) -> str:
-        """The next token, lower-cased, if it is one of `keywords`."""
-        tok = lp.next()
-        if tok is not None and tok.lower() in keywords:
-            return tok.lower()
+    def expect_keyword(*keywords: str) -> str:
+        """The next word, lower-cased, if it is one of `keywords`."""
+        nonlocal pos
+        if pos < len(words) and words[pos].lower() in keywords:
+            pos += 1
+            return words[pos - 1].lower()
         what = " or ".join(f"'{k}'" for k in keywords)
-        if tok is None:
-            fail(f"expected {what}, found end of line", lp.eol_span())
-        fail(f"expected {what}, found {tok!r}", lp.last_span())
+        word = next_word(what)
+        fail(f"expected {what}, found {word!r}", word_span(pos - 1))
 
-    def check_trailing(lp: _LineParser):
-        tok = lp.peek()
-        if tok is not None:
-            error(f"unexpected trailing token {tok!r}", lp.here_span())
+    def check_trailing():
+        if pos < len(words):
+            error(f"unexpected trailing token {words[pos]!r}", word_span(pos))
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.rstrip("\r")
-        tokens = _tokenize_line(line)
-        if not tokens:
+    # The closures above read this line's `lineno`, `line`, `words` and `pos`.
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        words = _COMMENT_RE.sub("", line, 1).split()
+        if not words:
             continue
-        keyword = tokens[0].lower()
-        lp = _LineParser(tokens, lineno, line)
-        lp.next()  # consume keyword
+        pos = 1  # the index of the next word to read, past the keyword
+        keyword = words[0].lower()
+        keyword_span = SourceSpan(lineno, len(line) - len(line.lstrip()) + 1,
+                                  len(words[0]))
         try:
             if keyword == "system":
                 close_var()
                 try:
-                    name = expect_name(lp, "system name")
+                    name = expect_name("system name")
                     if system_name is not None:
-                        error("duplicate 'system' declaration", lp.span_of(0))
+                        error("duplicate 'system' declaration", keyword_span)
                     else:
-                        system_name, system_span = name, lp.span_of(0)
-                finally:  # a bad name still has its trailing tokens checked
-                    check_trailing(lp)
+                        system_name, system_span = name, keyword_span
+                finally:  # a bad name still has its trailing words checked
+                    check_trailing()
 
             elif keyword in ("input", "output"):
                 close_var()
-                name = expect_name(lp, "variable name")
-                expect_keyword(lp, "universe")
+                name = expect_name("variable name")
+                expect_keyword("universe")
                 try:
-                    lo = expect_number(lp, "universe lower bound")
+                    lo = expect_number("universe lower bound")
                 finally:  # both bounds are read before the line stops
-                    hi = expect_number(lp, "universe upper bound")
+                    hi = expect_number("universe upper bound")
                 unit = ""
-                tok = lp.peek()
-                if tok is not None and tok.lower() == "unit":
-                    lp.next()
-                    unit = lp.next()
-                    if unit is None:
-                        fail("expected unit label, found end of line", lp.eol_span())
-                check_trailing(lp)
-                decl = VariableDecl(name, keyword, lo, hi, unit, (), lp.span_of(0))
+                if pos < len(words) and words[pos].lower() == "unit":
+                    pos += 1
+                    unit = next_word("unit label")
+                check_trailing()
+                decl = VariableDecl(name, keyword, lo, hi, unit, (), keyword_span)
                 open_var = (decl, [])
 
             elif keyword == "term":
                 if open_var is None:
-                    fail("'term' outside a variable declaration", lp.span_of(0))
+                    fail("'term' outside a variable declaration", keyword_span)
                 try:
-                    name = expect_name(lp, "term name")
+                    name = expect_name("term name")
                 except _LineError:  # a missing shape is still reported
-                    if lp.peek() is None:
-                        expect_keyword(lp, "triangle", "trapezoid")
+                    if pos == len(words):
+                        expect_keyword("triangle", "trapezoid")
                     raise
-                shape = expect_keyword(lp, "triangle", "trapezoid")
+                shape = expect_keyword("triangle", "trapezoid")
                 count = 3 if shape == "triangle" else 4
-                points = tuple(expect_number(lp, f"breakpoint {i + 1} of {count}")
+                points = tuple(expect_number(f"breakpoint {i + 1} of {count}")
                                for i in range(count))
-                check_trailing(lp)
-                open_var[1].append(TermDecl(name, shape, points, lp.span_of(0)))
+                check_trailing()
+                open_var[1].append(TermDecl(name, shape, points, keyword_span))
 
             elif keyword == "rule":
                 close_var()
-                expect_keyword(lp, "if")
+                expect_keyword("if")
                 antecedents = []
                 while True:
-                    var = expect_name(lp, "variable name")
-                    expect_keyword(lp, "is")
-                    antecedents.append((var, expect_name(lp, "term name")))
-                    if expect_keyword(lp, "and", "then") == "then":
+                    var = expect_name("variable name")
+                    expect_keyword("is")
+                    antecedents.append((var, expect_name("term name")))
+                    if expect_keyword("and", "then") == "then":
                         break
-                var = expect_name(lp, "consequent variable name")
-                expect_keyword(lp, "is")
-                term = expect_name(lp, "consequent term name")
-                check_trailing(lp)
-                rules.append(RuleDecl(tuple(antecedents), (var, term), lp.span_of(0)))
+                var = expect_name("consequent variable name")
+                expect_keyword("is")
+                term = expect_name("consequent term name")
+                check_trailing()
+                rules.append(RuleDecl(tuple(antecedents), (var, term), keyword_span))
 
             else:
-                error(f"unknown keyword {tokens[0]!r}", lp.span_of(0))
+                error(f"unknown keyword {words[0]!r}", keyword_span)
         except _LineError:
             pass
 

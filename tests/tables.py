@@ -1,5 +1,7 @@
 """Expected rule-bank grids for the three bundled subsystems, transcribed
-independently of the definition files, plus core-point helpers."""
+independently of the definition files, plus core-point and membership
+function helpers."""
+from fuzzgate.core import MembershipFunction
 
 # (temperature term, humidity term) -> apparent temperature term
 FS1_TABLE = {
@@ -45,3 +47,13 @@ def core_point(variable, term_name):
     mf = variable.term(term_name)
     lo, hi = mf.core
     return (lo + hi) / 2.0
+
+
+def TRI(*points):
+    """A triangle over the breakpoints, as floats."""
+    return MembershipFunction("triangle", tuple(map(float, points)))
+
+
+def TRAP(*points):
+    """A trapezoid over the breakpoints, as floats."""
+    return MembershipFunction("trapezoid", tuple(map(float, points)))

@@ -8,9 +8,7 @@ from fuzzgate.core import (CHUNK_ROWS, FuzzyRule,
                            FuzzySubsystem, GRID_POINTS, LinguisticVariable,
                            MembershipFunction, NoRuleFiredError,
                            OutOfUniverseError, UnknownTermError)
-
-TRI = MembershipFunction.triangle
-TRAP = MembershipFunction.trapezoid
+from tables import TRAP, TRI
 
 
 class TestMembershipDegree:

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 from dataclasses import replace
@@ -248,6 +249,49 @@ DIAGNOSTIC_TABLE = [
     (SYS, 'ruel if x is a then y is b', [
         ('error', "unknown keyword 'ruel'", 2, 1, 4),
     ]),
+    # Unicode whitespace, such as U+001F, U+00A0 and U+3000, separates words
+    # and indents lines.
+    (SYS, 'input\x1fx universe 0 1 extra', [
+        ('error', "unexpected trailing token 'extra'", 2, 22, 5),
+    ]),
+    (SYS, 'input x\xa0universe 0 1 extra', [
+        ('error', "unexpected trailing token 'extra'", 2, 22, 5),
+    ]),
+    (SYS, 'input x universe\u30000 1 extra', [
+        ('error', "unexpected trailing token 'extra'", 2, 22, 5),
+    ]),
+    (SYS, 'input x universe 0\xa0\u3000\x1fnan', [
+        ('error', "expected universe upper bound (a finite number), found 'nan'",
+         2, 22, 3),
+    ]),
+    (SYS, '\u3000ruel if x is a then y is b', [
+        ('error', "unknown keyword 'ruel'", 2, 2, 4),
+    ]),
+    (SYS, '\u3000term t triangle 0 1 2', [
+        ('error', "'term' outside a variable declaration", 2, 2, 4),
+    ]),
+    (VAR, '\u3000\u3000term t circle 0 1 2', [
+        ('error', "expected 'triangle' or 'trapezoid', found 'circle'", 3, 10, 6),
+    ]),
+    # A '#' inside a word is part of it; a word that starts with '#' begins
+    # a comment, whose length still counts for the end-of-line span.
+    ('', 'system a#b', [
+        ('error', "expected system name, found 'a#b'", 1, 8, 3),
+        ('error', "missing 'system' declaration", 1, 1, 1),
+    ]),
+    ('', '\u3000system a#b', [
+        ('error', "expected system name, found 'a#b'", 1, 9, 3),
+        ('error', "missing 'system' declaration", 1, 1, 1),
+    ]),
+    (SYS, 'input x universe 0 1 # note extra', []),
+    (SYS, 'input x universe 0 1 #note', []),
+    (SYS, 'rule if x is a then y is b #c d', []),
+    (SYS, 'input x universe 0 1 unit #C', [
+        ('error', 'expected unit label, found end of line', 2, 28, 1),
+    ]),
+    (SYS, 'system t #dup', [
+        ('error', "duplicate 'system' declaration", 2, 1, 6),
+    ]),
 ]
 
 
@@ -340,6 +384,16 @@ class TestValidate:
         subsystem, diags = self.build(text)
         assert subsystem is not None
         assert any(d.severity == "warning" and "grid" in d.message for d in diags)
+
+    def test_duplicate_variable_indented_with_unicode_whitespace(self):
+        text = ("system s\ninput x universe 0 10\n  term a triangle 0 5 10\n"
+                "\u3000\xa0input x universe 0 10\n  term a triangle 0 5 10\n"
+                "output y universe 0 1\n  term t triangle 0 0.5 1\n"
+                "rule if x is a then y is t\n")
+        subsystem, diags = self.build(text)
+        assert subsystem is None
+        assert [(d.severity, d.message, d.span) for d in diags] == [
+            ("error", "duplicate variable 'x'", SourceSpan(4, 3, 5))]
 
     @pytest.mark.parametrize("antecedents", [
         "indoor_temperature is low and indoor_humidity is dry",
@@ -444,8 +498,14 @@ class TestErrorLocality:
             validate(doc)
 
 
+#: SHA-256 over `repr((doc, diags))` of every mutated text below, as the
+#: parser gave it when this value was recorded.
+MUTATION_DIGEST = "fbcadbeacd893172bed1599a68f84cae55c39bdf138d4ebd5340d7653a1e61ae"
+
+
 class TestMutationFuzz:
     def test_random_mutations_of_bundled_files(self):
+        digest = hashlib.sha256()
         rng = random.Random(1234)
         sources = [read_bundled(k) for k in ("fs1", "fs2", "fs3")]
         alphabet = "abcrule#trm0123456789. \n\t-"
@@ -463,5 +523,7 @@ class TestMutationFuzz:
                 elif chars:
                     del chars[pos]
             doc, diags = parse("".join(chars))
+            digest.update(repr((doc, diags)).encode())
             if doc is not None and not any(d.severity == "error" for d in diags):
                 validate(doc)
+        assert digest.hexdigest() == MUTATION_DIGEST

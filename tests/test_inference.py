@@ -16,6 +16,7 @@ from fuzzgate.core import (CHUNK_ROWS, FuzzyRule, FuzzySubsystem,
                            LinguisticVariable, MembershipFunction,
                            NoRuleFiredError)
 from inference import activations_per_rule, infer_per_rule
+from tables import TRAP, TRI
 from test_telemetry import gen
 
 
@@ -139,8 +140,6 @@ def test_drawn_subsystems_batch(data):
     assert_batch_same(fs, columns)
 
 
-TRI = MembershipFunction.triangle
-TRAP = MembershipFunction.trapezoid
 RAMPS = LinguisticVariable("x", 0, 1, (("down", TRI(0, 0, 1)),
                                        ("mid", TRI(0, 0.5, 1)),
                                        ("up", TRI(0, 1, 1))))
