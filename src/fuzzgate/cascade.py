@@ -176,12 +176,12 @@ class Cascade:
 
         Returns five arrays, one entry per row: the mask of rows with a
         clamped reading, the two intermediates (FS1's, then FS2's), the score
-        and the mask of rows where no rule fired at some node. On those rows
-        the intermediates and the score are NaN. Every other row is
-        bit-identical to `evaluate`. Each node runs its grid stage once per
-        distinct row of rule strengths (see `FuzzySubsystem.centroids`). A NaN
-        reading, or an intermediate outside FS3's universe, raises
-        OutOfUniverseError.
+        and the mask of rows where no rule fired at some node, read off the
+        NaN centroids of `FuzzySubsystem.centroids`. On those rows the
+        intermediates and the score are NaN. Every other row is bit-identical
+        to `evaluate`. Each node runs its grid stage once per distinct row of
+        rule strengths. A NaN reading, or an intermediate outside FS3's
+        universe, raises OutOfUniverseError.
         """
         clamped = np.zeros(len(columns[0]), dtype=bool)
         node_columns = []
@@ -191,14 +191,14 @@ class Cascade:
             clamped |= outside
             node_columns.append(np.clip(xs, var.lo, var.hi) if outside.any()
                                 else xs)
-        usage, fired2 = self.fs2.centroids(node_columns[2:])
-        apparent, fired1 = self.fs1.centroids(node_columns[:2])
+        usage = self.fs2.centroids(node_columns[2:])
+        apparent = self.fs1.centroids(node_columns[:2])
         del node_columns  # so that FS3 reuses their memory
         # FS3 reads NaN (no rule fired) as its lower bound; the row is masked.
         crisp = {self.fs1.output.name: apparent, self.fs2.output.name: usage}
-        score, fired3 = self.fs3.centroids(
+        score = self.fs3.centroids(
             [np.nan_to_num(crisp[v.name], nan=v.lo) for v in self.fs3.inputs])
-        no_rule_fired = ~(fired1 & fired2 & fired3)
+        no_rule_fired = np.isnan(apparent) | np.isnan(usage) | np.isnan(score)
         apparent[no_rule_fired] = usage[no_rule_fired] = np.nan
         score[no_rule_fired] = np.nan
         return clamped, apparent, usage, score, no_rule_fired

@@ -176,7 +176,7 @@ def cmd_eval(args) -> int:
         print(f"  [{f.node}] if {clause} then {f.consequent[0]} is "
               f"{f.consequent[1]}  (activation {f.activation:.4f})")
     print(f"score: {trace.score:.4f}")
-    print(f"label: {'Send' if trace.label == 'send' else 'NotSend'}")
+    print(f"label: {'Send' if trace.label == SEND else 'NotSend'}")
     return EXIT_OK
 
 

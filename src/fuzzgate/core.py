@@ -217,9 +217,6 @@ class FuzzySubsystem:
     _rule_slots: tuple[tuple[tuple[int, str], ...], ...] = field(
         init=False, repr=False, compare=False)
     _rule_term: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    # The output grid as runs of points, for `centroids`: see `_grid_runs`.
-    _segments: tuple[tuple[slice, tuple[int, ...]], ...] = field(
-        init=False, repr=False, compare=False)
 
     def __post_init__(self):
         lo, hi = self.output.lo, self.output.hi
@@ -249,14 +246,12 @@ class FuzzySubsystem:
             for rule in self.rules))
         object.__setattr__(self, "_rule_term", tuple(
             terms.index(rule.consequent[1]) for rule in self.rules))
-        object.__setattr__(self, "_segments", _grid_runs(list(samples.values())))
 
     def unseen_output_terms(self) -> list[str]:
-        """The output terms that are 0 at every grid point, so in no run of
-        the grid: a rule that concludes one never moves the centroid."""
-        seen = {t for _, alive in self._segments for t in alive}
-        return [term for t, (term, _) in enumerate(self.output.terms)
-                if t not in seen]
+        """The output terms that are 0 at every grid point (samples are
+        >= 0): a rule that concludes one never moves the centroid."""
+        return [term for term, samples in self._consequent_samples.items()
+                if not samples.any()]
 
     def input_variable(self, name: str) -> LinguisticVariable:
         for var in self.inputs:
@@ -303,28 +298,27 @@ class FuzzySubsystem:
         weighted = np.add.reduce(np.multiply(self._grid, aggregate, out=clipped))
         return AggregatedOutput(acts, float(weighted) / total)
 
-    def centroids(self, columns: Sequence[np.ndarray]
-                  ) -> tuple[np.ndarray, np.ndarray]:
+    def centroids(self, columns: Sequence[np.ndarray]) -> np.ndarray:
         """Batch form of `infer`'s centroid: one column of crisp values per
         input, in input order.
 
-        Returns the centroid of each row and the mask of rows where some rule
-        fired; where none fired the centroid is NaN. The narrow stage gives
-        each row its strength per output term: the largest activation among
-        the rules with that consequent. The wide stage aggregates the grid
-        once per distinct strength row, taking those rows a group at a time:
-        the rows that fired the same terms (see `_group_rows`), found as runs
-        of their fired-term keys by `_grid_runs`. A group that fired none is
-        left NaN. For the others it takes the grid's runs as `_grid_runs`
-        finds them from the samples of the group's terms alone: a run with
-        none is 0, and any other run clips only those terms and combines
-        them by max. Then it sums the whole
-        grid of each row. Each fired row is bit-identical to `infer`: min and
-        max only select values, a term clips to 0 outside its runs, a term
-        of strength 0 clips to 0 everywhere, the aggregate depends on the
-        strength row alone, and a block's row-wise sums add each row as
-        `infer` does. Raises OutOfUniverseError on the first value outside
-        its input's universe.
+        Returns the centroid of each row, NaN where no rule fired (where
+        `infer` raises NoRuleFiredError). A fired row is never NaN: build
+        refuses an output universe whose weighted sum overflows. The narrow
+        stage gives each row its strength per output term: the largest
+        activation among the rules with that consequent. The wide stage
+        aggregates the grid once per distinct strength row, taking those rows a
+        group at a time: the rows that fired the same terms (see
+        `_group_rows`), found as runs of their fired-term keys by `_grid_runs`.
+        A group that fired none stays NaN. For the others it takes the grid's
+        runs as `_grid_runs` finds them from the samples of the group's terms
+        alone: a run with none is 0, and any other run clips only those terms
+        and combines them by max. Then it sums the whole grid of each row. Each
+        fired row is bit-identical to `infer`: min and max only select values,
+        a term clips to 0 outside its runs, a term of strength 0 clips to 0
+        everywhere, the aggregate depends on the strength row alone, and a
+        block's row-wise sums add each row as `infer` does. Raises
+        OutOfUniverseError on the first value outside its input's universe.
         """
         columns = [np.asarray(xs, dtype=float) for xs in columns]
         for var, xs in zip(self.inputs, columns):
@@ -334,14 +328,13 @@ class FuzzySubsystem:
                                          var.lo, var.hi)
         n = len(columns[0])
         if not (n and self.output.terms):  # no row, or no rule can fire
-            return np.full(n, np.nan), np.zeros(n, dtype=bool)
+            return np.full(n, np.nan)
         strength = self._strengths(columns, n)
         distinct, inverse = _group_rows([*strength, *(s > 0.0 for s in strength)])
         strength, alive = distinct[:len(strength)], distinct[len(strength):]
         samples = list(self._consequent_samples.values())
         m = len(strength[0])
         centroid = np.full(m, np.nan)
-        fired = np.zeros(m, dtype=bool)
         agg = np.empty((min(m, CHUNK_ROWS), GRID_POINTS))
         work = np.empty_like(agg)
         zero = np.zeros(GRID_POINTS)
@@ -370,9 +363,8 @@ class FuzzySubsystem:
                 total = np.sum(block, axis=1)
                 weighted = np.sum(np.multiply(self._grid, block, out=clipped),
                                   axis=1)
-                fired[rows] = total > 0.0
-                np.divide(weighted, total, out=centroid[rows], where=fired[rows])
-        return centroid[inverse], fired[inverse]
+                np.divide(weighted, total, out=centroid[rows], where=total > 0.0)
+        return centroid[inverse]
 
     def _strengths(self, columns: list[np.ndarray], n: int
                    ) -> list[np.ndarray]:

@@ -67,7 +67,7 @@ class ColumnMapping:
 
 @dataclass(frozen=True, slots=True)
 class TelemetryRecord:
-    """One row of a `Telemetry`, as indexing and iteration give it, with its
+    """One row of a `Telemetry`, as iteration gives it, with its
     timestamp text parsed by `datetime.fromisoformat`."""
 
     timestamp: datetime
@@ -88,8 +88,8 @@ class Telemetry:
 
     `timestamps` holds ISO texts, `YYYY-MM-DD HH:MM:SS`: each is
     `datetime.isoformat(" ")` of the parsed timestamp, which is the field
-    itself when the field has FIXED_TIMESTAMP's shape. Indexing and
-    iteration parse them back into `TelemetryRecord`s.
+    itself when the field has FIXED_TIMESTAMP's shape. Iteration parses
+    them back into `TelemetryRecord`s.
 
     `readings` is `(n, 4)`, in DEFAULT_EXTERNALS order: temperature,
     humidity as a fraction, appliance energy in Wh, and time of day as
@@ -101,10 +101,6 @@ class Telemetry:
 
     def __len__(self) -> int:
         return len(self.timestamps)
-
-    def __getitem__(self, i: int) -> TelemetryRecord:
-        return TelemetryRecord(datetime.fromisoformat(self.timestamps[i]),
-                               *self.readings[i, :3].tolist())
 
     def __iter__(self) -> Iterator[TelemetryRecord]:
         return map(TelemetryRecord, map(datetime.fromisoformat, self.timestamps),

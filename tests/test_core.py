@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 from fuzzgate.core import (CHUNK_ROWS, FuzzyRule,
                            FuzzySubsystem, GRID_POINTS, LinguisticVariable,
                            MembershipFunction, NoRuleFiredError,
-                           OutOfUniverseError, UnknownTermError)
+                           OutOfUniverseError, UnknownTermError, _grid_runs)
 from tables import TRAP, TRI
 
 
@@ -146,16 +146,16 @@ class TestCentroids:
                                                    temperature.hi)]])
         t = t[(temperature.lo <= t) & (t <= temperature.hi)]
         h = np.resize(np.linspace(humidity.lo, humidity.hi, 31), len(t))
-        centroid, fired = fs1.centroids((t, h))
-        assert fired.all()
+        centroid = fs1.centroids((t, h))
+        assert not np.isnan(centroid).any()
         expected = [fs1.infer({temperature.name: a, humidity.name: b}).centroid
                     for a, b in zip(t.tolist(), h.tolist())]
         assert centroid.tolist() == expected
 
     def test_no_rule_fired_is_nan(self):
         fs = tiny_subsystem()
-        centroid, fired = fs.centroids((np.array([0.25, 1.0, 0.0]),))
-        assert fired.tolist() == [True, False, True]
+        centroid = fs.centroids((np.array([0.25, 1.0, 0.0]),))
+        assert np.isnan(centroid).tolist() == [False, True, False]
         assert math.isnan(centroid[1])
         assert centroid[0] == fs.infer({"x": 0.25}).centroid
 
@@ -169,9 +169,9 @@ class TestCentroids:
     def test_more_rows_than_a_chunk(self):
         fs = tiny_subsystem()
         xs = np.linspace(0, 1, 3 * CHUNK_ROWS + 5)
-        centroid, fired = fs.centroids((xs,))
-        for x, c, f in zip(xs.tolist(), centroid.tolist(), fired.tolist()):
-            if f:
+        centroid = fs.centroids((xs,))
+        for x, c in zip(xs.tolist(), centroid.tolist()):
+            if not math.isnan(c):
                 assert c == fs.infer({"x": x}).centroid
             else:
                 with pytest.raises(NoRuleFiredError):
@@ -188,12 +188,14 @@ class TestCentroids:
         t = rng.uniform(15.0, 25.0, n)
         h = rng.uniform(humidity.lo, humidity.hi, n)
         t[::7] = 10.0  # plateau rows share their strength rows
-        centroid, fired = fs1.centroids((t, h))
-        reversed_centroid, reversed_fired = fs1.centroids((t[::-1], h[::-1]))
+        centroid = fs1.centroids((t, h))
+        fired = ~np.isnan(centroid)
+        reversed_centroid = fs1.centroids((t[::-1], h[::-1]))
+        reversed_fired = ~np.isnan(reversed_centroid)
         assert self.bits(reversed_centroid[::-1]) == self.bits(centroid)
         assert reversed_fired[::-1].tolist() == fired.tolist()
-        repeated, repeated_fired = fs1.centroids((np.repeat(t, 3),
-                                                  np.repeat(h, 3)))
+        repeated = fs1.centroids((np.repeat(t, 3), np.repeat(h, 3)))
+        repeated_fired = ~np.isnan(repeated)
         assert self.bits(repeated) == self.bits(np.repeat(centroid, 3))
         assert repeated_fired.tolist() == np.repeat(fired, 3).tolist()
 
@@ -204,8 +206,8 @@ class TestCentroids:
         t = np.array([0.0, 5.0, 18.5, 23.0, 60.0, 100.0, 19.0, 21.0])
         h = np.array([0.0, 0.1, 0.3, 0.8, 1.0, 0.2, 0.33, 0.37])
         t, h = (np.ravel(grid) for grid in np.meshgrid(t, h))
-        centroid, fired = fs1.centroids((t, h))
-        assert fired.all()
+        centroid = fs1.centroids((t, h))
+        assert not np.isnan(centroid).any()
         expected = [fs1.infer({temperature.name: a, humidity.name: b}).centroid
                     for a, b in zip(t.tolist(), h.tolist())]
         assert self.bits(centroid) == self.bits(expected)
@@ -224,7 +226,7 @@ class TestCentroids:
             FuzzyRule((("x", "low"),), ("z", "left")),
             FuzzyRule((("y", "low"),), ("z", "right"))))
         xs, ys = np.array([0.2, 0.4, 0.2]), np.array([0.5, 0.5, 0.7])
-        centroid, fired = fs.centroids((xs, ys))
+        centroid = fs.centroids((xs, ys))
         expected = [fs.infer({"x": a, "y": b}).centroid
                     for a, b in zip(xs.tolist(), ys.tolist())]
         assert len(set(expected)) == 3
@@ -237,25 +239,64 @@ class TestCentroids:
                  "high+v.high", "v.high"]),
         ("fs3", ["send", "send+not_send", "not_send"])])
     def test_segments_of_bundled_nodes(self, request, node, plans):
-        """The runs tile the grid in order, each with the terms > 0 on it."""
+        """The runs that `centroids` takes when every term fired tile the
+        grid in order, each with the terms > 0 on it."""
         fs = request.getfixturevalue(node)
         terms = [term for term, _ in fs.output.terms]
-        runs = [run for run, _ in fs._segments]
+        segments = _grid_runs(list(fs._consequent_samples.values()))
+        runs = [run for run, _ in segments]
         assert [run.start for run in runs] == \
             [0] + [run.stop for run in runs[:-1]]
         assert runs[-1].stop == GRID_POINTS
         assert all(run.start < run.stop for run in runs)
         assert ["+".join(terms[t] for t in alive)
-                for _, alive in fs._segments] == plans
+                for _, alive in segments] == plans
 
     def test_output_without_terms_fires_no_row(self):
         x = LinguisticVariable("x", 0, 1, (("on", TRAP(0, 0, 0.5, 1)),))
         fs = FuzzySubsystem("bare", (x,), LinguisticVariable("y", 0, 1, ()), ())
-        assert fs._segments == ()
-        centroid, fired = fs.centroids((np.array([0.2, 0.8]),))
-        assert not fired.any() and np.isnan(centroid).all()
+        assert fs.unseen_output_terms() == []
+        centroid = fs.centroids((np.array([0.2, 0.8]),))
+        assert np.isnan(centroid).all()
         with pytest.raises(NoRuleFiredError):
             fs.infer({"x": 0.2}).centroid
+
+
+class TestUnseenOutputTerms:
+    """An output term is seen when it is > 0 at some point of `_grid`."""
+
+    @staticmethod
+    def fired_at_one(*terms):
+        """A subsystem whose one input fires a rule at 1.0 for each term."""
+        x = LinguisticVariable("x", 0, 1, (("on", TRAP(0, 0, 1, 1)),))
+        return FuzzySubsystem("edge", (x,), LinguisticVariable("y", 0, 1, terms),
+                              tuple(FuzzyRule((("x", "on"),), ("y", term))
+                                    for term, _ in terms))
+
+    def test_term_at_exactly_one_grid_point_is_seen(self):
+        grid = self.fired_at_one()._grid
+        fs = self.fired_at_one(("spike", TRI(grid[499], grid[500], grid[501])))
+        assert np.flatnonzero(fs._consequent_samples["spike"]).tolist() == [500]
+        assert fs.unseen_output_terms() == []
+        # The aggregate is 1 at grid[500] and 0 elsewhere.
+        assert fs.centroids((np.array([0.5]),)).tolist() == [grid[500]]
+        assert fs.infer({"x": 0.5}).centroid == grid[500]
+
+    def test_term_strictly_between_two_grid_points_is_unseen(self):
+        grid = self.fired_at_one()._grid
+        lo, hi = grid[500], grid[501]
+        mid = (lo + hi) / 2
+        gap = TRI((lo + mid) / 2, mid, (mid + hi) / 2)
+        assert lo < gap.support[0] and gap.support[1] < hi
+        spike = TRI(grid[499], grid[500], grid[501])
+        assert self.fired_at_one(("spike", spike), ("gap", gap)
+                                 ).unseen_output_terms() == ["gap"]
+        fs = self.fired_at_one(("gap", gap))
+        assert not fs._consequent_samples["gap"].any()
+        assert fs.unseen_output_terms() == ["gap"]
+        assert np.isnan(fs.centroids((np.array([0.5]),))).all()
+        with pytest.raises(NoRuleFiredError):
+            fs.infer({"x": 0.5})
 
 
 class TestFuzzify:

@@ -27,10 +27,11 @@ class TestLoadTelemetry:
         records, report = load_telemetry(fixture_csv)
         assert len(records) == 50
         assert report.skipped == 0
-        assert records[0].timestamp == datetime(2016, 1, 11, 17, 0, 0)
-        assert records[0].temperature == 20.05
-        assert records[0].humidity == pytest.approx(0.3385)  # percent scale
-        assert records[0].appliance_energy == 230.0
+        first = next(iter(records))
+        assert first.timestamp == datetime(2016, 1, 11, 17, 0, 0)
+        assert first.temperature == 20.05
+        assert first.humidity == pytest.approx(0.3385)  # percent scale
+        assert first.appliance_energy == 230.0
         timestamps = [r.timestamp for r in records]
         assert timestamps == sorted(timestamps)
 
@@ -38,15 +39,15 @@ class TestLoadTelemetry:
         p = tmp_path / "t.csv"
         p.write_text("date,T1,RH_1,Appliances\n"
                      "2016-01-11 17:00:00,20,0.40,60\n")
-        records, _ = load_telemetry(p, ColumnMapping(humidity_scale="fraction"))
-        assert records[0].humidity == 0.40
+        (record,), _ = load_telemetry(p, ColumnMapping(humidity_scale="fraction"))
+        assert record.humidity == 0.40
 
     def test_percent_scale_normalizes(self, tmp_path):
         p = tmp_path / "t.csv"
         p.write_text("date,T1,RH_1,Appliances\n"
                      "2016-01-11 17:00:00,20,40.0,60\n")
-        records, _ = load_telemetry(p)
-        assert records[0].humidity == pytest.approx(0.40)
+        (record,), _ = load_telemetry(p)
+        assert record.humidity == pytest.approx(0.40)
 
     def test_missing_column(self, tmp_path):
         p = tmp_path / "t.csv"
