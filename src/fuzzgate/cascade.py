@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import FuzzySubsystem, NoRuleFiredError, OutOfUniverseError
-from .dsl import load_subsystem
+from .dsl import _COMMENT_RE, load_subsystem
 
 SEND = "send"
 NOT_SEND = "not_send"
@@ -174,14 +174,14 @@ class Cascade:
         """Batch form of `evaluate(..., clamp=True)` over one column per
         external, in DEFAULT_EXTERNALS order.
 
-        Returns five arrays, one entry per row: the mask of rows with a
-        clamped reading, the two intermediates (FS1's, then FS2's), the score
-        and the mask of rows where no rule fired at some node, read off the
-        NaN centroids of `FuzzySubsystem.centroids`. On those rows the
-        intermediates and the score are NaN. Every other row is bit-identical
-        to `evaluate`. Each node runs its grid stage once per distinct row of
-        rule strengths. A NaN reading, or an intermediate outside FS3's
-        universe, raises OutOfUniverseError.
+        Returns four arrays, one entry per row: the mask of rows with a
+        clamped reading, the two intermediates (FS1's, then FS2's) and the
+        score. Where no rule fired at some node (a NaN centroid of
+        `FuzzySubsystem.centroids`), the intermediates and the score are NaN,
+        so a NaN score is the row's one fail-safe mark. Every other row is
+        bit-identical to `evaluate`. Each node runs its grid stage once per
+        distinct row of rule strengths. A NaN reading, or an intermediate
+        outside FS3's universe, raises OutOfUniverseError.
         """
         clamped = np.zeros(len(columns[0]), dtype=bool)
         node_columns = []
@@ -201,7 +201,7 @@ class Cascade:
         no_rule_fired = np.isnan(apparent) | np.isnan(usage) | np.isnan(score)
         apparent[no_rule_fired] = usage[no_rule_fired] = np.nan
         score[no_rule_fired] = np.nan
-        return clamped, apparent, usage, score, no_rule_fired
+        return clamped, apparent, usage, score
 
 
 #: The manifest that wires the bundled definition files.
@@ -225,7 +225,9 @@ def _load_or_raise(path: Path) -> FuzzySubsystem:
 
 def parse_manifest(path: str | Path) -> tuple[dict[str, Path], float]:
     """Read a key/value manifest file: its definition file paths (relative
-    to its directory) and threshold."""
+    to its directory) and threshold. Comments follow the definition
+    language's rule: a word that starts with `#` begins one, and a `#`
+    inside a word, as in a path, is part of it."""
     path = Path(path)
     fis_paths: dict[str, Path] = {}
     threshold = DEFAULT_THRESHOLD
@@ -234,7 +236,7 @@ def parse_manifest(path: str | Path) -> tuple[dict[str, Path], float]:
     except UnicodeDecodeError as exc:
         raise CascadeBuildError(f"{path}: {exc}") from None
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = _COMMENT_RE.sub("", raw, 1).strip()
         if not line:
             continue
         if "=" not in line:

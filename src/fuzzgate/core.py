@@ -57,46 +57,31 @@ class NoRuleFiredError(FuzzyError):
 
 @dataclass(frozen=True)
 class MembershipFunction:
-    """Piecewise-linear fuzzy set: triangle (3 breakpoints) or trapezoid (4).
+    """Piecewise-linear fuzzy set given by its four corners: the support's
+    start, the core's start and end, and the support's end. The degree is 1
+    on the core, 0 outside the support and linear on each edge between; a
+    triangle (a, b, c) is the trapezoid (a, b, b, c).
 
-    Breakpoints must be non-decreasing. Degenerate segments (equal adjacent
-    breakpoints) are legal and evaluate as vertical edges, which is how
+    Corners must be finite and non-decreasing. Degenerate segments (equal
+    adjacent corners) are legal and evaluate as vertical edges, which is how
     boundary shoulders saturate at a universe endpoint.
     """
 
-    kind: str  # "triangle" | "trapezoid"
-    breakpoints: tuple[float, ...]
-    # The breakpoints as (a, start of core, end of core, d): a triangle
-    # (a, b, c) is the trapezoid (a, b, b, c).
-    _corners: tuple[float, float, float, float] = field(
-        init=False, repr=False, compare=False)
+    corners: tuple[float, float, float, float]
 
     def __post_init__(self):
-        n = len(self.breakpoints)
-        if self.kind == "triangle" and n != 3:
-            raise ValueError(f"triangle needs 3 breakpoints, got {n}")
-        if self.kind == "trapezoid" and n != 4:
-            raise ValueError(f"trapezoid needs 4 breakpoints, got {n}")
-        if self.kind not in ("triangle", "trapezoid"):
-            raise ValueError(f"unknown membership kind {self.kind!r}")
-        if any(not math.isfinite(p) for p in self.breakpoints):
-            raise ValueError("breakpoints must be finite")
-        if any(a > b for a, b in zip(self.breakpoints, self.breakpoints[1:])):
-            raise ValueError(f"breakpoints must be non-decreasing: {self.breakpoints}")
-        a, *peak, d = self.breakpoints
-        object.__setattr__(self, "_corners", (a, peak[0], peak[-1], d))
+        pts = self.corners
+        if len(pts) != 4 or not all(map(math.isfinite, pts)) or \
+                any(a > b for a, b in zip(pts, pts[1:])):
+            raise ValueError(f"corners must be four finite, non-decreasing "
+                             f"numbers, got {pts}")
 
     @property
     def support(self) -> tuple[float, float]:
-        return self.breakpoints[0], self.breakpoints[-1]
-
-    @property
-    def core(self) -> tuple[float, float]:
-        """Interval where the degree is 1."""
-        return self._corners[1:3]
+        return self.corners[0], self.corners[3]
 
     def __call__(self, x: float) -> float:
-        a, lo_core, hi_core, d = self._corners
+        a, lo_core, hi_core, d = self.corners
         if lo_core <= x <= hi_core:
             return 1.0
         if x <= a or x >= d:
@@ -114,7 +99,7 @@ class MembershipFunction:
         branches of `__call__` leave to them.
         """
         xs = np.asarray(xs, dtype=float)
-        a, lo_core, hi_core, d = self._corners
+        a, lo_core, hi_core, d = self.corners
         degree = np.zeros(xs.shape)
         if a < lo_core:
             rising = (a < xs) & (xs < lo_core)
@@ -211,7 +196,9 @@ class FuzzySubsystem:
     output: LinguisticVariable
     rules: tuple[FuzzyRule, ...]
     _grid: np.ndarray = field(init=False, repr=False, compare=False)
-    _consequent_samples: dict[str, np.ndarray] = field(init=False, repr=False, compare=False)
+    # Each output term's samples on the grid, in output-term order.
+    _consequent_samples: tuple[np.ndarray, ...] = field(
+        init=False, repr=False, compare=False)
     # Per rule: its antecedents as (input position, term), and the index of
     # its consequent's term among the output terms.
     _rule_slots: tuple[tuple[tuple[int, str], ...], ...] = field(
@@ -238,7 +225,7 @@ class FuzzySubsystem:
         position = {v.name: i for i, v in enumerate(self.inputs)}
         terms = [term for term, _ in self.output.terms]
         grid = np.linspace(self.output.lo, self.output.hi, GRID_POINTS)
-        samples = {term: mf.sample(grid) for term, mf in self.output.terms}
+        samples = tuple(mf.sample(grid) for _, mf in self.output.terms)
         object.__setattr__(self, "_grid", grid)
         object.__setattr__(self, "_consequent_samples", samples)
         object.__setattr__(self, "_rule_slots", tuple(
@@ -250,7 +237,8 @@ class FuzzySubsystem:
     def unseen_output_terms(self) -> list[str]:
         """The output terms that are 0 at every grid point (samples are
         >= 0): a rule that concludes one never moves the centroid."""
-        return [term for term, samples in self._consequent_samples.items()
+        return [term for (term, _), samples in zip(self.output.terms,
+                                                   self._consequent_samples)
                 if not samples.any()]
 
     def input_variable(self, name: str) -> LinguisticVariable:
@@ -288,7 +276,7 @@ class FuzzySubsystem:
                 strength[t] = act
         aggregate = np.zeros(GRID_POINTS)
         clipped = np.empty(GRID_POINTS)
-        for act, samples in zip(strength, self._consequent_samples.values()):
+        for act, samples in zip(strength, self._consequent_samples):
             if act > 0.0:
                 np.minimum(act, samples, out=clipped)
                 np.maximum(aggregate, clipped, out=aggregate)
@@ -332,7 +320,7 @@ class FuzzySubsystem:
         strength = self._strengths(columns, n)
         distinct, inverse = _group_rows([*strength, *(s > 0.0 for s in strength)])
         strength, alive = distinct[:len(strength)], distinct[len(strength):]
-        samples = list(self._consequent_samples.values())
+        samples = self._consequent_samples
         m = len(strength[0])
         centroid = np.full(m, np.nan)
         agg = np.empty((min(m, CHUNK_ROWS), GRID_POINTS))

@@ -336,9 +336,14 @@ def validate(doc: FisDocument) -> tuple[FuzzySubsystem | None, list[Diagnostic]]
             f"rule bank has {len(doc.rules)} rules but the input term grid "
             f"has {grid_size} combinations", doc.span))
 
+    def corners(term: TermDecl) -> tuple[float, float, float, float]:
+        if term.kind == "triangle":  # (a, b, c) is the trapezoid (a, b, b, c)
+            a, b, c = term.breakpoints
+            return a, b, b, c
+        return term.breakpoints
+
     def build_variable(decl: VariableDecl) -> LinguisticVariable:
-        terms = tuple(
-            (t.name, MembershipFunction(t.kind, t.breakpoints)) for t in decl.terms)
+        terms = tuple((t.name, MembershipFunction(corners(t))) for t in decl.terms)
         return LinguisticVariable(decl.name, decl.lo, decl.hi, terms, decl.unit)
 
     subsystem = FuzzySubsystem(

@@ -320,14 +320,16 @@ def run_fuzzy(telemetry: Telemetry, cascade: Cascade,
     and counted. When no rule fires at some node the record is sent anyway
     and counted as a fail-safe send: monitoring must not silently drop data.
     The records are evaluated as columns by `Cascade.evaluate_columns`, which
-    gives the same bits as `Cascade.evaluate(..., clamp=True)` per record.
+    gives the same bits as `Cascade.evaluate(..., clamp=True)` per record and
+    a NaN score where no rule fired, the one mark of a fail-safe send.
     """
     if not (math.isfinite(joules_per_packet) and joules_per_packet > 0):
         raise ValueError(f"joules per packet must be finite and > 0, "
                          f"got {joules_per_packet!r}")
     n = len(telemetry)
-    clamped, apparent, usage, score, failsafe = \
-        cascade.evaluate_columns(telemetry.readings.T)
+    clamped, apparent, usage, score = cascade.evaluate_columns(
+        telemetry.readings.T)
+    failsafe = np.isnan(score)
     send = failsafe | (score <= cascade.threshold)
     clamped &= ~failsafe
     # cumsum adds in sequence, as a running total would.

@@ -27,11 +27,13 @@ def infer_per_rule(fs, crisp_inputs):
     take the centroid over the grid, summed in ascending-x order. Raises
     NoRuleFiredError when no rule fired; fail-safe is the caller's policy."""
     acts = tuple(activations_per_rule(fs, crisp_inputs))
+    samples = dict(zip([term for term, _ in fs.output.terms],
+                       fs._consequent_samples))
     aggregate = np.zeros(GRID_POINTS)
     for rule, act in zip(fs.rules, acts):
         if act <= 0.0:
             continue
-        clipped = np.minimum(act, fs._consequent_samples[rule.consequent[1]])
+        clipped = np.minimum(act, samples[rule.consequent[1]])
         np.maximum(aggregate, clipped, out=aggregate)
     total = float(np.sum(aggregate))
     if total <= 0.0:

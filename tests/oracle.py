@@ -4,7 +4,7 @@ Deliberately avoids the engine's code paths: membership degrees come from a
 segment-walking formulation over shape vertices (not the engine's core/edge
 case analysis), every rule is evaluated directly without caching inside the
 engine, and aggregation runs over a dense 100,001-point grid instead of the
-engine's 1,001-point one. Only the subsystem's raw data (breakpoints, rule
+engine's 1,001-point one. Only the subsystem's raw data (term corners, rule
 tuples) is reused.
 """
 from __future__ import annotations
@@ -14,17 +14,14 @@ import numpy as np
 DENSE_POINTS = 100_001
 
 
-def _vertices(breakpoints):
-    if len(breakpoints) == 3:
-        a, b, c = breakpoints
-        return [(a, 0.0), (b, 1.0), (c, 0.0)]
-    a, b, c, d = breakpoints
+def _vertices(corners):
+    a, b, c, d = corners
     return [(a, 0.0), (b, 1.0), (c, 1.0), (d, 0.0)]
 
 
-def degree(breakpoints, x: float) -> float:
+def degree(corners, x: float) -> float:
     """Membership degree by walking the shape's vertex segments."""
-    vertices = _vertices(breakpoints)
+    vertices = _vertices(corners)
     if x < vertices[0][0] or x > vertices[-1][0]:
         return 0.0
     for (x0, y0), (x1, y1) in zip(vertices, vertices[1:]):
@@ -37,9 +34,9 @@ def degree(breakpoints, x: float) -> float:
     return 0.0
 
 
-def sample(breakpoints, xs: np.ndarray) -> np.ndarray:
+def sample(corners, xs: np.ndarray) -> np.ndarray:
     """Vectorized counterpart of degree(), same segment walk."""
-    vertices = _vertices(breakpoints)
+    vertices = _vertices(corners)
     out = np.zeros_like(xs)
     for (x0, y0), (x1, y1) in zip(vertices, vertices[1:]):
         if x0 == x1:
@@ -54,12 +51,12 @@ class DenseOracle:
     """Brute-force Mamdani evaluation of one subsystem on a dense grid."""
 
     def __init__(self, subsystem, points: int = DENSE_POINTS):
-        self.inputs = {v.name: {t: mf.breakpoints for t, mf in v.terms}
+        self.inputs = {v.name: {t: mf.corners for t, mf in v.terms}
                        for v in subsystem.inputs}
         self.rules = [(rule.antecedents, rule.consequent[1])
                       for rule in subsystem.rules]
         self.xs = np.linspace(subsystem.output.lo, subsystem.output.hi, points)
-        self.out_samples = {t: sample(mf.breakpoints, self.xs)
+        self.out_samples = {t: sample(mf.corners, self.xs)
                             for t, mf in subsystem.output.terms}
 
     def crisp_output(self, crisp_inputs: dict[str, float]) -> float:

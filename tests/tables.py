@@ -45,15 +45,15 @@ FS3_TABLE = {
 def core_point(variable, term_name):
     """A crisp value at the center of the term's core (degree exactly 1)."""
     mf = variable.term(term_name)
-    lo, hi = mf.core
+    _, lo, hi, _ = mf.corners
     return (lo + hi) / 2.0
 
 
-def TRI(*points):
-    """A triangle over the breakpoints, as floats."""
-    return MembershipFunction("triangle", tuple(map(float, points)))
+def TRI(a, b, c):
+    """The triangle (a, b, c), as the trapezoid (a, b, b, c) of floats."""
+    return TRAP(a, b, b, c)
 
 
-def TRAP(*points):
-    """A trapezoid over the breakpoints, as floats."""
-    return MembershipFunction("trapezoid", tuple(map(float, points)))
+def TRAP(*corners):
+    """A trapezoid over the four corners, as floats."""
+    return MembershipFunction(tuple(map(float, corners)))

@@ -2,10 +2,12 @@ from dataclasses import replace
 
 import pytest
 
-from conftest import write_manifest
+from conftest import FIS_FILES, write_manifest
 from fuzzgate.cascade import (BUNDLED_MANIFEST, Cascade, CascadeBuildError,
                               DEFAULT_EXTERNALS, FIS_KEYS, WiringMismatchError,
-                              bundled_fis_dir, decide, load_manifest)
+                              bundled_fis_dir, decide, load_manifest,
+                              parse_manifest)
+from fuzzgate.cli import main
 from fuzzgate.core import (FuzzySubsystem, LinguisticVariable,
                            MembershipFunction, NoRuleFiredError,
                            OutOfUniverseError)
@@ -17,9 +19,8 @@ def rescale_output(fs: FuzzySubsystem, lo, hi) -> FuzzySubsystem:
     scale = (hi - lo) / (fs.inputs[0].hi - fs.inputs[0].lo)
     var = fs.inputs[0]
     terms = tuple(
-        (name, MembershipFunction(mf.kind,
-                                  tuple(lo + (p - var.lo) * scale
-                                        for p in mf.breakpoints)))
+        (name, MembershipFunction(tuple(lo + (p - var.lo) * scale
+                                        for p in mf.corners)))
         for name, mf in var.terms)
     edited = LinguisticVariable(var.name, lo, hi, terms, var.unit)
     return FuzzySubsystem(fs.name, (edited, fs.inputs[1]), fs.output, fs.rules)
@@ -239,6 +240,36 @@ class TestManifest:
         for key in FIS_KEYS:
             with pytest.raises(CascadeBuildError, match="broken.fis.txt"):
                 load_manifest(BUNDLED_MANIFEST, **{key: broken})
+
+    def test_hash_inside_a_path_is_part_of_it(self, tmp_path, cascade):
+        """A '#' that does not start a word is no comment, as in the
+        definition language: `fs1#a.fis.txt` is the file loaded."""
+        (tmp_path / "fs1#a.fis.txt").write_text(
+            (bundled_fis_dir() / FIS_FILES["fs1"]).read_text(encoding="utf-8"),
+            encoding="utf-8")
+        manifest = write_manifest(tmp_path / "m.manifest", "fis1 = fs1#a.fis.txt\n")
+        assert parse_manifest(manifest)[0]["fis1"] == tmp_path / "fs1#a.fis.txt"
+        assert load_manifest(manifest).fs1 == cascade.fs1
+
+    def test_comments_are_ignored(self, tmp_path, cascade):
+        manifest = write_manifest(
+            tmp_path / "m.manifest",
+            "# a full-line comment\n  # an indented one\n"
+            "threshold = 40 # a trailing note\n")
+        fis_paths, threshold = parse_manifest(manifest)
+        assert threshold == 40.0
+        assert fis_paths == parse_manifest(write_manifest(tmp_path / "n"))[0]
+        assert load_manifest(manifest) == replace(cascade, threshold=40.0)
+
+    def test_hash_inside_a_threshold_is_a_number_error(self, tmp_path, capsys):
+        manifest = write_manifest(tmp_path / "m.manifest", "threshold = 50#x\n")
+        with pytest.raises(CascadeBuildError,
+                           match=f"{manifest}:4: threshold must be a number, "
+                                 f"got '50#x'"):
+            load_manifest(manifest)
+        assert main(["eval", "--temp", "20", "--humidity", "0.35", "--energy",
+                     "60", "--time", "3", "--manifest", str(manifest)]) == 1
+        assert "'50#x'" in capsys.readouterr().err
 
     def test_non_utf8_definition_file(self, tmp_path):
         latin1 = tmp_path / "latin1.fis.txt"

@@ -8,6 +8,7 @@ from fuzzgate.core import (CHUNK_ROWS, FuzzyRule,
                            FuzzySubsystem, GRID_POINTS, LinguisticVariable,
                            MembershipFunction, NoRuleFiredError,
                            OutOfUniverseError, UnknownTermError, _grid_runs)
+from fuzzgate.dsl import parse, validate
 from tables import TRAP, TRI
 
 
@@ -45,9 +46,9 @@ class TestMembershipDegree:
 
     def test_wrong_arity_rejected(self):
         with pytest.raises(ValueError):
-            MembershipFunction("triangle", (0.0, 1.0, 2.0, 3.0))
+            MembershipFunction((0.0, 1.0, 2.0))
         with pytest.raises(ValueError):
-            MembershipFunction("trapezoid", (0.0, 1.0, 2.0))
+            MembershipFunction((0.0, 1.0, 2.0, 3.0, 4.0))
 
     @given(st.lists(st.floats(-1e6, 1e6), min_size=3, max_size=3),
            st.floats(-2e6, 2e6))
@@ -61,7 +62,7 @@ class TestMembershipDegree:
     def test_trapezoid_degree_bounded(self, pts, x):
         mf = TRAP(*sorted(pts))
         assert 0.0 <= mf(x) <= 1.0
-        assert mf(mf.core[0]) == 1.0
+        assert mf(mf.corners[1]) == 1.0
 
     @given(st.lists(st.floats(-1e3, 1e3), min_size=3, max_size=3))
     def test_support_edges_zero_when_nondegenerate(self, pts):
@@ -82,11 +83,23 @@ class TestMembershipDegree:
 
 
 def probe_points(mf, lo, hi):
-    """Each breakpoint, its float neighbours and both universe bounds."""
+    """Each corner, its float neighbours and both universe bounds."""
     points = [lo, hi]
-    for p in mf.breakpoints:
+    for p in mf.corners:
         points += [np.nextafter(p, -np.inf), p, np.nextafter(p, np.inf)]
     return np.array(points)
+
+
+def defined(shape, *points):
+    """The function that the line `term t <shape> <points>` of a definition
+    file builds, on a universe of [-1, 22]."""
+    subsystem, diags = validate(parse(
+        f"system s\ninput x universe -1 22\n"
+        f"  term t {shape} {' '.join(map(repr, map(float, points)))}\n"
+        f"output y universe 0 1\n  term u triangle 0 0.5 1\n"
+        f"rule if x is t then y is u\n")[0])
+    assert subsystem is not None, [d.format() for d in diags]
+    return subsystem.inputs[0].term("t")
 
 
 def bundled_terms(fs1, fs2, fs3):
@@ -125,14 +138,16 @@ class TestSampleEqualsCall:
         (18.5, 20, 21.5), (0, 0, 5), (0, 5, 5), (5, 5, 5),
         (0.1, 0.2, 0.30000000000000004)])
     def test_triangle_is_trapezoid_with_one_point_core(self, a, b, c):
-        tri, trap = TRI(a, b, c), TRAP(a, b, b, c)
+        """A definition file's `triangle a b c` builds the same function as
+        its `trapezoid a b b c`."""
+        tri, trap = defined("triangle", a, b, c), defined("trapezoid", a, b, b, c)
+        assert tri == trap == TRAP(a, b, b, c)
         xs = np.concatenate([np.linspace(-1, 22, 1001),
                              probe_points(tri, -1.0, 22.0)])
         assert tri.sample(xs).tobytes() == trap.sample(xs).tobytes()
         assert np.array([tri(x) for x in xs.tolist()]).tobytes() == \
             np.array([trap(x) for x in xs.tolist()]).tobytes()
-        assert (tri.core, tri.support) == (trap.core, trap.support) == \
-            ((b, b), (a, c))
+        assert (tri.corners, tri.support) == ((a, b, b, c), (a, c))
 
 
 class TestCentroids:
@@ -243,7 +258,7 @@ class TestCentroids:
         grid in order, each with the terms > 0 on it."""
         fs = request.getfixturevalue(node)
         terms = [term for term, _ in fs.output.terms]
-        segments = _grid_runs(list(fs._consequent_samples.values()))
+        segments = _grid_runs(list(fs._consequent_samples))
         runs = [run for run, _ in segments]
         assert [run.start for run in runs] == \
             [0] + [run.stop for run in runs[:-1]]
@@ -276,7 +291,8 @@ class TestUnseenOutputTerms:
     def test_term_at_exactly_one_grid_point_is_seen(self):
         grid = self.fired_at_one()._grid
         fs = self.fired_at_one(("spike", TRI(grid[499], grid[500], grid[501])))
-        assert np.flatnonzero(fs._consequent_samples["spike"]).tolist() == [500]
+        (samples,) = fs._consequent_samples
+        assert np.flatnonzero(samples).tolist() == [500]
         assert fs.unseen_output_terms() == []
         # The aggregate is 1 at grid[500] and 0 elsewhere.
         assert fs.centroids((np.array([0.5]),)).tolist() == [grid[500]]
@@ -292,7 +308,7 @@ class TestUnseenOutputTerms:
         assert self.fired_at_one(("spike", spike), ("gap", gap)
                                  ).unseen_output_terms() == ["gap"]
         fs = self.fired_at_one(("gap", gap))
-        assert not fs._consequent_samples["gap"].any()
+        assert not fs._consequent_samples[0].any()
         assert fs.unseen_output_terms() == ["gap"]
         assert np.isnan(fs.centroids((np.array([0.5]),))).all()
         with pytest.raises(NoRuleFiredError):

@@ -348,6 +348,20 @@ class TestValidate:
         assert subsystem is None
         assert any("non-monotone" in d.message for d in diags)
 
+    def test_shapes_build_four_corners(self):
+        """A triangle's peak is both ends of its core; a trapezoid's corners
+        are its four points."""
+        text = ("system s\ninput x universe 0 10\n  term tri triangle 1 2 3\n"
+                "  term trap trapezoid 0 1 2 3\n"
+                "output y universe 0 1\n  term t triangle 0 0.5 1\n"
+                "rule if x is tri then y is t\nrule if x is trap then y is t\n")
+        subsystem, diags = self.build(text)
+        assert diags == []
+        x = subsystem.inputs[0]
+        assert x.term("tri").corners == (1.0, 2.0, 2.0, 3.0)
+        assert x.term("trap").corners == (0.0, 1.0, 2.0, 3.0)
+        assert subsystem.output.term("t").corners == (0.0, 0.5, 0.5, 1.0)
+
     def test_support_outside_universe(self):
         text = ("system s\ninput x universe 0 10\n  term wide triangle 0 5 12\n"
                 "output y universe 0 1\n  term t triangle 0 0.5 1\n")

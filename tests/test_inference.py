@@ -14,8 +14,7 @@ from hypothesis import given, settings, strategies as st
 from fuzzgate import core
 from fuzzgate.cascade import DEFAULT_EXTERNALS
 from fuzzgate.core import (CHUNK_ROWS, FuzzyRule, FuzzySubsystem,
-                           LinguisticVariable, MembershipFunction,
-                           NoRuleFiredError)
+                           LinguisticVariable, NoRuleFiredError)
 from inference import activations_per_rule, infer_per_rule
 from tables import TRAP, TRI
 from test_telemetry import gen
@@ -45,7 +44,7 @@ def probe_points(var):
     variable's terms with its float neighbours, inside the universe."""
     points = {var.lo, var.hi}
     for _, mf in var.terms:
-        for p in mf.breakpoints:
+        for p in mf.corners:
             points |= {np.nextafter(p, -np.inf), p, np.nextafter(p, np.inf)}
     return sorted(float(p) for p in points if var.lo <= p <= var.hi)
 
@@ -58,9 +57,9 @@ def variables(draw, name):
                       st.floats(lo, hi, allow_subnormal=False))
     terms = []
     for k in range(draw(st.integers(1, 4))):
-        kind, n = draw(st.sampled_from([("triangle", 3), ("trapezoid", 4)]))
-        breakpoints = sorted(draw(st.lists(point, min_size=n, max_size=n)))
-        terms.append((f"t{k}", MembershipFunction(kind, tuple(breakpoints))))
+        shape, n = draw(st.sampled_from([(TRI, 3), (TRAP, 4)]))
+        points = sorted(draw(st.lists(point, min_size=n, max_size=n)))
+        terms.append((f"t{k}", shape(*points)))
     return LinguisticVariable(name, lo, hi, tuple(terms))
 
 
@@ -194,8 +193,8 @@ def test_one_clip_per_fired_output_term(request, node):
         with mock.patch.object(np, "minimum", wraps=np.minimum) as clip:
             fs.infer(crisp)
         clipped = [args[1] for args, _ in clip.call_args_list]
-        expected = [fs._consequent_samples[term] for term in terms
-                    if strength[term] > 0.0]
+        expected = [samples for term, samples
+                    in zip(terms, fs._consequent_samples) if strength[term] > 0.0]
         assert len(clipped) == len(expected), crisp
         assert all(a is b for a, b in zip(clipped, expected)), crisp
 
