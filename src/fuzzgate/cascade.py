@@ -1,7 +1,9 @@
 """Two-stage cascade: FS1 and FS2 in parallel feeding FS3.
 
 Crisp intermediates flow between stages exactly as defuzzified, never
-re-quantized. The cascade is immutable after build and evaluation is pure.
+re-quantized. The cascade is immutable after build, and an evaluation's
+result depends on its inputs alone: the subsystems' centroid memos change
+only what is computed again.
 """
 from __future__ import annotations
 

@@ -345,8 +345,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_mapping_options(p_sim)
     p_sim.add_argument("--dataset", required=True, help="telemetry CSV path")
     strictness = p_sim.add_mutually_exclusive_group()
-    strictness.add_argument("--strict", action="store_true", default=False)
-    strictness.add_argument("--skip-bad", dest="strict", action="store_false")
+    strictness.add_argument("--strict", action="store_true", default=False,
+                            help="stop at the first bad row, exit 1")
+    strictness.add_argument("--skip-bad", dest="strict", action="store_false",
+                            help="skip bad rows and name their lines on "
+                                 "stderr (the default)")
     p_sim.add_argument("--out", default="out", help="report output directory")
     p_sim.set_defaults(func=cmd_simulate)
 

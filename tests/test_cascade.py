@@ -1,3 +1,5 @@
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import pytest
@@ -11,6 +13,7 @@ from fuzzgate.cli import main
 from fuzzgate.core import (FuzzySubsystem, LinguisticVariable,
                            MembershipFunction, NoRuleFiredError,
                            OutOfUniverseError)
+from fuzzgate.sim import load_telemetry
 from tables import FS3_TABLE, core_point
 
 
@@ -168,6 +171,26 @@ class TestEvaluate:
                   "appliance_energy": 175.0, "time_of_day": 18.2}
         traces = [cascade.evaluate(inputs) for _ in range(3)]
         assert traces[0] == traces[1] == traces[2]
+
+    def test_concurrent_evaluations_match_a_serial_pass(self, cascade,
+                                                        fixture_csv):
+        """Two threads evaluating the fixture's rows, four times over, on a
+        cascade whose memos start empty, give the traces of a serial pass:
+        misses and hits of the centroid memos interleave."""
+        telemetry, _ = load_telemetry(fixture_csv)
+        rows = [dict(zip(DEFAULT_EXTERNALS, values))
+                for values in telemetry.readings.tolist()] * 4
+        expected = [cascade.evaluate(x, clamp=True) for x in rows]
+        fresh = Cascade(*(replace(fs) for fs in cascade.nodes.values()))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=2) as pool:
+                traces = list(pool.map(lambda x: fresh.evaluate(x, clamp=True),
+                                       rows, timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        assert traces == expected
 
     def test_activations_computed_once_per_node(self, cascade, monkeypatch):
         calls = []

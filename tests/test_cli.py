@@ -209,6 +209,24 @@ class TestSimulate:
         assert code == 1
         assert f"{bad}: line 2, field 'date'" in err
 
+    def test_skipping_bad_rows_is_the_default(self, capsys, tmp_path):
+        """`simulate --help` says so, and a bad row is skipped without
+        either flag."""
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--help"])
+        assert exc.value.code == 0
+        usage = " ".join(capsys.readouterr().out.split())  # unwrapped
+        assert "--strict stop at the first bad row, exit 1" in usage
+        assert "--skip-bad skip bad rows and name their lines on stderr " \
+               "(the default)" in usage
+        bad = tmp_path / "bad.csv"
+        bad.write_text("date,T1,RH_1,Appliances\n2016-01-11 17:00:00,20,40,60\n"
+                       "not-a-date,20,40,60\n")
+        code, _, err = run(capsys, ["simulate", "--dataset", str(bad),
+                                    "--out", str(tmp_path / "o")])
+        assert code == 0
+        assert err == f"skipped {bad}: lines 3\n"
+
     def test_nothing_sent_warns(self, capsys, tmp_path, fixture_csv):
         code, out, err, _ = self.simulate(capsys, tmp_path, fixture_csv,
                                           "--threshold", "-5")

@@ -1,8 +1,11 @@
 """Single-reading inference against the per-rule reference in
 `inference.py`: the same readings must give the same activations, the same
 centroid bits and the same full cascade traces, or NoRuleFiredError on both.
-The batch engine's `centroids` must give the same centroid bits row by row.
+A centroid memo hit must give the bits of a miss. The batch engine's
+`centroids` must give the same centroid bits row by row.
 """
+import dataclasses
+import functools
 import itertools
 import math
 from unittest import mock
@@ -11,11 +14,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import load_bundled
 from fuzzgate import core
 from fuzzgate.cascade import DEFAULT_EXTERNALS
-from fuzzgate.core import (CHUNK_ROWS, FuzzyRule, FuzzySubsystem,
+from fuzzgate.core import (CENTROID_MEMO, CHUNK_ROWS, FuzzyRule, FuzzySubsystem,
                            LinguisticVariable, NoRuleFiredError)
 from inference import activations_per_rule, infer_per_rule
+from oracle import DenseOracle
 from tables import TRAP, TRI
 from test_telemetry import gen
 
@@ -182,14 +187,16 @@ def test_bundled_subsystems(request, node):
 
 @pytest.mark.parametrize("node", ["fs1", "fs2", "fs3"])
 def test_one_clip_per_fired_output_term(request, node):
-    """`infer` clips each output term with strength > 0 once, in term order,
-    and no other term: several bundled rules share each consequent."""
+    """`infer` on an empty memo clips each output term with strength > 0
+    once, in term order, and no other term: several bundled rules share each
+    consequent. A second `infer` of the same strength row clips nothing."""
     fs = request.getfixturevalue(node)
     terms = [term for term, _ in fs.output.terms]
     for crisp in probe_grid(fs):
         strength = dict.fromkeys(terms, 0.0)
         for rule, act in zip(fs.rules, activations_per_rule(fs, crisp)):
             strength[rule.consequent[1]] = max(strength[rule.consequent[1]], act)
+        fs._centroid.cache_clear()
         with mock.patch.object(np, "minimum", wraps=np.minimum) as clip:
             fs.infer(crisp)
         clipped = [args[1] for args, _ in clip.call_args_list]
@@ -197,6 +204,9 @@ def test_one_clip_per_fired_output_term(request, node):
                     in zip(terms, fs._consequent_samples) if strength[term] > 0.0]
         assert len(clipped) == len(expected), crisp
         assert all(a is b for a, b in zip(clipped, expected)), crisp
+        with mock.patch.object(np, "minimum", wraps=np.minimum) as clip:
+            fs.infer(crisp)
+        assert not clip.called, crisp
 
 
 @pytest.mark.parametrize("node", ["fs1", "fs2", "fs3"])
@@ -243,6 +253,99 @@ def test_fired_term_groups_across_chunks(chunk_rows):
     with mock.patch.object(core, "CHUNK_ROWS", chunk_rows):
         assert GAPPED.centroids([xs]).tobytes() == expected
         assert_batch_same(GAPPED, [xs])
+
+
+def cold_and_warm(fs, rows):
+    """The `outcome` of each reading on an empty memo, then of all the
+    readings on the memo they filled, twice."""
+    cold = []
+    for crisp in rows:
+        fs._centroid.cache_clear()
+        cold.append(outcome(FuzzySubsystem.infer, fs, crisp))
+    warm = [[outcome(FuzzySubsystem.infer, fs, crisp) for crisp in rows]
+            for _ in range(2)]
+    return cold, warm
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_memo_hit_gives_the_bits_of_a_miss(data):
+    """On drawn subsystems, a warm memo gives what a cold one gives and what
+    the per-rule reference gives: the same bits, or NoRuleFiredError on
+    every repeat of a reading that fires nothing."""
+    fs = data.draw(subsystems())
+    rows = [data.draw(readings(fs)) for _ in range(6)]
+    cold, warm = cold_and_warm(fs, rows)
+    assert cold == [outcome(infer_per_rule, fs, crisp) for crisp in rows]
+    assert warm == [cold, cold]
+    fired = sum(not isinstance(o[0], type) for o in cold)
+    assert fs._centroid.cache_info().hits >= fired  # the second warm pass
+
+
+@functools.cache
+def bundled_with_oracle(node):
+    fs = load_bundled(node)
+    return fs, DenseOracle(fs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["fs1", "fs2", "fs3"]), st.data())
+def test_memo_against_dense_oracle(node, data):
+    """On the bundled subsystems, cold and warm centroids are within the
+    acceptance tolerance (1e-3 of the output span) of the dense oracle.
+    Drawn subsystems are not held to it: at readings on or next to a term
+    corner, the oracle and the engine may disagree on whether a rule
+    fired."""
+    fs, oracle = bundled_with_oracle(node)
+    rows = [data.draw(readings(fs)) for _ in range(4)]
+    cold, warm = cold_and_warm(fs, rows)
+    assert warm == [cold, cold]
+    tolerance = 1e-3 * (fs.output.hi - fs.output.lo)
+    for crisp, (_, centroid) in zip(rows, cold):
+        assert abs(float.fromhex(centroid) - oracle.crisp_output(crisp)) <= \
+            tolerance, crisp
+
+
+def test_no_rule_fired_on_every_repeat():
+    """The memo keeps no exception: a reading that fires nothing raises on
+    each call, before and after a fired reading fills the memo."""
+    for _ in range(3):
+        with pytest.raises(NoRuleFiredError, match="'y'"):
+            GAPPED.infer({"x": 9.0})
+        GAPPED.infer({"x": 1.0})
+
+
+def test_memo_is_bounded():
+    """More distinct strength rows than the bound fill the memo to the bound
+    and no further; a row evicted and computed again gives the same bits."""
+    fs = dataclasses.replace(GAPPED)  # an empty memo
+    xs = np.linspace(0.0, 7.5, 2 * CENTROID_MEMO + 1).tolist()
+    first = [fs.infer({"x": x}).centroid for x in xs[:CENTROID_MEMO]]
+    sizes = []
+    for x in xs[CENTROID_MEMO:]:
+        fs.infer({"x": x})
+        sizes.append(fs._centroid.cache_info().currsize)
+    assert max(sizes) == CENTROID_MEMO
+    assert fs._centroid.cache_info().misses == len(xs)  # all distinct rows
+    assert bits(fs.infer({"x": x}).centroid for x in xs[:CENTROID_MEMO]) == \
+        bits(first)
+
+
+def test_memo_belongs_to_its_subsystem():
+    """Two subsystems whose readings give equal strength rows but whose
+    output terms differ share no memo entry. The memo takes no part in
+    equality, hashing or repr, and a replaced subsystem starts empty."""
+    shifted = dataclasses.replace(GAPPED, output=LinguisticVariable(
+        "y", 0, 10, tuple((term, TRAP(*(min(p + 1, 10) for p in mf.corners)))
+                          for term, mf in GAPPED.output.terms)))
+    copy = dataclasses.replace(GAPPED)
+    assert copy == GAPPED and hash(copy) == hash(GAPPED)
+    assert "_centroid" not in repr(GAPPED)
+    assert copy._centroid.cache_info().currsize == 0
+    for x in (1.0, 3.0, 5.5, 1.0, 3.0):
+        assert bits(fs.infer({"x": x}).centroid for fs in (GAPPED, shifted)) == \
+            bits(infer_per_rule(fs, {"x": x}).centroid for fs in (GAPPED, shifted))
+    assert GAPPED.infer({"x": 1.0}).centroid != shifted.infer({"x": 1.0}).centroid
 
 
 def trace_bits(trace):
