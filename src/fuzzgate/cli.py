@@ -357,7 +357,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    for name, value in vars(args).items():
+        # argparse reads `--flag=--` as an empty list, without the flag's
+        # type; only `check`'s paths take a list.
+        if isinstance(value, list) and name != "paths":
+            parser.error(f"argument --{name.replace('_', '-')}: "
+                         f"expected one argument")
     try:
         return args.func(args)
     except OSError as exc:

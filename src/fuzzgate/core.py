@@ -6,11 +6,22 @@ model object is immutable after construction. The one mutable state is each
 subsystem's centroid memo, and no result depends on what it holds: a hit
 returns the bits that a miss computes. So any number of evaluations may run
 concurrently.
+
+A single reading fires only the rules it can reach. The distinct corners of
+a variable's terms cut its universe into pieces, each corner point and each
+open interval between neighbouring corners, and a term is either > 0 on the
+whole of a piece (alive there, up to an edge that underflows to 0) or 0 on
+all of it. A subsystem keeps, per input and piece, a bitmask of the rules
+whose antecedent terms on that input are all alive there. Its one firing
+routine, `FuzzySubsystem.fire`, finds each input's piece, evaluates only the
+terms alive on it and ANDs the masks: only the rules left can have an
+activation > 0, and the others are 0, as a min over a 0 degree is.
 """
 from __future__ import annotations
 
 import functools
 import math
+from bisect import bisect_left
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 
@@ -121,13 +132,30 @@ class MembershipFunction:
 
 @dataclass(frozen=True)
 class LinguisticVariable:
-    """Named universe of discourse with an ordered set of named terms."""
+    """Named universe of discourse with an ordered set of named terms.
+
+    The terms' sorted distinct corners c_0 < ... < c_m-1 cut the universe
+    into pieces: piece 2k is the open interval (c_k-1, c_k), with c_-1 and
+    c_m taken as -inf and +inf, and piece 2k + 1 is the point c_k. Each
+    piece keeps the terms alive on it: at a corner c, those with mf(c) > 0;
+    on an interval (u, v), those whose support's ends a and d have
+    a <= u and v <= d. Any other term is 0 all over the piece, since its
+    open support (a, d) holds no point of it. No point between two corners
+    is probed: a midpoint may round onto a corner or overflow.
+    """
 
     name: str
     lo: float
     hi: float
     terms: tuple[tuple[str, MembershipFunction], ...]
     unit: str = ""
+    # The distinct corners, ascending, then +inf: the bounds that `piece`
+    # bisects.
+    _cuts: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    # Per piece, in piece order: the (term, mf) pairs alive on it, in term
+    # order.
+    _alive: tuple[tuple[tuple[str, MembershipFunction], ...], ...] = field(
+        init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.lo < self.hi:
@@ -146,6 +174,14 @@ class LinguisticVariable:
                     f"support of term '{term}' [{a}, {z}] is outside the "
                     f"universe of '{self.name}' [{self.lo}, {self.hi}]"
                 )
+        corners = sorted({p for _, mf in self.terms for p in mf.corners})
+        alive = []
+        for u, v in zip([-math.inf, *corners], [*corners, math.inf]):
+            alive.append(tuple((t, mf) for t, mf in self.terms
+                               if mf.corners[0] <= u and v <= mf.corners[3]))
+            alive.append(tuple((t, mf) for t, mf in self.terms if mf(v) > 0.0))
+        object.__setattr__(self, "_cuts", (*corners, math.inf))
+        object.__setattr__(self, "_alive", tuple(alive))
 
     def term(self, name: str) -> MembershipFunction:
         for term, mf in self.terms:
@@ -159,14 +195,27 @@ class LinguisticVariable:
     def clamp(self, x: float) -> float:
         return min(max(x, self.lo), self.hi)
 
-    def fuzzify(self, x: float) -> dict[str, float]:
-        """Map a crisp value to a degree per term.
+    def piece(self, x: float) -> int:
+        """Index of the piece of the universe that holds x (see the class).
 
         Raises OutOfUniverseError when x falls outside [lo, hi].
         """
         if not self.contains(x):  # NaN and ±inf too: the bounds are finite
             raise OutOfUniverseError(self.name, x, self.lo, self.hi)
-        return {term: mf(x) for term, mf in self.terms}
+        cuts = self._cuts
+        k = bisect_left(cuts, x)  # cuts[k - 1] < x <= cuts[k]
+        return 2 * k + (cuts[k] == x)
+
+    def fuzzify(self, x: float) -> dict[str, float]:
+        """Map a crisp value to a degree per term: mf(x) for the terms alive
+        on x's piece and 0.0, which mf(x) is, for the others.
+
+        Raises OutOfUniverseError when x falls outside [lo, hi].
+        """
+        degrees = dict.fromkeys([term for term, _ in self.terms], 0.0)
+        for term, mf in self._alive[self.piece(x)]:
+            degrees[term] = mf(x)
+        return degrees
 
     def coverage_gaps(self, samples: int = 1000) -> list[tuple[float, float]]:
         """Runs of sample points of the universe where no term has degree
@@ -212,6 +261,12 @@ class FuzzySubsystem:
     _rule_slots: tuple[tuple[tuple[int, str], ...], ...] = field(
         init=False, repr=False, compare=False)
     _rule_term: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    # Per input, in input order, and per piece of its universe: the bitmask
+    # of the rules whose antecedent terms on that input are all alive there
+    # (bit r for rule r). A rule that does not read the input has its bit
+    # set in every piece.
+    _rule_masks: tuple[tuple[int, ...], ...] = field(
+        init=False, repr=False, compare=False)
     # `infer`'s centroid of a strength row: a `_centroid_memo`.
     _centroid: Callable[[tuple[float, ...]], float] = field(
         init=False, repr=False, compare=False)
@@ -237,11 +292,31 @@ class FuzzySubsystem:
         terms = [term for term, _ in self.output.terms]
         grid = np.linspace(self.output.lo, self.output.hi, GRID_POINTS)
         samples = tuple(mf.sample(grid) for _, mf in self.output.terms)
+        rule_slots = tuple(
+            tuple((position[var], term) for var, term in rule.antecedents)
+            for rule in self.rules)
+        # needs[i][term]: the rules that read `term` on input i.
+        needs = [dict.fromkeys([term for term, _ in var.terms], 0)
+                 for var in self.inputs]
+        for r, slots in enumerate(rule_slots):
+            for i, term in slots:
+                needs[i][term] |= 1 << r
+        every = (1 << len(self.rules)) - 1
+        masks = []
+        for var, need in zip(self.inputs, needs):
+            per_piece = []
+            for alive in var._alive:
+                names = {term for term, _ in alive}
+                dead = 0
+                for term, rules in need.items():
+                    if term not in names:
+                        dead |= rules
+                per_piece.append(every & ~dead)
+            masks.append(tuple(per_piece))
         object.__setattr__(self, "_grid", grid)
         object.__setattr__(self, "_consequent_samples", samples)
-        object.__setattr__(self, "_rule_slots", tuple(
-            tuple((position[var], term) for var, term in rule.antecedents)
-            for rule in self.rules))
+        object.__setattr__(self, "_rule_slots", rule_slots)
+        object.__setattr__(self, "_rule_masks", tuple(masks))
         object.__setattr__(self, "_rule_term", tuple(
             terms.index(rule.consequent[1]) for rule in self.rules))
         object.__setattr__(self, "_centroid", _centroid_memo(
@@ -260,31 +335,63 @@ class FuzzySubsystem:
                 return var
         raise KeyError(name)
 
-    def activations(self, crisp_inputs: dict[str, float]) -> list[float]:
-        """Each rule's min over its antecedent term degrees (Mamdani AND),
-        through the rule slots built with the subsystem."""
-        fuzzified = [v.fuzzify(crisp_inputs[v.name]) for v in self.inputs]
-        acts = []
-        for slots in self._rule_slots:
+    def fire(self, crisp_inputs: dict[str, float]) -> list[tuple[int, float]]:
+        """The rules that fire on one reading, as (rule index, activation)
+        pairs in rule-bank order: each rule whose min over its antecedent
+        term degrees (Mamdani AND) is > 0.
+
+        For each input, in input order, it finds the reading's piece (raising
+        OutOfUniverseError as `LinguisticVariable.fuzzify` does), evaluates
+        the terms alive on that piece and nothing else, and ANDs that piece's
+        rule mask into the candidates. Only a candidate reads no term that is
+        0 there. Each candidate's min is taken in antecedent order, and one
+        that comes to 0 (an alive edge may underflow to +0.0) is dropped."""
+        candidates = (1 << len(self._rule_slots)) - 1
+        degrees = []
+        for var, masks in zip(self.inputs, self._rule_masks):
+            x = crisp_inputs[var.name]
+            piece = var.piece(x)
+            degrees.append({term: mf(x) for term, mf in var._alive[piece]})
+            candidates &= masks[piece]
+        fired = []
+        slots = self._rule_slots
+        while candidates:
+            low = candidates & -candidates  # the lowest set bit
+            candidates ^= low
+            r = low.bit_length() - 1
             degree = 1.0
-            for i, term in slots:
-                d = fuzzified[i][term]
+            for i, term in slots[r]:
+                d = degrees[i][term]
                 if d < degree:
                     degree = d
-            acts.append(degree)
+            if degree > 0.0:
+                fired.append((r, degree))
+        return fired
+
+    def activations(self, crisp_inputs: dict[str, float]) -> list[float]:
+        """Each rule's activation in rule-bank order: its `fire` activation,
+        or 0.0 for a rule that did not fire."""
+        acts = [0.0] * len(self.rules)
+        for r, act in self.fire(crisp_inputs):
+            acts[r] = act
         return acts
 
     def infer(self, crisp_inputs: dict[str, float]) -> AggregatedOutput:
-        """Fold the activations into one strength per output term (the
-        largest among the rules with that consequent) and take the centroid
-        of that strength row (see `_centroid_memo`). Raises NoRuleFiredError
-        when no rule fired; fail-safe is the caller's policy."""
-        acts = tuple(self.activations(crisp_inputs))
+        """Fold the fired rules' activations into one strength per output
+        term (the largest among the rules with that consequent) and take the
+        centroid of that strength row (see `_centroid_memo`). Returns the
+        activations that `activations` gives, from the same one `fire` call.
+        Raises NoRuleFiredError when no rule fired; fail-safe is the
+        caller's policy."""
+        acts = [0.0] * len(self.rules)
         strength = [0.0] * len(self._consequent_samples)
-        for t, act in zip(self._rule_term, acts):
+        rule_term = self._rule_term
+        for r, act in self.fire(crisp_inputs):
+            acts[r] = act
+            t = rule_term[r]
             if act > strength[t]:
                 strength[t] = act
-        return AggregatedOutput(acts, self._centroid(tuple(strength)))
+        return AggregatedOutput(tuple(acts), self._centroid(tuple(strength)))
 
     def centroids(self, columns: Sequence[np.ndarray]) -> np.ndarray:
         """Batch form of `infer`'s centroid: one column of crisp values per

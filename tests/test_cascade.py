@@ -193,14 +193,15 @@ class TestEvaluate:
         assert traces == expected
 
     def test_activations_computed_once_per_node(self, cascade, monkeypatch):
+        # `fire` is the one routine that computes activations.
         calls = []
-        original = FuzzySubsystem.activations
+        original = FuzzySubsystem.fire
 
         def counted(self, crisp_inputs):
             calls.append(self.name)
             return original(self, crisp_inputs)
 
-        monkeypatch.setattr(FuzzySubsystem, "activations", counted)
+        monkeypatch.setattr(FuzzySubsystem, "fire", counted)
         cascade.evaluate({"temperature": 20.5, "humidity": 0.37,
                           "appliance_energy": 90.0, "time_of_day": 7.5})
         assert calls == [cascade.fs1.name, cascade.fs2.name, cascade.fs3.name]

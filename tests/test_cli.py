@@ -14,7 +14,8 @@ from hypothesis import given, settings, strategies as st
 
 import fuzzgate
 from conftest import FIS_FILES, write_manifest
-from fuzzgate.cascade import bundled_fis_dir
+from fuzzgate.cascade import (BUNDLED_MANIFEST, FIS_KEYS, bundled_fis_dir,
+                              parse_manifest)
 from fuzzgate.cli import main
 
 READING = ["--temp", "20", "--humidity", "0.35", "--energy", "60", "--time", "3"]
@@ -521,6 +522,23 @@ class TestBadInput:
         if where is not None:
             assert where in proc.stderr
 
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--temp=--", *READING[2:]],
+        ["eval", *READING, "--threshold=--"],
+        ["eval", *READING, "--fis1=--"],
+        ["simulate", "--dataset=--"],
+        ["simulate", "--dataset", "x.csv", "--per-packet-joules=--"],
+        ["simulate", "--dataset", "x.csv", "--map-temp=--"],
+    ], ids=["reading", "threshold", "path", "dataset", "joules", "mapping"])
+    def test_double_dash_as_a_value(self, capsys, argv):
+        # argparse reads `--flag=--` as an empty list and skips the type.
+        flag = next(arg for arg in argv if arg.endswith("=--")).split("=")[0]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(
+            f"error: argument {flag}: expected one argument\n")
+
     def test_out_dir_under_a_file(self, capsys, tmp_path, fixture_csv):
         blocker = tmp_path / "file"
         blocker.write_text("")
@@ -619,3 +637,119 @@ def test_simulate_csv_bytes_never_crash(header, rows, last, newline, policy):
         assert "Traceback" not in err.getvalue()
         if code:
             assert err.getvalue().startswith("error: ")
+
+
+def exit_status(argv):
+    """`main`'s exit status as a shell sees it, with its stdout and stderr:
+    argparse refuses a bad argv by raising SystemExit(2)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def assert_no_crash(argv):
+    """Exit 0, or 1 or 2 with an error line (`check` prints its
+    diagnostics on stdout), and never a traceback; `eval --json` prints
+    strict JSON."""
+    code, out, err = exit_status(argv)
+    assert code in (0, 1, 2), (argv, err)
+    assert "Traceback" not in out + err
+    if code:
+        assert "error: " in out + err, (argv, out, err)
+    elif "--json" in argv:
+        json.loads(out, parse_constant=_reject_constant)
+    return code
+
+
+ARGV_NUMBERS = st.sampled_from([
+    "nan", "-nan", "inf", "-inf", "1e400", "-1e400", "-0.0", "0", "5e-324",
+    "1e308", "-1e308", "20", "0.35", "60", "3", "24", "100", " 20 ", "1_0",
+    "0x10", "abc", "", "--", "caf\xe9"]) | st.text(max_size=6)
+EVAL_FLAGS = ("--temp", "--humidity", "--energy", "--time")
+
+
+@settings(max_examples=150, deadline=None)
+@given(values=st.tuples(*[ARGV_NUMBERS] * 4),
+       threshold=st.none() | ARGV_NUMBERS,
+       options=st.lists(st.sampled_from(["--clamp", "--json"]), unique=True))
+def test_eval_argv_never_crashes(values, threshold, options):
+    """Readings and thresholds that are non-finite, out of every universe,
+    negative zero or not numbers at all."""
+    argv = ["eval", *(f"{flag}={value}" for flag, value in zip(EVAL_FLAGS, values)),
+            *options]
+    if threshold is not None:
+        argv.append(f"--threshold={threshold}")
+    assert_no_crash(argv)
+
+
+FS1_LINES = (bundled_fis_dir() / FIS_FILES["fs1"]).read_bytes().splitlines()
+FIS_WORDS = st.sampled_from([
+    b"nan", b"inf", b"-inf", b"1e400", b"-0.0", b"0", b"5e-324", b"1e308",
+    b"-1e308", b"100", b"caf\xe9", b"\x00", b"\xff", b"#", b"", b"is", b"and",
+    b"if", b"then", b"rule", b"term", b"input", b"output", b"universe",
+    b"unit", b"system", b"triangle", b"trapezoid", b"low", b"cool"])
+
+
+@st.composite
+def fis_bytes(draw):
+    """The bundled FS1 file with a few words replaced and lines dropped or
+    repeated, and a tail of raw bytes; or raw bytes alone."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(st.binary(max_size=64))
+    lines = [line.split(b" ") for line in FS1_LINES]
+    for _ in range(draw(st.integers(0, 4))):
+        i = draw(st.integers(0, len(lines) - 1))
+        edit = draw(st.sampled_from(["word", "drop", "repeat"]))
+        if edit == "word":
+            j = draw(st.integers(0, len(lines[i]) - 1))
+            lines[i][j] = draw(FIS_WORDS)
+        elif edit == "drop" and len(lines) > 1:
+            del lines[i]
+        else:
+            lines.insert(i, list(lines[i]))
+    return b"\n".join(map(b" ".join, lines)) + draw(st.binary(max_size=8))
+
+
+@settings(max_examples=150, deadline=None)
+@given(fis=fis_bytes())
+def test_definition_bytes_never_crash(fis):
+    """Raw definition file bytes, read by `check` and as `eval --fis1`."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fs1.fis.txt"
+        path.write_bytes(fis)
+        assert_no_crash(["check", str(path)])
+        assert_no_crash(["eval", *READING, "--clamp", "--fis1", str(path)])
+
+
+@st.composite
+def manifest_bytes(draw):
+    """Manifest lines: the bundled definition files by absolute path, a
+    definition file beside the manifest, paths that name nothing or a
+    directory, thresholds that are not finite numbers, unknown keys and
+    raw bytes."""
+    keys = st.sampled_from([*FIS_KEYS, "threshold", "fis4", ""])
+    values = st.sampled_from([
+        *(str(path) for path in parse_manifest(BUNDLED_MANIFEST)[0].values()),
+        "fs1.fis.txt",
+        "missing.fis.txt", ".", "", "nan", "inf", "1e400", "-0.0", "50",
+        "abc", "50 # comment", "a#b"])
+    line = st.builds(lambda k, v: f"{k} = {v}".encode(), keys, values) | \
+        st.sampled_from([b"", b"# comment", b"fis1", b"= 50", b"\xff", b"\x00"]) | \
+        st.binary(max_size=16)
+    return b"\n".join(draw(st.lists(line, max_size=8)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(manifest=manifest_bytes(), fis=fis_bytes())
+def test_manifest_bytes_never_crash(manifest, fis):
+    """Raw manifest bytes through `eval --manifest`, beside a drawn
+    definition file that the manifest may name."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "m.manifest"
+        path.write_bytes(manifest)
+        (Path(tmp) / "fs1.fis.txt").write_bytes(fis)
+        assert_no_crash(["eval", *READING, "--manifest", str(path)])

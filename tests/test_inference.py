@@ -348,6 +348,140 @@ def test_memo_belongs_to_its_subsystem():
     assert GAPPED.infer({"x": 1.0}).centroid != shifted.infer({"x": 1.0}).centroid
 
 
+def assert_pieces(var, x):
+    """`var.piece(x)` holds x, every term not alive on it is +0.0 at x, and
+    `fuzzify` gives each term the bits of mf(x)."""
+    piece = var.piece(x)
+    k, point = divmod(piece, 2)
+    corners = var._cuts
+    if point:
+        assert x == corners[k]
+    else:
+        assert (k == 0 or corners[k - 1] < x) and x < corners[k]
+    alive = {term for term, _ in var._alive[piece]}
+    degrees = var.fuzzify(x)
+    assert list(degrees) == [term for term, _ in var.terms]
+    for term, mf in var.terms:
+        if term not in alive:
+            assert float(mf(x)).hex() == "0x0.0p+0", (term, x)
+        assert float(degrees[term]).hex() == float(mf(x)).hex(), (term, x)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_piece_tables(data):
+    """On drawn variables, at each probe point (every corner and its float
+    neighbours) and at drawn readings."""
+    var = data.draw(variables("x"))
+    for x in probe_points(var):
+        assert_pieces(var, x)
+    for _ in range(5):
+        assert_pieces(var, data.draw(st.floats(var.lo, var.hi)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_fire_gives_the_rules_with_activation_above_zero(data):
+    """On drawn subsystems, `fire` gives the (rule, activation) pairs of the
+    per-rule reference whose activation is > 0, in rule-bank order."""
+    fs = data.draw(subsystems())
+    for _ in range(5):
+        crisp = data.draw(readings(fs))
+        expected = [(r, act.hex()) for r, act
+                    in enumerate(activations_per_rule(fs, crisp)) if act > 0.0]
+        assert [(r, act.hex()) for r, act in fs.fire(crisp)] == expected, crisp
+
+
+def one_term(lo, hi, mf):
+    """A subsystem whose one rule reads the one term of input x."""
+    x = LinguisticVariable("x", lo, hi, (("t", mf),))
+    return FuzzySubsystem("one", (x,), LinguisticVariable(
+        "y", 0, 1, (("c", TRI(0, 0.5, 1)),)), (FuzzyRule((("x", "t"),), ("y", "c")),))
+
+
+def fired_where(fs, xs):
+    """Each reading whose `fire` fired the rule, after checking `fire`,
+    `activations` and `infer` against the per-rule reference there."""
+    fired = []
+    for x in xs:
+        assert_pieces(fs.inputs[0], x)
+        assert_same(fs, {"x": x})
+        if fs.fire({"x": x}):
+            fired.append(x)
+    return fired
+
+
+def neighbours(*points):
+    """Each point with its float neighbours, in order."""
+    return [float(q) for p in points
+            for q in (np.nextafter(p, -np.inf), p, np.nextafter(p, np.inf))]
+
+
+def test_spike_term_fires_only_at_its_point():
+    fs = one_term(0, 10, TRAP(5, 5, 5, 5))
+    assert fs.inputs[0]._cuts == (5.0, math.inf)
+    assert fired_where(fs, neighbours(0.0, 5.0, 10.0)[1:-1]) == [5.0]
+
+
+def test_vertical_edges():
+    """A term whose rising and falling edges are vertical is 1 on its whole
+    support, ends included, and 0 just outside it."""
+    fs = one_term(0, 10, TRAP(2, 2, 5, 5))
+    assert fired_where(fs, neighbours(0.0, 2.0, 3.5, 5.0, 10.0)[1:-1]) == \
+        neighbours(2.0, 3.5, 5.0)[1:-1]
+
+
+def test_term_at_the_top_of_the_float_range():
+    """A universe whose corners' midpoints overflow a float: the pieces are
+    decided from the corners, never from a midpoint."""
+    assert not math.isfinite((1e308 + 1.7e308) / 2)
+    fs = one_term(0, 1.7e308, TRI(1e308, 1.5e308, 1.7e308))
+    xs = neighbours(0.0, 1e308, 1.2e308, 1.5e308, 1.7e308)[1:-1]
+    assert fired_where(fs, xs) == xs[4:-1]
+
+
+def test_edge_that_underflows_fires_nothing():
+    """5e-324 lies on the rising edge of (0, 1e10, 1e10, 2e10), so the term
+    is alive on its piece, but its degree there underflows to +0.0: the rule
+    does not fire, and `infer` raises NoRuleFiredError as the per-rule
+    reference does."""
+    fs = one_term(0, 2e10, TRI(0, 1e10, 2e10))
+    x = 5e-324
+    assert fs.inputs[0]._alive[fs.inputs[0].piece(x)] == fs.inputs[0].terms
+    assert fs.fire({"x": x}) == []
+    assert bits(fs.activations({"x": x})) == ["0x0.0p+0"]
+    for infer in (FuzzySubsystem.infer, infer_per_rule):
+        with pytest.raises(NoRuleFiredError):
+            infer(fs, {"x": x})
+    assert fired_where(fs, [0.0, x, 1e-300, 1e10, 2e10]) == [1e-300, 1e10]
+
+
+def test_tables_take_no_part_in_equality_hash_or_repr():
+    """The piece tables and rule masks are built from the other fields: equal
+    fields give equal objects with equal hashes and the same repr as
+    without them, and `dataclasses.replace` builds them again."""
+    var = GAPPED.inputs[0]
+    copy = dataclasses.replace(var)
+    assert copy == var and hash(copy) == hash(var) == \
+        hash((var.name, var.lo, var.hi, var.terms, var.unit))
+    assert repr(var) == (f"LinguisticVariable(name={var.name!r}, lo={var.lo!r}, "
+                         f"hi={var.hi!r}, terms={var.terms!r}, unit={var.unit!r})")
+    fs = dataclasses.replace(GAPPED)
+    assert fs == GAPPED and hash(fs) == \
+        hash((GAPPED.name, GAPPED.inputs, GAPPED.output, GAPPED.rules))
+    assert repr(fs) == (f"FuzzySubsystem(name={fs.name!r}, inputs={fs.inputs!r}, "
+                        f"output={fs.output!r}, rules={fs.rules!r})")
+    narrowed = dataclasses.replace(var, terms=var.terms[1:])
+    assert narrowed != var
+    assert narrowed._cuts == (2.0, 4.0, 5.0, 6.0, 7.0, 8.0, math.inf)
+    assert [term for term, _ in narrowed._alive[3]] == ["mid"]  # at 4.0
+    reversed_rules = dataclasses.replace(GAPPED, rules=GAPPED.rules[::-1])
+    at_one = GAPPED.inputs[0].piece(1.0)
+    assert GAPPED._rule_masks[0][at_one] == 0b001
+    assert reversed_rules._rule_masks[0][at_one] == 0b100
+    assert reversed_rules.fire({"x": 1.0}) == [(2, GAPPED.fire({"x": 1.0})[0][1])]
+
+
 def trace_bits(trace):
     """A `DecisionTrace` with every float as its bits."""
     return (bits(trace.inputs.values()), trace.clamped,
