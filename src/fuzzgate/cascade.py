@@ -135,7 +135,9 @@ class Cascade:
         universe bound and reported in the trace; otherwise they raise
         OutOfUniverseError. NoRuleFiredError propagates with the node name.
         The trace's inputs are the four readings as floats, before clamping,
-        in DEFAULT_EXTERNALS order; other keys of `inputs` are not read.
+        in DEFAULT_EXTERNALS order; other keys of `inputs` are not read. Its
+        fired rules are those of FS1, FS2 and FS3 in turn, each node's in
+        rule-bank order, built from the pairs that `infer` returns.
         """
         missing = set(DEFAULT_EXTERNALS) - set(inputs)
         if missing:
@@ -161,8 +163,9 @@ class Cascade:
                 agg = fs.infer(crisp)
             except NoRuleFiredError:
                 raise NoRuleFiredError(f"{node}.{fs.output.name}") from None
-            fired.extend(FiredRule(node, rule.antecedents, rule.consequent, act)
-                         for rule, act in zip(fs.rules, agg.activations) if act > 0.0)
+            for r, act in agg.fired:
+                rule = fs.rules[r]
+                fired.append(FiredRule(node, rule.antecedents, rule.consequent, act))
             return agg.centroid
 
         intermediates = {self.fs1.output.name: run("fs1", self.fs1, node_inputs[0]),

@@ -206,17 +206,6 @@ class LinguisticVariable:
         k = bisect_left(cuts, x)  # cuts[k - 1] < x <= cuts[k]
         return 2 * k + (cuts[k] == x)
 
-    def fuzzify(self, x: float) -> dict[str, float]:
-        """Map a crisp value to a degree per term: mf(x) for the terms alive
-        on x's piece and 0.0, which mf(x) is, for the others.
-
-        Raises OutOfUniverseError when x falls outside [lo, hi].
-        """
-        degrees = dict.fromkeys([term for term, _ in self.terms], 0.0)
-        for term, mf in self._alive[self.piece(x)]:
-            degrees[term] = mf(x)
-        return degrees
-
     def coverage_gaps(self, samples: int = 1000) -> list[tuple[float, float]]:
         """Runs of sample points of the universe where no term has degree
         > 0, each as its first and last point."""
@@ -237,10 +226,10 @@ class FuzzyRule:
 
 @dataclass(frozen=True)
 class AggregatedOutput:
-    """One reading's rule activations, in rule-bank order, and the centroid
-    of their aggregate."""
+    """One reading's fired rules, the (rule index, activation) pairs that
+    `FuzzySubsystem.fire` gives, and the centroid of their aggregate."""
 
-    activations: tuple[float, ...]
+    fired: list[tuple[int, float]]
     centroid: float
 
 
@@ -341,11 +330,12 @@ class FuzzySubsystem:
         term degrees (Mamdani AND) is > 0.
 
         For each input, in input order, it finds the reading's piece (raising
-        OutOfUniverseError as `LinguisticVariable.fuzzify` does), evaluates
-        the terms alive on that piece and nothing else, and ANDs that piece's
-        rule mask into the candidates. Only a candidate reads no term that is
-        0 there. Each candidate's min is taken in antecedent order, and one
-        that comes to 0 (an alive edge may underflow to +0.0) is dropped."""
+        OutOfUniverseError as `LinguisticVariable.piece` does), evaluates the
+        terms alive on that piece and nothing else, and ANDs that piece's rule
+        mask into the candidates. Only a candidate reads no term that is 0
+        there. Each candidate's min is taken in antecedent order, and one that
+        comes to 0 (an alive edge may underflow to +0.0) is dropped. Every
+        rule left out has activation 0, as a min over a 0 degree is."""
         candidates = (1 << len(self._rule_slots)) - 1
         degrees = []
         for var, masks in zip(self.inputs, self._rule_masks):
@@ -368,30 +358,20 @@ class FuzzySubsystem:
                 fired.append((r, degree))
         return fired
 
-    def activations(self, crisp_inputs: dict[str, float]) -> list[float]:
-        """Each rule's activation in rule-bank order: its `fire` activation,
-        or 0.0 for a rule that did not fire."""
-        acts = [0.0] * len(self.rules)
-        for r, act in self.fire(crisp_inputs):
-            acts[r] = act
-        return acts
-
     def infer(self, crisp_inputs: dict[str, float]) -> AggregatedOutput:
-        """Fold the fired rules' activations into one strength per output
-        term (the largest among the rules with that consequent) and take the
-        centroid of that strength row (see `_centroid_memo`). Returns the
-        activations that `activations` gives, from the same one `fire` call.
-        Raises NoRuleFiredError when no rule fired; fail-safe is the
-        caller's policy."""
-        acts = [0.0] * len(self.rules)
+        """Fold the rules that `fire` gives into one strength per output term
+        (the largest activation among the rules with that consequent) and
+        take the centroid of that strength row (see `_centroid_memo`).
+        Returns those fired rules with the centroid. Raises NoRuleFiredError
+        when no rule fired; fail-safe is the caller's policy."""
+        fired = self.fire(crisp_inputs)
         strength = [0.0] * len(self._consequent_samples)
         rule_term = self._rule_term
-        for r, act in self.fire(crisp_inputs):
-            acts[r] = act
+        for r, act in fired:
             t = rule_term[r]
             if act > strength[t]:
                 strength[t] = act
-        return AggregatedOutput(tuple(acts), self._centroid(tuple(strength)))
+        return AggregatedOutput(fired, self._centroid(tuple(strength)))
 
     def centroids(self, columns: Sequence[np.ndarray]) -> np.ndarray:
         """Batch form of `infer`'s centroid: one column of crisp values per

@@ -1,41 +1,54 @@
-"""Reference single-reading inference: `FuzzySubsystem.activations` and
-`infer` before they read rule tables and clipped once per output term, one
-dict walk per antecedent and one clip per fired rule. The subsystem's
-methods must give the same activations and centroid bits, and raise
-NoRuleFiredError on the same readings.
+"""Reference single-reading inference, independent of the subsystem's piece
+tables and rule masks: every term of every input evaluated as mf(x), one
+dict walk per antecedent of every rule and one clip per fired rule. The
+subsystem's `fire` and `infer` must give the same fired rules and centroid
+bits, and raise NoRuleFiredError on the same readings.
 """
 import numpy as np
 
-from fuzzgate.core import GRID_POINTS, AggregatedOutput, NoRuleFiredError
+from fuzzgate.core import (GRID_POINTS, AggregatedOutput, NoRuleFiredError,
+                           OutOfUniverseError)
 
 
 def activations_per_rule(fs, crisp_inputs):
-    """Each rule's min over its antecedent term degrees (Mamdani AND).
-    The names were checked when the subsystem was built."""
-    fuzzified = {v.name: v.fuzzify(crisp_inputs[v.name]) for v in fs.inputs}
+    """Each rule's min over its antecedent term degrees (Mamdani AND), in
+    rule-bank order. Raises OutOfUniverseError for a value outside its
+    input's [lo, hi]. The names were checked when the subsystem was built."""
+    degrees = {}
+    for var in fs.inputs:
+        x = crisp_inputs[var.name]
+        if not var.lo <= x <= var.hi:  # NaN too
+            raise OutOfUniverseError(var.name, x, var.lo, var.hi)
+        degrees[var.name] = {term: mf(x) for term, mf in var.terms}
     acts = []
     for rule in fs.rules:
         degree = 1.0
         for var, term in rule.antecedents:
-            degree = min(degree, fuzzified[var][term])
+            degree = min(degree, degrees[var][term])
         acts.append(degree)
     return acts
 
 
+def fire_per_rule(fs, crisp_inputs):
+    """The (rule index, activation) pairs of the rules whose activation is
+    > 0, in rule-bank order: what `fire` must give."""
+    return [(r, act) for r, act in enumerate(activations_per_rule(fs, crisp_inputs))
+            if act > 0.0]
+
+
 def infer_per_rule(fs, crisp_inputs):
     """Clip each consequent at its rule's activation, combine by max and
-    take the centroid over the grid, summed in ascending-x order. Raises
+    take the centroid over the grid, summed in ascending-x order. Returns
+    the fired rules with the centroid, as `infer` does. Raises
     NoRuleFiredError when no rule fired; fail-safe is the caller's policy."""
-    acts = tuple(activations_per_rule(fs, crisp_inputs))
+    fired = fire_per_rule(fs, crisp_inputs)
     samples = dict(zip([term for term, _ in fs.output.terms],
                        fs._consequent_samples))
     aggregate = np.zeros(GRID_POINTS)
-    for rule, act in zip(fs.rules, acts):
-        if act <= 0.0:
-            continue
-        clipped = np.minimum(act, samples[rule.consequent[1]])
+    for r, act in fired:
+        clipped = np.minimum(act, samples[fs.rules[r].consequent[1]])
         np.maximum(aggregate, clipped, out=aggregate)
     total = float(np.sum(aggregate))
     if total <= 0.0:
         raise NoRuleFiredError(fs.output.name)
-    return AggregatedOutput(acts, float(np.sum(fs._grid * aggregate)) / total)
+    return AggregatedOutput(fired, float(np.sum(fs._grid * aggregate)) / total)

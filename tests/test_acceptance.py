@@ -53,7 +53,7 @@ class TestAcceptance:
                 crisp = {first.name: core_point(first, t1),
                          second.name: core_point(second, t2)}
                 value = fs.infer(crisp).centroid
-                degrees = fs.output.fuzzify(value)
+                degrees = {term: mf(value) for term, mf in fs.output.terms}
                 argmax = max(degrees, key=degrees.get)
                 if argmax != expected:
                     failures.append((fs.name, t1, t2, argmax, expected))

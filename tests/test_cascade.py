@@ -157,8 +157,7 @@ class TestEvaluate:
                                    trace.intermediates[cascade.fs1.output.name],
                                cascade.fs2.output.name:
                                    trace.intermediates[cascade.fs2.output.name]})
-            expected = [(rule, act) for rule, act
-                        in zip(fs.rules, fs.activations(node_inputs)) if act > 0]
+            expected = [(fs.rules[r], act) for r, act in fs.fire(node_inputs)]
             fired = [f for f in trace.fired if f.node == node_name]
             assert len(fired) == len(expected)
             for f, (rule, act) in zip(fired, expected):

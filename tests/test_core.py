@@ -315,26 +315,31 @@ class TestUnseenOutputTerms:
             fs.infer({"x": 0.5})
 
 
+def degrees(var, x):
+    """Each term's degree at x, in term order."""
+    return {term: mf(x) for term, mf in var.terms}
+
+
 class TestFuzzify:
     def test_temperature_at_medium_core(self, fs1):
         var = fs1.input_variable("indoor_temperature")
-        assert var.fuzzify(20.0) == {
+        assert degrees(var, 20.0) == {
             "low": 0.0, "medium": 1.0, "high": 0.0, "v.high": 0.0}
 
     def test_humidity_at_comfortable_core(self, fs1):
         var = fs1.input_variable("indoor_humidity")
-        assert var.fuzzify(0.35) == {
+        assert degrees(var, 0.35) == {
             "dry": 0.0, "comfortable": 1.0, "humid": 0.0, "stiki": 0.0}
 
     def test_out_of_universe(self, fs1):
         var = fs1.input_variable("indoor_temperature")
         with pytest.raises(OutOfUniverseError):
-            var.fuzzify(150.0)
+            var.piece(150.0)
         with pytest.raises(OutOfUniverseError):
-            var.fuzzify(-0.001)
+            var.piece(-0.001)
         for bad in ("nan", "inf", "-inf"):
             with pytest.raises(OutOfUniverseError):
-                var.fuzzify(float(bad))
+                var.piece(float(bad))
 
     def test_coverage_of_bundled_variables(self, fs1, fs2, fs3):
         variables = [*fs1.inputs, fs1.output, *fs2.inputs, fs2.output,
@@ -397,8 +402,7 @@ class TestRuleActivation:
         fs = FuzzySubsystem("pair", (ramp_variable("x"), ramp_variable("y")),
                             out, (FuzzyRule((("x", "ramp"), ("y", "ramp")),
                                             ("z", "c")),))
-        [activation] = fs.activations({"x": d1, "y": d2})
-        return activation
+        return dict(fs.fire({"x": d1, "y": d2})).get(0, 0.0)
 
     def test_min_of_degrees(self):
         assert self.make(0.6, 0.4) == 0.4
@@ -452,7 +456,7 @@ class TestInfer:
     def test_single_full_rule_equals_consequent(self):
         fs = tiny_subsystem()
         agg = fs.infer({"x": 0.25})
-        assert agg.activations == (1.0,)
+        assert agg.fired == [(0, 1.0)]
         grid = np.linspace(0, 100, GRID_POINTS)
         assert agg.centroid == grid_centroid(0, 100, TRI(40, 55, 70).sample(grid))
 
@@ -468,13 +472,15 @@ class TestInfer:
         grid = np.linspace(out.lo, out.hi, GRID_POINTS)
         assert agg.centroid == grid_centroid(out.lo, out.hi,
                                              out.term("cool").sample(grid))
-        assert [act for act in agg.activations if act > 0.0] == [1.0]
+        assert [act for _, act in agg.fired] == [1.0]
 
     def test_aggregate_carries_activations_in_rule_order(self, fs1):
         crisp = {"indoor_temperature": 20.5, "indoor_humidity": 0.37}
         agg = fs1.infer(crisp)
-        assert agg.activations == tuple(fs1.activations(crisp))
-        assert len(agg.activations) == len(fs1.rules) == 16
+        assert agg.fired == fs1.fire(crisp)
+        rules = [r for r, _ in agg.fired]
+        assert rules == sorted(set(rules)) and rules[-1] < len(fs1.rules) == 16
+        assert all(act > 0.0 for _, act in agg.fired)
 
     def test_rule_referencing_unknown_variable_rejected(self):
         x = LinguisticVariable("x", 0, 1, (("on", TRAP(0, 0, 0.5, 1)),))
@@ -516,7 +522,7 @@ class TestDefuzzify:
             a, c = (a, a + 1e-6) if a < 50 else (c - 1e-6, c)
         mf = TRI(a, (a + c) / 2, c)
         fs = one_rule_subsystem(mf)
-        assert fs.activations({"x": height}) == [height]
+        assert fs.fire({"x": height}) == [(0, height)]
         mu = np.minimum(height, mf.sample(self.grid))
         if not np.any(mu):
             with pytest.raises(NoRuleFiredError):
@@ -528,9 +534,8 @@ class TestDefuzzify:
 
     def test_centroid_within_hull_of_active_supports(self, fs1):
         crisp = {"indoor_temperature": 20.5, "indoor_humidity": 0.37}
-        supports = [fs1.output.term(rule.consequent[1]).support
-                    for rule, act in zip(fs1.rules, fs1.activations(crisp))
-                    if act > 0]
+        supports = [fs1.output.term(fs1.rules[r].consequent[1]).support
+                    for r, _ in fs1.fire(crisp)]
         lo = min(s[0] for s in supports)
         hi = max(s[1] for s in supports)
         value = fs1.infer(crisp).centroid

@@ -1,5 +1,5 @@
 """Single-reading inference against the per-rule reference in
-`inference.py`: the same readings must give the same activations, the same
+`inference.py`: the same readings must give the same fired rules, the same
 centroid bits and the same full cascade traces, or NoRuleFiredError on both.
 A centroid memo hit must give the bits of a miss. The batch engine's
 `centroids` must give the same centroid bits row by row.
@@ -19,7 +19,7 @@ from fuzzgate import core
 from fuzzgate.cascade import DEFAULT_EXTERNALS
 from fuzzgate.core import (CENTROID_MEMO, CHUNK_ROWS, FuzzyRule, FuzzySubsystem,
                            LinguisticVariable, NoRuleFiredError)
-from inference import activations_per_rule, infer_per_rule
+from inference import activations_per_rule, fire_per_rule, infer_per_rule
 from oracle import DenseOracle
 from tables import TRAP, TRI
 from test_telemetry import gen
@@ -29,17 +29,22 @@ def bits(values):
     return [float(v).hex() for v in values]
 
 
+def pair_bits(fired):
+    """(rule index, activation) pairs with each activation as its bits."""
+    return [(r, float(act).hex()) for r, act in fired]
+
+
 def outcome(infer, fs, crisp):
-    """The activations and centroid of `infer`, as bits, or the error."""
+    """The fired rules and centroid of `infer`, as bits, or the error."""
     try:
         agg = infer(fs, crisp)
     except NoRuleFiredError as exc:
         return type(exc), str(exc)
-    return bits(agg.activations), float(agg.centroid).hex()
+    return pair_bits(agg.fired), float(agg.centroid).hex()
 
 
 def assert_same(fs, crisp):
-    assert bits(fs.activations(crisp)) == bits(activations_per_rule(fs, crisp))
+    assert pair_bits(fs.fire(crisp)) == pair_bits(fire_per_rule(fs, crisp))
     assert outcome(FuzzySubsystem.infer, fs, crisp) == \
         outcome(infer_per_rule, fs, crisp), crisp
 
@@ -349,8 +354,8 @@ def test_memo_belongs_to_its_subsystem():
 
 
 def assert_pieces(var, x):
-    """`var.piece(x)` holds x, every term not alive on it is +0.0 at x, and
-    `fuzzify` gives each term the bits of mf(x)."""
+    """`var.piece(x)` holds x, its alive terms are in term order, and every
+    term not alive on it is +0.0 at x."""
     piece = var.piece(x)
     k, point = divmod(piece, 2)
     corners = var._cuts
@@ -359,12 +364,11 @@ def assert_pieces(var, x):
     else:
         assert (k == 0 or corners[k - 1] < x) and x < corners[k]
     alive = {term for term, _ in var._alive[piece]}
-    degrees = var.fuzzify(x)
-    assert list(degrees) == [term for term, _ in var.terms]
+    assert list(var._alive[piece]) == [(term, mf) for term, mf in var.terms
+                                       if term in alive]
     for term, mf in var.terms:
         if term not in alive:
             assert float(mf(x)).hex() == "0x0.0p+0", (term, x)
-        assert float(degrees[term]).hex() == float(mf(x)).hex(), (term, x)
 
 
 @settings(max_examples=300, deadline=None)
@@ -387,9 +391,8 @@ def test_fire_gives_the_rules_with_activation_above_zero(data):
     fs = data.draw(subsystems())
     for _ in range(5):
         crisp = data.draw(readings(fs))
-        expected = [(r, act.hex()) for r, act
-                    in enumerate(activations_per_rule(fs, crisp)) if act > 0.0]
-        assert [(r, act.hex()) for r, act in fs.fire(crisp)] == expected, crisp
+        assert pair_bits(fs.fire(crisp)) == pair_bits(fire_per_rule(fs, crisp)), \
+            crisp
 
 
 def one_term(lo, hi, mf):
@@ -400,8 +403,8 @@ def one_term(lo, hi, mf):
 
 
 def fired_where(fs, xs):
-    """Each reading whose `fire` fired the rule, after checking `fire`,
-    `activations` and `infer` against the per-rule reference there."""
+    """Each reading whose `fire` fired the rule, after checking its piece,
+    and `fire` and `infer` against the per-rule reference, there."""
     fired = []
     for x in xs:
         assert_pieces(fs.inputs[0], x)
@@ -449,7 +452,7 @@ def test_edge_that_underflows_fires_nothing():
     x = 5e-324
     assert fs.inputs[0]._alive[fs.inputs[0].piece(x)] == fs.inputs[0].terms
     assert fs.fire({"x": x}) == []
-    assert bits(fs.activations({"x": x})) == ["0x0.0p+0"]
+    assert bits(activations_per_rule(fs, {"x": x})) == ["0x0.0p+0"]
     for infer in (FuzzySubsystem.infer, infer_per_rule):
         with pytest.raises(NoRuleFiredError):
             infer(fs, {"x": x})
