@@ -126,7 +126,7 @@ def cmd_check(args) -> int:
             for var in subsystem.inputs:
                 for lo, hi in var.coverage_gaps():
                     print(f"{path}: warning: input '{var.name}' has no term "
-                          f"over [{lo:g}, {hi:g}]: readings there fire no rule "
+                          f"over [{lo!r}, {hi!r}]: readings there fire no rule "
                           f"that reads it, and a record that fires no rule is "
                           f"sent as a fail-safe")
             for term in subsystem.unseen_output_terms():

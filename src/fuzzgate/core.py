@@ -206,14 +206,21 @@ class LinguisticVariable:
         k = bisect_left(cuts, x)  # cuts[k - 1] < x <= cuts[k]
         return 2 * k + (cuts[k] == x)
 
-    def coverage_gaps(self, samples: int = 1000) -> list[tuple[float, float]]:
-        """Runs of sample points of the universe where no term has degree
-        > 0, each as its first and last point."""
-        xs = np.linspace(self.lo, self.hi, samples)
-        runs = _grid_runs([mf.sample(xs) for _, mf in self.terms]) or (
-            (slice(0, samples), ()),)  # no terms: one run, none alive on it
-        return [(float(xs[run.start]), float(xs[run.stop - 1]))
-                for run, alive in runs if not alive]
+    def coverage_gaps(self) -> list[tuple[float, float]]:
+        """The stretches of [lo, hi] where no term is alive, each as its first
+        and last float: the maximal runs of pieces (see the class) with no term
+        alive that hold a float, so a covered corner keeps two runs apart. As
+        exact as `FuzzySubsystem.fire`: up to an alive edge that underflows."""
+        bounds = [self.lo]
+        for c in self._cuts[:-1]:
+            bounds += [math.nextafter(c, -math.inf), c, c, math.nextafter(c, math.inf)]
+        bounds.append(self.hi)  # piece p holds bounds[2p] to bounds[2p + 1]
+        gaps, joined = [], False  # joined: the piece before is in a gap too
+        for first, last, alive in zip(bounds[::2], bounds[1::2], self._alive):
+            if not alive:
+                gaps.append((gaps.pop()[0] if joined else first, last))
+            joined = not alive
+        return [(float(first), float(last)) for first, last in gaps if first <= last]
 
 
 @dataclass(frozen=True)
@@ -491,11 +498,9 @@ def _centroid_memo(grid: np.ndarray, samples: tuple[np.ndarray, ...],
 def _grid_runs(samples: list[np.ndarray]
                ) -> tuple[tuple[slice, tuple[int, ...]], ...]:
     """A grid as maximal runs of points where the same terms are > 0,
-    given each term's samples on it. Each run is its points and the indices
-    of those terms. No terms, no runs. `centroids` also passes its sorted
-    rows' boolean fired-term keys, as the samples of a grid of rows."""
-    if not samples:
-        return ()
+    given each term's samples on it, at least one. Each run is its points
+    and the indices of those terms. `centroids` also passes its sorted rows'
+    boolean fired-term keys, as the samples of a grid of rows."""
     alive = np.array(samples) > 0.0  # (terms, points)
     edges = np.flatnonzero((alive[:, 1:] != alive[:, :-1]).any(axis=0)) + 1
     bounds = [0, *edges.tolist(), alive.shape[1]]

@@ -193,7 +193,7 @@ class TestAcceptance:
                 degrees = mf.sample(xs)
                 if degrees.min() < 0.0 or degrees.max() > 1.0:
                     problems.append(f"bounds {var.name}.{term}")
-            if var.coverage_gaps(1000):
+            if var.coverage_gaps():
                 problems.append(f"coverage {var.name}")
 
         rng = random.Random(7)

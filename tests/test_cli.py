@@ -48,8 +48,24 @@ class TestCheck:
                   "that fires no rule is sent as a fail-safe")
         assert out.splitlines() == [
             f"{gap}: ok, system 's', 2 inputs, 2 rules",
-            f"{gap}: warning: input 'x' has no term over [4.004, 5.996]: {reason}",
-            f"{gap}: warning: input 'z' has no term over [0.901902, 1]: {reason}"]
+            f"{gap}: warning: input 'x' has no term over [4.0, 6.0]: {reason}",
+            f"{gap}: warning: input 'z' has no term over [0.9, 1.0]: {reason}"]
+
+    def test_gap_at_one_point_warns_as_eval_fails(self, capsys, tmp_path):
+        # FS1 with `medium` moved right: at 20 both `low` and `high` end, so
+        # only the one reading 20 is in no term, and `eval` fires no rule.
+        bundled = (bundled_fis_dir() / FIS_FILES["fs1"]).read_text()
+        moved = tmp_path / "fs1.fis.txt"
+        moved.write_text(bundled.replace("term medium triangle 18.5 20 21.5",
+                                         "term medium triangle 20 20.75 21.5"))
+        code, out, _ = run(capsys, ["check", str(moved)])
+        assert code == 0
+        assert f"{moved}: warning: input 'indoor_temperature' has no term " \
+            f"over [20.0, 20.0]: " in out
+        assert out.count("warning") == 1
+        code, _, err = run(capsys, ["eval", "--fis1", str(moved), *READING])
+        assert code == 1
+        assert "no rule fired" in err
 
     def test_output_term_between_grid_points_warns(self, capsys, tmp_path):
         # FS3 with `send` narrower than the grid step: its rules fire, but

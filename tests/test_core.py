@@ -346,20 +346,26 @@ class TestFuzzify:
                      fs3.output]
         assert len(variables) == 7
         for var in variables:
-            assert var.coverage_gaps(1000) == [], var.name
+            assert var.coverage_gaps() == [], var.name
 
-    @pytest.mark.parametrize("terms, gaps", [
-        # At the start, inside and at the end: the edge samples are 0.
-        ((TRI(2, 3, 4), TRAP(5, 6, 7, 8)),
+    @pytest.mark.parametrize("terms, hi, gaps", [
+        # At the start, inside and at the end: the edge corners are 0.
+        ((TRI(2, 3, 4), TRAP(5, 6, 7, 8)), 10,
          [(0.0, 2.0), (4.0, 5.0), (8.0, 10.0)]),
-        # Two terms meeting at one sample where both are 0.
-        ((TRAP(0, 0, 4, 5), TRAP(5, 6, 10, 10)), [(5.0, 5.0)]),
-        ((), [(0.0, 10.0)]),
-    ], ids=["start-inside-end", "meeting-at-zero", "no-terms"])
-    def test_coverage_gaps(self, terms, gaps):
+        # Two terms meeting at one corner where both are 0.
+        ((TRAP(0, 0, 4, 5), TRAP(5, 6, 10, 10)), 10, [(5.0, 5.0)]),
+        ((), 10, [(0.0, 10.0)]),
+        # A spike keeps the gaps on either side of it apart.
+        ((TRAP(10, 10, 10, 10),), 12, [(0.0, math.nextafter(10, -math.inf)),
+                                       (math.nextafter(10, math.inf), 12.0)]),
+        # A vertical edge: 1 at 10 itself, 0 just above.
+        ((TRAP(0, 0, 10, 10),), 12, [(math.nextafter(10, math.inf), 12.0)]),
+    ], ids=["start-inside-end", "meeting-at-zero", "no-terms", "spike",
+            "vertical-edge"])
+    def test_coverage_gaps(self, terms, hi, gaps):
         var = LinguisticVariable(
-            "v", 0, 10, tuple((f"t{i}", mf) for i, mf in enumerate(terms)))
-        assert var.coverage_gaps(11) == gaps
+            "v", 0, hi, tuple((f"t{i}", mf) for i, mf in enumerate(terms)))
+        assert var.coverage_gaps() == gaps
 
     def test_duplicate_term_names_rejected(self):
         with pytest.raises(ValueError):

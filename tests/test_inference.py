@@ -383,6 +383,34 @@ def test_piece_tables(data):
         assert_pieces(var, data.draw(st.floats(var.lo, var.hi)))
 
 
+@settings(max_examples=300, deadline=None)
+@given(variables("x"))
+def test_coverage_gaps_are_exact(var):
+    """On drawn variables: the gaps are sorted, disjoint, inside the universe
+    and maximal; a corner is in a gap exactly when every term is 0 there;
+    every probe point in a gap has every term at 0; and every point that a
+    1,000-point scan finds in no term lies in a gap."""
+    gaps = var.coverage_gaps()
+    assert all(var.lo <= first <= last <= var.hi for first, last in gaps)
+    assert all(last < first for (_, last), (first, _) in zip(gaps, gaps[1:]))
+
+    def in_gap(x):
+        return any(first <= x <= last for first, last in gaps)
+
+    for first, last in gaps:  # the floats just outside a gap are covered
+        for x in (math.nextafter(first, -math.inf), math.nextafter(last, math.inf)):
+            assert not var.contains(x) or var._alive[var.piece(x)], x
+    for corner in var._cuts[:-1]:
+        assert in_gap(corner) == all(mf(corner) == 0.0 for _, mf in var.terms)
+    for x in probe_points(var):
+        if in_gap(x):
+            assert all(mf(x) == 0.0 for _, mf in var.terms), x
+    xs = np.linspace(var.lo, var.hi, 1000)  # the reference: a sampled scan
+    dead = ~np.any([mf.sample(xs) > 0.0 for _, mf in var.terms], axis=0)
+    for x in xs[dead].tolist():
+        assert in_gap(x), x
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_fire_gives_the_rules_with_activation_above_zero(data):
