@@ -90,10 +90,10 @@ class MembershipFunction:
 
     def __post_init__(self):
         pts = self.corners
-        if len(pts) != 4 or not all(map(math.isfinite, pts)) or \
-                any(a > b for a, b in zip(pts, pts[1:])):
-            raise ValueError(f"corners must be four finite, non-decreasing "
-                             f"numbers, got {pts}")
+        if len(pts) != 4 or not all(map(math.isfinite, pts)):
+            raise ValueError(f"corners must be four finite numbers, got {pts}")
+        if any(a > b for a, b in zip(pts, pts[1:])):
+            raise ValueError(f"non-monotone corners {pts}: each must be <= the next")
 
     @property
     def support(self) -> tuple[float, float]:
@@ -271,8 +271,8 @@ class FuzzySubsystem:
         lo, hi = self.output.lo, self.output.hi
         if not math.isfinite(GRID_POINTS * max(abs(lo), abs(hi))):
             # The centroid's weighted grid sum, at most this product, would be inf.
-            raise ValueError(f"output universe of '{self.name}' [{lo}, {hi}] is too "
-                             f"large: its centroid sum would overflow a float")
+            raise ValueError(f"output universe of '{self.output.name}' [{lo}, {hi}] "
+                             f"is too large: its centroid sum would overflow a float")
         inputs = {v.name: v for v in self.inputs}
         output = {self.output.name: self.output}
         for number, rule in enumerate(self.rules, 1):

@@ -22,7 +22,7 @@ import re
 from dataclasses import dataclass, field, replace
 from itertools import islice
 
-from .core import (GRID_POINTS, FuzzyRule, FuzzySubsystem, LinguisticVariable,
+from .core import (FuzzyRule, FuzzySubsystem, LinguisticVariable,
                    MembershipFunction)
 
 KEYWORDS = {"system", "input", "output", "universe", "unit", "term",
@@ -259,44 +259,48 @@ def parse(text: str) -> tuple[FisDocument | None, list[Diagnostic]]:
 def validate(doc: FisDocument) -> tuple[FuzzySubsystem | None, list[Diagnostic]]:
     """Resolve references and build a ready FuzzySubsystem.
 
-    Errors (unknown names, non-monotone breakpoints, supports outside the
-    universe, duplicates, two rules with the same antecedents, missing
-    output) block the subsystem; an incomplete rule grid is a warning only.
+    Each declaration is built as the model type it declares, and a
+    ValueError of that type is an error at the declaration's span: a
+    MembershipFunction per term; a LinguisticVariable per variable, grown
+    one term at a time, so that a refused term is left out and the next is
+    still checked; and FuzzySubsystem's bound on the output universe. The
+    language's own errors are duplicate variables, variables with no terms,
+    other than one output, two rules with the same antecedents, and rules
+    that name an unknown variable or term, conclude on an input or read the
+    output. Errors block the subsystem; an incomplete rule grid is a warning
+    only.
     """
     diagnostics: list[Diagnostic] = []
 
     def error(message: str, span: SourceSpan):
         diagnostics.append(Diagnostic("error", message, span))
 
+    def build(span: SourceSpan, make, *args, **kwargs):
+        """make(*args, **kwargs), or None and an error at span if it raises
+        ValueError."""
+        try:
+            return make(*args, **kwargs)
+        except ValueError as exc:
+            error(str(exc), span)
+
     seen: dict[str, VariableDecl] = {}
+    built: dict[str, LinguisticVariable | None] = {}
     for var in doc.variables:
         if var.name in seen:
             error(f"duplicate variable '{var.name}'", var.span)
             continue
         seen[var.name] = var
-        if not var.lo < var.hi:
-            error(f"empty universe [{var.lo}, {var.hi}] for variable '{var.name}'",
-                  var.span)
-        elif not math.isfinite(var.hi - var.lo):
-            error(f"universe [{var.lo}, {var.hi}] of variable '{var.name}' is "
-                  f"wider than a float can hold", var.span)
-        elif (var.direction == "output"
-              and not math.isfinite(GRID_POINTS * max(abs(var.lo), abs(var.hi)))):
-            error(f"universe [{var.lo}, {var.hi}] of output variable '{var.name}' "
-                  f"is too large: its centroid sum would overflow a float", var.span)
-        term_names = set()
+        lv = build(var.span, LinguisticVariable, var.name, var.lo, var.hi, (),
+                   var.unit)
+        if lv is not None and var.direction == "output":
+            build(var.span, FuzzySubsystem, doc.name, (), lv, ())
         for term in var.terms:
-            if term.name in term_names:
-                error(f"duplicate term '{term.name}' on variable '{var.name}'",
-                      term.span)
-            term_names.add(term.name)
-            pts = term.breakpoints
-            if any(a > b for a, b in zip(pts, pts[1:])):
-                error(f"non-monotone breakpoints {pts} for term '{term.name}'",
-                      term.span)
-            elif pts[0] < var.lo or pts[-1] > var.hi:
-                error(f"support of term '{term.name}' [{pts[0]}, {pts[-1]}] lies "
-                      f"outside the universe [{var.lo}, {var.hi}]", term.span)
+            pts = term.breakpoints  # a triangle (a, b, c) is (a, b, b, c)
+            mf = build(term.span, MembershipFunction, (*pts[:2], *pts[-2:]))
+            if mf is not None and lv is not None:
+                lv = build(term.span, replace, lv,
+                           terms=(*lv.terms, (term.name, mf))) or lv
+        built[var.name] = lv
         if not var.terms:
             error(f"variable '{var.name}' declares no terms", var.span)
 
@@ -336,23 +340,9 @@ def validate(doc: FisDocument) -> tuple[FuzzySubsystem | None, list[Diagnostic]]
             f"rule bank has {len(doc.rules)} rules but the input term grid "
             f"has {grid_size} combinations", doc.span))
 
-    def corners(term: TermDecl) -> tuple[float, float, float, float]:
-        if term.kind == "triangle":  # (a, b, c) is the trapezoid (a, b, b, c)
-            a, b, c = term.breakpoints
-            return a, b, b, c
-        return term.breakpoints
-
-    def build_variable(decl: VariableDecl) -> LinguisticVariable:
-        terms = tuple((t.name, MembershipFunction(corners(t))) for t in decl.terms)
-        return LinguisticVariable(decl.name, decl.lo, decl.hi, terms, decl.unit)
-
-    subsystem = FuzzySubsystem(
-        name=doc.name,
-        inputs=tuple(build_variable(v) for v in inputs),
-        output=build_variable(outputs[0]),
-        rules=tuple(FuzzyRule(r.antecedents, r.consequent) for r in doc.rules),
-    )
-    return subsystem, diagnostics
+    rules = tuple(FuzzyRule(r.antecedents, r.consequent) for r in doc.rules)
+    return FuzzySubsystem(doc.name, tuple(built[v.name] for v in inputs),
+                          built[outputs[0].name], rules), diagnostics
 
 
 def load_subsystem(path) -> tuple[FuzzySubsystem | None, list[Diagnostic]]:

@@ -5,6 +5,7 @@
 same bits for every record: intermediates, score, label, clamped flag and
 fail-safe sends.
 """
+import dataclasses
 import math
 import random
 from datetime import datetime, timedelta
@@ -12,7 +13,7 @@ from datetime import datetime, timedelta
 import numpy as np
 import pytest
 
-from fuzzgate.cascade import DEFAULT_EXTERNALS, SEND, Cascade
+from fuzzgate.cascade import DEFAULT_EXTERNALS, NOT_SEND, SEND, Cascade
 from fuzzgate.core import FuzzySubsystem, NoRuleFiredError
 from fuzzgate.energy import REFERENCE_JOULES_PER_PACKET
 from fuzzgate.sim import TelemetryRecord, load_telemetry, run_fuzzy
@@ -118,6 +119,20 @@ class TestPathsAgree:
     def test_fixture(self, cascade, fixture_csv):
         records, _ = load_telemetry(fixture_csv)
         assert_paths_agree(cascade, records)
+
+    @pytest.mark.parametrize("below, label", [(False, SEND), (True, NOT_SEND)],
+                             ids=["at-the-score", "one-float-below"])
+    def test_threshold_tie(self, cascade, fixture_csv, below, label):
+        """A threshold exactly at a record's score sends it, on both paths;
+        one float below that score does not."""
+        records, _ = load_telemetry(fixture_csv)
+        first = readings(next(iter(records)))
+        score = cascade.evaluate(first, clamp=True).score
+        threshold = math.nextafter(score, -math.inf) if below else score
+        tied = dataclasses.replace(cascade, threshold=threshold)
+        assert tied.evaluate(first, clamp=True).label == label
+        result = assert_paths_agree(tied, records)
+        assert bool(result.decisions[0]) == (label == SEND)
 
     def test_generated_records(self, cascade):
         records = generated_records(cascade, 3000)

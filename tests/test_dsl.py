@@ -8,6 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import FIS_FILES
 from fuzzgate.cascade import DEFAULT_EXTERNALS, Cascade, bundled_fis_dir
+from fuzzgate.core import (FuzzyRule, FuzzySubsystem, LinguisticVariable,
+                           MembershipFunction)
 from fis_format import serialize, structurally_equal
 from fuzzgate.dsl import SourceSpan, load_subsystem, parse, validate
 
@@ -315,6 +317,118 @@ class TestLoadSubsystem:
         assert "UTF-8" in diags[0].message
 
 
+X_A = "input x universe 0 10\n  term a triangle 0 5 10\n"
+Y_T = "output y universe 0 1\n  term t triangle 0 0.5 1\n"
+RULE = "rule if x is a then y is t\n"
+
+#: (definition text, every diagnostic `validate` gives for it as
+#: (severity, message, line, column, length)), one case per kind of
+#: diagnostic, then two files with several errors each. Every text parses
+#: cleanly.
+VALIDATE_TABLE = [
+    ("system s\n" + X_A + X_A + Y_T + RULE, [
+        ("error", "duplicate variable 'x'", 4, 1, 5),
+    ]),
+    ("system s\ninput x universe 3 3\n  term a triangle 3 3 3\n" + Y_T + RULE, [
+        ("error", "universe of 'x' is empty: [3.0, 3.0]", 2, 1, 5),
+    ]),
+    ("system s\n" + X_A + "output y universe -1e308 1e308\n"
+     "  term t triangle 0 0.5 1\n" + RULE, [
+        ("error", "universe of 'y' is wider than a float can hold: "
+                  "[-1e+308, 1e+308]", 4, 1, 6),
+    ]),
+    ("system s\n" + X_A + "output y universe 0 1e308\n"
+     "  term t triangle 0 5e307 1e308\n" + RULE, [
+        ("error", "output universe of 'y' [0.0, 1e+308] is too large: its "
+                  "centroid sum would overflow a float", 4, 1, 6),
+    ]),
+    ("system s\n" + X_A + "  term a triangle 0 2 4\n" + Y_T + RULE, [
+        ("error", "duplicate term names on variable 'x'", 4, 3, 4),
+    ]),
+    ("system s\ninput x universe 0 10\n  term a triangle 5 3 7\n" + Y_T + RULE, [
+        ("error", "non-monotone corners (5.0, 3.0, 3.0, 7.0): each must be <= "
+                  "the next", 3, 3, 4),
+    ]),
+    ("system s\ninput x universe 0 10\n  term a trapezoid 0 5 4 10\n" + Y_T
+     + RULE, [
+        ("error", "non-monotone corners (0.0, 5.0, 4.0, 10.0): each must be <= "
+                  "the next", 3, 3, 4),
+    ]),
+    ("system s\ninput x universe 0 10\n  term a triangle -1 5 10\n" + Y_T + RULE, [
+        ("error", "support of term 'a' [-1.0, 10.0] is outside the universe of "
+                  "'x' [0.0, 10.0]", 3, 3, 4),
+    ]),
+    ("system s\ninput x universe 0 10\n" + Y_T + RULE, [
+        ("error", "variable 'x' declares no terms", 2, 1, 5),
+        ("error", "unknown term 'a' on variable 'x'", 5, 1, 4),
+    ]),
+    ("system s\n" + X_A, [
+        ("error", "expected exactly one output variable, found 0", 1, 1, 6),
+    ]),
+    ("system s\n" + X_A + Y_T + "output z universe 0 1\n"
+     "  term t triangle 0 0.5 1\n" + RULE, [
+        ("error", "expected exactly one output variable, found 2", 1, 1, 6),
+    ]),
+    ("system s\n" + X_A + Y_T + RULE + RULE, [
+        ("error", "rule repeats the antecedents of the rule on line 6", 7, 1, 4),
+    ]),
+    ("system s\n" + X_A + Y_T + "rule if w is a then y is t\n", [
+        ("error", "unknown variable 'w'", 6, 1, 4),
+    ]),
+    ("system s\n" + X_A + Y_T + "rule if x is b then y is t\n", [
+        ("error", "unknown term 'b' on variable 'x'", 6, 1, 4),
+    ]),
+    ("system s\n" + X_A + Y_T + "rule if x is a then x is a\n", [
+        ("error", "rule consequent targets input variable 'x'", 6, 1, 4),
+    ]),
+    ("system s\n" + X_A + Y_T + RULE + "rule if y is t then y is t\n", [
+        ("error", "rule antecedent reads output variable 'y'", 7, 1, 4),
+    ]),
+    ("system s\n" + X_A + "  term b triangle 0 8 10\n" + Y_T + RULE, [
+        ("warning", "rule bank has 1 rules but the input term grid has 2 "
+                    "combinations", 1, 1, 6),
+    ]),
+    ("system s\ninput x universe 10 0\n  term bad triangle 5 3 7\n"
+     "  term w triangle 0 5 12\noutput y universe 0 1e308\n"
+     "  term t triangle 0 0.5 1\nrule if x is bad then y is t\n", [
+        ("error", "universe of 'x' is empty: [10.0, 0.0]", 2, 1, 5),
+        ("error", "non-monotone corners (5.0, 3.0, 3.0, 7.0): each must be <= "
+                  "the next", 3, 3, 4),
+        ("error", "output universe of 'y' [0.0, 1e+308] is too large: its "
+                  "centroid sum would overflow a float", 5, 1, 6),
+    ]),
+    ("system s\ninput x universe 0 10\n  term a triangle 0 5 10\n"
+     "  term a triangle 0 2 4\n  term wide trapezoid 5 8 10 11\n"
+     "  term bad triangle 9 4 6\n  term ok triangle 5 10 10\n" + Y_T
+     + "rule if x is a then y is t\nrule if x is wide then y is t\n"
+       "rule if x is bad then y is t\nrule if x is ok then y is t\n", [
+        ("error", "duplicate term names on variable 'x'", 4, 3, 4),
+        ("error", "support of term 'wide' [5.0, 11.0] is outside the universe of "
+                  "'x' [0.0, 10.0]", 5, 3, 4),
+        ("error", "non-monotone corners (9.0, 4.0, 4.0, 6.0): each must be <= "
+                  "the next", 6, 3, 4),
+    ]),
+]
+
+VALIDATE_IDS = ["duplicate-variable", "empty-universe", "too-wide-universe",
+                "output-overflow", "duplicate-term", "non-monotone-triangle",
+                "non-monotone-trapezoid", "support-outside", "no-terms",
+                "no-output", "two-outputs", "repeated-antecedents",
+                "unknown-variable", "unknown-term", "consequent-on-input",
+                "antecedent-on-output", "incomplete-grid", "multi-error-1",
+                "multi-error-2"]
+
+
+class TestValidateTable:
+    @pytest.mark.parametrize("text, expected", VALIDATE_TABLE,
+                             ids=VALIDATE_IDS)
+    def test_every_diagnostic(self, text, expected):
+        subsystem, diags = validate(parse_ok(text))
+        assert [(d.severity, d.message, d.span.line, d.span.column, d.span.length)
+                for d in diags] == expected
+        assert (subsystem is None) == any(d.severity == "error" for d in diags)
+
+
 class TestValidate:
     def build(self, text):
         return validate(parse_ok(text))
@@ -435,6 +549,88 @@ class TestValidate:
         assert subsystem is not None
         assert [d for d in diags if d.severity == "error"] == []
         assert len(subsystem.rules) == rules
+
+
+#: Universes as (lo, hi). The good ones, drawn three times as often: for the
+#: output, one just below the bound where 1,001 times the larger magnitude
+#: overflows a float (about 1.796e305). The bad ones: empty, reversed, wider
+#: than a float and, for the output, just above that bound.
+INPUT_UNIVERSES = [(0.0, 10.0), (-5.0, 5.0)] * 3 + [
+    (10.0, 0.0), (3.0, 3.0), (-1e308, 1e308)]
+OUTPUT_UNIVERSES = [(0.0, 10.0), (-5.0, 5.0), (0.0, 1.79e305),
+                    (-1.79e305, 0.0)] * 3 + [
+    (10.0, 0.0), (3.0, 3.0), (-1e308, 1e308), (0.0, 1.8e305), (-1.8e305, 1.0)]
+
+
+@st.composite
+def declared_variable(draw, name, universes):
+    """(name, lo, hi, terms): one to three terms, each (name, breakpoints).
+    About one term in four has a flaw: its breakpoints reversed, its first
+    one below the universe, or the name of an earlier term."""
+    lo, hi = draw(st.sampled_from(universes))
+    point = st.floats(min(lo, hi), max(lo, hi))
+    terms = []
+    for k in range(draw(st.integers(1, 3))):
+        points = sorted(draw(st.lists(point, min_size=3, max_size=4)))
+        term = f"t{k}"
+        flaw = draw(st.sampled_from([None] * 9 + ["reversed", "below", "repeat"]))
+        if flaw == "reversed":
+            points.reverse()
+        elif flaw == "below":
+            points[0] = min(lo, hi) - 1.0
+        elif flaw == "repeat" and terms:
+            term = terms[-1][0]
+        terms.append((term, tuple(points)))
+    return name, lo, hi, terms
+
+
+@st.composite
+def definitions(draw):
+    """(text, variables, rules): one or two inputs and one output, last,
+    with a rule for each combination of the inputs' distinct term names."""
+    variables = [draw(declared_variable(f"x{i}", INPUT_UNIVERSES))
+                 for i in range(draw(st.integers(1, 2)))]
+    variables.append(draw(declared_variable("y", OUTPUT_UNIVERSES)))
+    names = [list(dict.fromkeys(term for term, _ in terms))
+             for _, _, _, terms in variables]
+    rules = tuple(
+        FuzzyRule(tuple((var[0], term) for var, term in zip(variables, combo)),
+                  ("y", draw(st.sampled_from(names[-1]))))
+        for combo in itertools.product(*names[:-1]))
+    lines = ["system s"]
+    for i, (name, lo, hi, terms) in enumerate(variables):
+        kind = "output" if i == len(variables) - 1 else "input"
+        lines.append(f"{kind} {name} universe {lo!r} {hi!r}")
+        lines += [f"  term {term} {'triangle' if len(pts) == 3 else 'trapezoid'} "
+                  + " ".join(map(repr, pts)) for term, pts in terms]
+    lines += ["rule if " + " and ".join(f"{v} is {t}" for v, t in rule.antecedents)
+              + f" then y is {rule.consequent[1]}" for rule in rules]
+    return "\n".join(lines) + "\n", variables, rules
+
+
+def build_directly(variables, rules):
+    """The subsystem built from the core types alone; a triangle (a, b, c) is
+    the trapezoid (a, b, b, c)."""
+    built = [LinguisticVariable(name, lo, hi, tuple(
+        (term, MembershipFunction(pts if len(pts) == 4 else
+                                  (pts[0], pts[1], pts[1], pts[2])))
+        for term, pts in terms)) for name, lo, hi, terms in variables]
+    return FuzzySubsystem("s", tuple(built[:-1]), built[-1], rules)
+
+
+class TestValidateAgreesWithCore:
+    @settings(max_examples=300, deadline=None)
+    @given(definitions())
+    def test_same_subsystem_or_none(self, definition):
+        """`validate` gives a subsystem exactly when the core types built
+        from the same numbers raise nothing, and it is the same subsystem."""
+        text, variables, rules = definition
+        subsystem, diags = validate(parse_ok(text))
+        try:
+            expected = build_directly(variables, rules)
+        except ValueError:
+            expected = None
+        assert subsystem == expected, [d.format() for d in diags]
 
 
 class TestSerialize:

@@ -8,6 +8,7 @@ import dataclasses
 import functools
 import itertools
 import math
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -15,6 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import load_bundled
+from exact import ExactSubsystem, centroid_bound, tiny
 from fuzzgate import core
 from fuzzgate.cascade import DEFAULT_EXTERNALS
 from fuzzgate.core import (CENTROID_MEMO, CHUNK_ROWS, FuzzyRule, FuzzySubsystem,
@@ -421,6 +423,36 @@ def test_fire_gives_the_rules_with_activation_above_zero(data):
         crisp = data.draw(readings(fs))
         assert pair_bits(fs.fire(crisp)) == pair_bits(fire_per_rule(fs, crisp)), \
             crisp
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_exact_reference(data):
+    """`infer` and `centroids` against exact arithmetic at the engine's grid
+    (`exact.py`): the same rules fire, each activation within the three
+    roundings of a degree and each centroid within `centroid_bound`. A
+    reading with an exact activation below the smallest normal float may
+    fire less on the engine, and is not compared."""
+    fs = data.draw(subsystems())
+    crisp = data.draw(readings(fs))
+    exact = ExactSubsystem(fs)
+    fired = exact.fire(crisp)
+    if tiny(fired):
+        return
+    got = fs.fire(crisp)
+    assert [r for r, _ in got] == [r for r, _ in fired], crisp
+    for (_, act), (_, want) in zip(got, fired):
+        assert abs(Fraction(act) - want) <= 3.01 * 2**-53 * want, crisp
+    centroid = exact.centroid(fired)
+    batch = fs.centroids([np.array([crisp[var.name]]) for var in fs.inputs])
+    if centroid is None:
+        with pytest.raises(NoRuleFiredError):
+            fs.infer(crisp)
+        assert math.isnan(batch[0])
+        return
+    bound = centroid_bound(fs)
+    assert abs(Fraction(fs.infer(crisp).centroid) - centroid) <= bound, crisp
+    assert abs(Fraction(float(batch[0])) - centroid) <= bound, crisp
 
 
 def one_term(lo, hi, mf):
