@@ -52,13 +52,11 @@ class DecisionTrace:
     fired: tuple[FiredRule, ...]
 
 
-def decide(score: float, threshold: float = DEFAULT_THRESHOLD) -> str:
-    """Map the crisp decision score to a send / not-send label.
-
-    Send below the threshold; a score exactly at the threshold is Send, the
-    fail-safe tie policy (monitoring continuity wins). NotSend above it.
-    """
-    return SEND if score <= threshold else NOT_SEND
+def sends(score, threshold: float = DEFAULT_THRESHOLD):
+    """Whether a crisp decision score, or each score of an array, is sent:
+    at or below the threshold. A score exactly at the threshold is sent, the
+    fail-safe tie policy (monitoring continuity wins); a NaN score is not."""
+    return score <= threshold
 
 
 @dataclass(frozen=True)
@@ -171,8 +169,9 @@ class Cascade:
         intermediates = {self.fs1.output.name: run("fs1", self.fs1, node_inputs[0]),
                          self.fs2.output.name: run("fs2", self.fs2, node_inputs[1])}
         score = run("fs3", self.fs3, intermediates)
+        label = SEND if sends(score, self.threshold) else NOT_SEND
         return DecisionTrace(readings, tuple(clamped), intermediates, score,
-                             decide(score, self.threshold), tuple(fired))
+                             label, tuple(fired))
 
     def evaluate_columns(self, columns: Sequence[np.ndarray]
                          ) -> tuple[np.ndarray, ...]:

@@ -52,17 +52,12 @@ def _add_fis_options(parser: argparse.ArgumentParser):
 
 def _add_energy_options(parser: argparse.ArgumentParser):
     parser.add_argument("--energy-mode", choices=["physical", "calibrated"],
-                        default="calibrated")
+                        default="calibrated", help="physical: the paper's "
+                        "packet, packet_energy(); calibrated (the default): "
+                        "--per-packet-joules, else the reference run's figure")
     parser.add_argument("--per-packet-joules", type=float, default=None,
-                        help="calibrated mode: joules per packet")
-    parser.add_argument("--current", type=float,
-                        help="physical mode: transmit current in amperes")
-    parser.add_argument("--voltage", type=float,
-                        help="physical mode: supply voltage in volts")
-    parser.add_argument("--header-bits", type=int,
-                        help="physical mode: packet header size in bits")
-    parser.add_argument("--data-bits", type=int,
-                        help="physical mode: packet payload size in bits")
+                        help="calibrated mode: joules per packet, such as "
+                        "another radio's packet_energy(...)")
 
 
 def _add_mapping_options(parser: argparse.ArgumentParser):
@@ -75,20 +70,12 @@ def _add_mapping_options(parser: argparse.ArgumentParser):
 
 
 def _joules_per_packet(args) -> float:
-    """Joules per packet from the flags the energy mode reads; a flag that
-    the mode does not read is an error, so that it is never ignored."""
-    physical = {"--current": ("current_a", args.current),
-                "--voltage": ("voltage_v", args.voltage),
-                "--header-bits": ("header_bits", args.header_bits),
-                "--data-bits": ("data_bits", args.data_bits)}
+    """Joules per packet of the energy mode; physical mode refuses
+    --per-packet-joules, so that the flag is never ignored."""
     if args.energy_mode == "physical":
         if args.per_packet_joules is not None:
             raise ValueError("physical energy mode does not read --per-packet-joules")
-        return packet_energy(**{name: value for name, value in physical.values()
-                                if value is not None})
-    unread = [flag for flag, (_, value) in physical.items() if value is not None]
-    if unread:
-        raise ValueError(f"calibrated energy mode does not read {', '.join(unread)}")
+        return packet_energy()
     if args.per_packet_joules is not None:
         return args.per_packet_joules
     return REFERENCE_JOULES_PER_PACKET
@@ -254,8 +241,7 @@ def cmd_simulate(args) -> int:
         telemetry, report = load_telemetry(args.dataset, _build_mapping(args),
                                            policy)
         result = run_fuzzy(telemetry, c, joules_per_packet)
-    except (ValueError, OverflowError) as exc:
-        # OverflowError: a packet size too large for a float.
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     if report.skipped_rows:

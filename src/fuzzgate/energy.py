@@ -36,9 +36,9 @@ def packet_energy(current_a: float = 0.280, voltage_v: float = 5.0,
                   header_bits: int = 288, data_bits: int = 960) -> float:
     """Joules to transmit one packet, E = i * v * t_p. The default packet
     holds one sensor reading."""
-    if current_a <= 0:
+    if not current_a > 0:  # NaN too
         raise ValueError("current_a must be strictly positive")
-    if voltage_v <= 0:
+    if not voltage_v > 0:
         raise ValueError("voltage_v must be strictly positive")
     if header_bits < 0 or data_bits < 0:
         raise ValueError("packet sizes must be non-negative")

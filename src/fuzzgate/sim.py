@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .cascade import Cascade
+from .cascade import Cascade, sends
 
 TIMESTAMP_FORMAT = "%Y-%m-%d %H:%M:%S"
 
@@ -330,7 +330,7 @@ def run_fuzzy(telemetry: Telemetry, cascade: Cascade,
     clamped, apparent, usage, score = cascade.evaluate_columns(
         telemetry.readings.T)
     failsafe = np.isnan(score)
-    send = failsafe | (score <= cascade.threshold)
+    send = failsafe | sends(score, cascade.threshold)
     clamped &= ~failsafe
     # cumsum adds in sequence, as a running total would.
     with np.errstate(over="ignore"):

@@ -19,7 +19,7 @@ from fuzzgate.sim import load_telemetry, run_fuzzy
 
 from conftest import FIS_FILES, load_bundled
 from fis_format import serialize, structurally_equal
-from fuzzgate.cascade import bundled_fis_dir, decide
+from fuzzgate.cascade import NOT_SEND, SEND, bundled_fis_dir, sends
 from oracle import DenseOracle
 from tables import FS1_TABLE, FS2_TABLE, FS3_TABLE, core_point
 
@@ -61,7 +61,8 @@ class TestAcceptance:
         for (t1, t2), expected in FS3_TABLE.items():
             crisp = {first.name: core_point(first, t1),
                      second.name: core_point(second, t2)}
-            label = decide(cascade.fs3.infer(crisp).centroid, cascade.threshold)
+            score = cascade.fs3.infer(crisp).centroid
+            label = SEND if sends(score, cascade.threshold) else NOT_SEND
             if label != expected:
                 failures.append(("fs3", t1, t2, label, expected))
         elapsed = time.perf_counter() - start

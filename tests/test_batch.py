@@ -1,14 +1,16 @@
-"""The batch engine against the single-reading path.
+"""The batch engine against the single-reading path and exact arithmetic.
 
 `run_fuzzy` evaluates whole columns through `Cascade.evaluate_columns`;
 `eval` and single readings go through `Cascade.evaluate`. Both must give the
 same bits for every record: intermediates, score, label, clamped flag and
-fail-safe sends.
+fail-safe sends. Each node of `evaluate_columns` must also be within
+`centroid_bound` of the exact reference in `exact.py`.
 """
 import dataclasses
 import math
 import random
 from datetime import datetime, timedelta
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from fuzzgate.cascade import DEFAULT_EXTERNALS, NOT_SEND, SEND, Cascade
 from fuzzgate.core import FuzzySubsystem, NoRuleFiredError
 from fuzzgate.energy import REFERENCE_JOULES_PER_PACKET
 from fuzzgate.sim import TelemetryRecord, load_telemetry, run_fuzzy
+from exact import ExactSubsystem, centroid_bound, tiny
 from telemetry import telemetry_of
 
 MIDNIGHT = datetime(2016, 1, 11)
@@ -187,3 +190,56 @@ class TestPathsAgree:
         assert result.transmissions == result.failsafe_sends == 0
         empty = cascade.evaluate_columns([np.array([])] * 4)
         assert [len(column) for column in empty] == [0] * 4
+
+
+def exact_centroid(exact, fs, values):
+    """The exact centroid of `fs` at these input values, in input order, or
+    None where no rule fires."""
+    fired = exact.fire(dict(zip((var.name for var in fs.inputs), values)))
+    assert not tiny(fired), values
+    return exact.centroid(fired)
+
+
+def assert_near(got, want, fs):
+    """`got` is NaN exactly where `want` is None, else within the bound."""
+    if want is None:
+        assert math.isnan(got)
+    else:
+        assert abs(Fraction(got) - want) <= centroid_bound(fs), (got, want)
+
+
+def test_columns_against_exact_reference(cascade):
+    """`evaluate_columns` node by node against exact arithmetic: FS1 and FS2
+    on the clamped readings, FS3 on the engine's own intermediates. The rows
+    are each external's term corners, in turn and reversed, then seeded
+    readings drawn across its universe and a tenth of its span past each
+    end."""
+    variables = cascade.fs1.inputs + cascade.fs2.inputs
+    corners = [sorted({p for _, mf in var.terms for p in mf.corners})
+               for var in variables]
+    n = max(map(len, corners))
+    rng = np.random.default_rng(17)
+    columns = []
+    for var, points in zip(variables, corners):
+        span = var.hi - var.lo
+        columns.append(np.concatenate([
+            np.resize(points, n), np.resize(points[::-1], n),
+            rng.uniform(var.lo - 0.1 * span, var.hi + 0.1 * span, 74)]))
+    _, apparent, usage, score = cascade.evaluate_columns(columns)
+    exact = {node: ExactSubsystem(fs) for node, fs in cascade.nodes.items()}
+    fs1, fs2, fs3 = cascade.fs1, cascade.fs2, cascade.fs3
+    for row in range(len(score)):
+        readings = [min(max(float(xs[row]), var.lo), var.hi)
+                    for xs, var in zip(columns, variables)]
+        stage_one = (exact_centroid(exact["fs1"], fs1, readings[:2]),
+                     exact_centroid(exact["fs2"], fs2, readings[2:]))
+        if None in stage_one:
+            assert np.isnan([apparent[row], usage[row], score[row]]).all()
+            continue
+        assert_near(float(apparent[row]), stage_one[0], fs1)
+        assert_near(float(usage[row]), stage_one[1], fs2)
+        intermediates = {fs1.output.name: float(apparent[row]),
+                         fs2.output.name: float(usage[row])}
+        assert_near(float(score[row]), exact_centroid(
+            exact["fs3"], fs3, [intermediates[var.name] for var in fs3.inputs]),
+            fs3)

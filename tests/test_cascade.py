@@ -2,13 +2,14 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from conftest import FIS_FILES, write_manifest
 from fuzzgate.cascade import (BUNDLED_MANIFEST, Cascade, CascadeBuildError,
                               DEFAULT_EXTERNALS, FIS_KEYS, WiringMismatchError,
-                              bundled_fis_dir, decide, load_manifest,
-                              parse_manifest)
+                              SEND, bundled_fis_dir, load_manifest,
+                              parse_manifest, sends)
 from fuzzgate.cli import main
 from fuzzgate.core import (FuzzySubsystem, LinguisticVariable,
                            MembershipFunction, NoRuleFiredError,
@@ -72,13 +73,20 @@ class TestBuild:
 
 class TestDecide:
     def test_low_score_sends(self):
-        assert decide(27.1, 50.0) == "send"
+        assert sends(27.1, 50.0) is True
 
     def test_high_score_suppresses(self):
-        assert decide(72.9, 50.0) == "not_send"
+        assert sends(72.9, 50.0) is False
 
     def test_tie_policy_defaults_to_send(self):
-        assert decide(50.0, 50.0) == "send"
+        assert sends(50.0, 50.0) is True
+        assert sends(50.0) is True
+
+    def test_array_of_scores(self):
+        """One rule for a column of scores: a NaN score is not sent by it
+        (the replay sends such a record as a fail-safe)."""
+        scores = np.array([27.1, 50.0, np.nextafter(50.0, np.inf), 72.9, np.nan])
+        assert sends(scores, 50.0).tolist() == [True, True, False, False, False]
 
 
 class TestEvaluate:
@@ -109,7 +117,7 @@ class TestEvaluate:
             usage = core_point(cascade.fs3.inputs[1], usage_term)
             score = cascade.fs3.infer({"apparent_temperature": hot,
                                        "appliance_usage_time": usage}).centroid
-            assert decide(score, cascade.threshold) == "send"
+            assert sends(score, cascade.threshold)
 
     def test_fs3_table_at_cores(self, cascade):
         for (app_term, usage_term), expected in FS3_TABLE.items():
@@ -117,7 +125,7 @@ class TestEvaluate:
                 "apparent_temperature": core_point(cascade.fs3.inputs[0], app_term),
                 "appliance_usage_time": core_point(cascade.fs3.inputs[1], usage_term),
             }).centroid
-            assert decide(score, cascade.threshold) == expected, \
+            assert sends(score, cascade.threshold) == (expected == SEND), \
                 (app_term, usage_term)
 
     def test_out_of_universe_raises_without_clamp(self, cascade):

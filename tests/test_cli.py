@@ -17,6 +17,7 @@ from conftest import FIS_FILES, write_manifest
 from fuzzgate.cascade import (BUNDLED_MANIFEST, FIS_KEYS, bundled_fis_dir,
                               parse_manifest)
 from fuzzgate.cli import main
+from fuzzgate.energy import packet_energy
 
 READING = ["--temp", "20", "--humidity", "0.35", "--energy", "60", "--time", "3"]
 
@@ -205,13 +206,12 @@ class TestSimulate:
             assert values == sorted(values)
 
     def test_physical_mode_flags(self, capsys, tmp_path, fixture_csv):
+        """Physical mode alone prices each packet at the paper's packet."""
         code, *_, out_dir = self.simulate(
-            capsys, tmp_path, fixture_csv, "--energy-mode", "physical",
-            "--header-bits", "400", "--data-bits", "8000")
+            capsys, tmp_path, fixture_csv, "--energy-mode", "physical")
         assert code == 0
         summary = json.loads((out_dir / "summary.json").read_text())
-        expected = 0.280 * 5.0 * (400 / 6e6 + 8000 / 54e6)
-        assert summary["joules_per_packet"] == pytest.approx(expected, rel=1e-12)
+        assert summary["joules_per_packet"] == packet_energy()
 
     def test_missing_dataset(self, capsys, tmp_path):
         code, _, err = run(capsys, ["simulate", "--dataset",
@@ -494,18 +494,8 @@ class TestBadInput:
         (["--per-packet-joules", "0"], None, None),
         (["--per-packet-joules", "nan"], None, "finite and > 0"),
         (["--per-packet-joules", "inf"], None, "finite and > 0"),
-        (["--energy-mode", "physical", "--current", "-1"], None, None),
-        (["--energy-mode", "physical", "--current", "nan"], None, "finite and > 0"),
-        (["--energy-mode", "physical", "--voltage", "inf"], None, "finite and > 0"),
-        (["--energy-mode", "physical", "--header-bits", "0", "--data-bits", "0"],
-         None, "finite and > 0"),
         (["--per-packet-joules", "1e307"], None, "overflow a float"),
-        (["--energy-mode", "physical", "--data-bits", "1" + "0" * 400], None,
-         "too large"),
         # A flag that the energy mode does not read is refused, not ignored.
-        (["--current", "2"], None, "calibrated energy mode does not read --current"),
-        (["--header-bits", "400", "--data-bits", "8000"], None,
-         "does not read --header-bits, --data-bits"),
         (["--energy-mode", "physical", "--per-packet-joules", "2"], None,
          "physical energy mode does not read --per-packet-joules"),
         (["--map-temp", "date"], None, None),
@@ -516,9 +506,7 @@ class TestBadInput:
         (["--skip-bad"], b"date,T1,RH_1,Appliances\n2016-01-11 17:00:00,\"20,40,60\n"
          + b"2016-01-11 17:10:00,20,40,60\n" * 5000,
          "bad.csv: record starting at line 2: "),
-    ], ids=["zero-joules", "nan-joules", "inf-joules", "negative-current",
-            "nan-current", "inf-voltage", "empty-packet", "total-overflow",
-            "huge-packet", "current-in-calibrated", "bits-in-calibrated",
+    ], ids=["zero-joules", "nan-joules", "inf-joules", "total-overflow",
             "joules-in-physical", "duplicate-column", "non-utf8-csv", "stray-quote"])
     def test_bad_simulate_input(self, tmp_path, fixture_csv, options, csv_bytes,
                                 where):
@@ -555,6 +543,15 @@ class TestBadInput:
         assert capsys.readouterr().err.endswith(
             f"error: argument {flag}: expected one argument\n")
 
+    def test_packet_flag_is_unknown(self, capsys):
+        """simulate reads no packet layout: a flag such as --current is
+        refused as any unknown flag is."""
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--dataset", "x.csv", "--current", "2"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(
+            "error: unrecognized arguments: --current 2\n")
+
     def test_out_dir_under_a_file(self, capsys, tmp_path, fixture_csv):
         blocker = tmp_path / "file"
         blocker.write_text("")
@@ -573,41 +570,27 @@ ENERGY_FLOATS = st.one_of(
     st.sampled_from([0.0, -0.0, -1.0, float("nan"), float("inf"), float("-inf")]))
 
 
-#: The energy flags each mode reads, with the values to try.
-ENERGY_FLAGS = {
-    "physical": {"--current": ENERGY_FLOATS, "--voltage": ENERGY_FLOATS,
-                 "--header-bits": st.integers(), "--data-bits": st.integers()},
-    "calibrated": {"--per-packet-joules": ENERGY_FLOATS},
-}
-
-
 @settings(max_examples=60, deadline=None)
-@given(mode=st.sampled_from(sorted(ENERGY_FLAGS)), data=st.data())
-def test_simulate_energy_flags_never_crash(fixture_csv, mode, data):
-    """Any value of the flags the energy mode reads either prices the replay
-    with valid JSON (exit 0) or is refused with an error line (exit 1). A
-    flag of the other mode is always refused."""
-    other = ENERGY_FLAGS["calibrated" if mode == "physical" else "physical"]
-    flags = {flag: data.draw(st.none() | values, label=flag)
-             for flag, values in ENERGY_FLAGS[mode].items()}
-    foreign = data.draw(st.none() | st.sampled_from(sorted(other)),
-                        label="foreign flag")
-    if foreign is not None:
-        flags[foreign] = data.draw(other[foreign], label=foreign)
+@given(mode=st.sampled_from(["calibrated", "physical"]),
+       joules=st.none() | ENERGY_FLOATS)
+def test_simulate_energy_flags_never_crash(fixture_csv, mode, joules):
+    """In calibrated mode, any value of --per-packet-joules either prices the
+    replay with valid JSON (exit 0) or is refused with an error line (exit
+    1). Physical mode reads no flag, and always refuses that one."""
     with tempfile.TemporaryDirectory() as tmp:
         # --flag=value, so that argparse reads "-inf" as a value.
         argv = ["simulate", "--dataset", str(fixture_csv), "--out", tmp,
-                f"--energy-mode={mode}", *(f"{flag}={value!r}"
-                                           for flag, value in flags.items()
-                                           if value is not None)]
+                f"--energy-mode={mode}"]
+        if joules is not None:
+            argv.append(f"--per-packet-joules={joules!r}")
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), \
                 contextlib.redirect_stderr(err):
             code = main(argv)
         assert code in (0, 1)
         assert "Traceback" not in err.getvalue()
-        if foreign is not None:
-            assert code == 1 and foreign in err.getvalue()
+        if mode == "physical" and joules is not None:
+            assert code == 1 and "--per-packet-joules" in err.getvalue()
         if code == 0:
             json.loads((Path(tmp) / "summary.json").read_text(),
                        parse_constant=_reject_constant)

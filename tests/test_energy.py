@@ -41,6 +41,11 @@ class TestPacketEnergy:
     def test_invalid_specs_rejected(self, cascade):
         with pytest.raises(ValueError):
             packet_energy(current_a=0)
+        for value in (-1.0, float("nan")):
+            with pytest.raises(ValueError, match="current_a"):
+                packet_energy(current_a=value)
+            with pytest.raises(ValueError, match="voltage_v"):
+                packet_energy(voltage_v=value)
         with pytest.raises(ValueError):
             packet_energy(header_bits=-1, data_bits=0)
         for joules in (0.0, -1.0, float("nan"), float("inf"), float("-inf")):

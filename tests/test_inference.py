@@ -77,9 +77,10 @@ def variables(draw, name):
 
 @st.composite
 def subsystems(draw):
-    """1-3 inputs; 0-8 rules of 1-3 antecedents drawn with replacement, so a
-    rule may name a variable twice and several rules share a consequent;
-    and, in about half the examples, an output term that no rule names."""
+    """1-3 inputs; 1-8 rules (or, in a few examples, none) of 1-3
+    antecedents drawn with replacement, so a rule may name a variable twice
+    and several rules share a consequent; and, in about half the examples,
+    an output term that no rule names."""
     inputs = tuple(draw(variables(f"x{i}")) for i in range(draw(st.integers(1, 3))))
     output = draw(variables("y"))
     names = [term for term, _ in output.terms]
@@ -87,18 +88,43 @@ def subsystems(draw):
         names.pop()
     antecedent = st.sampled_from([(var.name, term) for var in inputs
                                   for term, _ in var.terms])
-    rules = draw(st.lists(st.builds(
+    rule = st.builds(
         lambda antecedents, term: FuzzyRule(tuple(antecedents), ("y", term)),
-        st.lists(antecedent, min_size=1, max_size=3), st.sampled_from(names)),
-        max_size=8))
+        st.lists(antecedent, min_size=1, max_size=3), st.sampled_from(names))
+    # An empty rule bank, which no reading fires, in a few draws: the top of
+    # the range, since Hypothesis draws its low end far more often.
+    empty = draw(st.integers(0, 9)) == 9
+    rules = [] if empty else draw(st.lists(rule, min_size=1, max_size=8))
     return FuzzySubsystem("drawn", inputs, output, tuple(rules))
 
 
+def in_support(mf):
+    """A point where the term's degree is > 0: a point of its support, or
+    the start of its core where the drawn point is an end of the support."""
+    a, core, _, d = mf.corners
+    return st.floats(a, d).map(lambda x: x if mf(x) > 0.0 else core)
+
+
 def readings(fs):
-    """A crisp value per input: a probe point or any value in the universe."""
-    return st.fixed_dictionaries({var.name: st.one_of(
-        st.sampled_from(probe_points(var)), st.floats(var.lo, var.hi))
-        for var in fs.inputs})
+    """A crisp value per input: a probe point or any value in the universe.
+    In about half the draws, when the subsystem has rules, one rule is
+    picked and each input that it reads takes a point inside the support of
+    the term it reads there, so that the rule fires unless it reads one
+    input twice."""
+    anywhere = {var.name: st.one_of(st.sampled_from(probe_points(var)),
+                                    st.floats(var.lo, var.hi))
+                for var in fs.inputs}
+
+    def aimed(rule):
+        inside = dict(anywhere)
+        for name, term in rule.antecedents:
+            inside[name] = in_support(fs.input_variable(name).term(term))
+        return st.fixed_dictionaries(inside)
+
+    drawn = st.fixed_dictionaries(anywhere)
+    if not fs.rules:
+        return drawn
+    return st.one_of(drawn, st.sampled_from(fs.rules).flatmap(aimed))
 
 
 @settings(max_examples=300, deadline=None)
