@@ -9,7 +9,6 @@ import argparse
 import json
 import math
 import sys
-from datetime import datetime
 from pathlib import Path
 
 import numpy as np
@@ -19,8 +18,8 @@ from .cascade import (BUNDLED_MANIFEST, DEFAULT_EXTERNALS, FIS_KEYS, NOT_SEND,
 from .core import FuzzyError
 from .dsl import load_subsystem
 from .energy import REFERENCE_JOULES_PER_PACKET, packet_energy
-from .sim import (TIMESTAMP_FORMAT, ColumnMapping, SimulationResult, Telemetry,
-                  TelemetryError, load_telemetry, run_fuzzy)
+from .sim import (ColumnMapping, SimulationResult, Telemetry, TelemetryError,
+                  load_telemetry, run_fuzzy)
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -176,15 +175,6 @@ def _reprs(column: np.ndarray) -> np.ndarray:
     return np.array(texts, dtype=object)[inverse]
 
 
-def _timestamps(texts: list[str]) -> list[str]:
-    # The loader's ISO texts are TIMESTAMP_FORMAT's text, except that they
-    # pad a year below 1000 to four digits, where %Y does not. Fixed-width
-    # ISO texts sort as their times do, so `min` finds such a year.
-    if min(texts) >= "1000":
-        return texts
-    return [f"{datetime.fromisoformat(t):{TIMESTAMP_FORMAT}}" for t in texts]
-
-
 def _decision_lines(telemetry: Telemetry, result: SimulationResult,
                     rows: slice) -> str:
     readings = [_reprs(column) for column in telemetry.readings[rows].T]
@@ -194,16 +184,15 @@ def _decision_lines(telemetry: Telemetry, result: SimulationResult,
         texts[result.failsafe[rows]] = ""  # NaN, written as nothing
     tails = _TAILS[4 * result.decisions[rows] + 2 * result.clamped[rows]
                    + result.failsafe[rows]]
-    columns = (range(rows.start, rows.stop),
-               _timestamps(telemetry.timestamps[rows]),
+    columns = (range(rows.start, rows.stop), telemetry.timestamps[rows],
                *(texts.tolist() for texts in readings + outputs), tails.tolist())
     return "".join([f"{i},{ts},{t},{h},{e},{d},{a},{u},{s},{tail}"
                     for i, ts, t, h, e, d, a, u, s, tail in zip(*columns)])
 
 
 def _cumulative_lines(result: SimulationResult, rows: slice) -> str:
-    # One `repr` pass over both columns: a gated total that adds 0.0 on a
-    # suppressed row repeats an always-send total of an earlier row.
+    # One `repr` pass over both columns: a gated total of k packets is
+    # k * joules per packet, exactly the always-send total of row k - 1.
     texts = _reprs(result.cumulative[rows].ravel()).tolist()
     return "".join([f"{i},{t},{g}\n" for i, t, g in
                     zip(range(rows.start, rows.stop), texts[::2], texts[1::2])])

@@ -35,11 +35,19 @@ def packet_time(header_bits: int, data_bits: int) -> float:
 def packet_energy(current_a: float = 0.280, voltage_v: float = 5.0,
                   header_bits: int = 288, data_bits: int = 960) -> float:
     """Joules to transmit one packet, E = i * v * t_p. The default packet
-    holds one sensor reading."""
-    if not current_a > 0:  # NaN too
-        raise ValueError("current_a must be strictly positive")
-    if not voltage_v > 0:
-        raise ValueError("voltage_v must be strictly positive")
-    if header_bits < 0 or data_bits < 0:
-        raise ValueError("packet sizes must be non-negative")
-    return current_a * voltage_v * packet_time(header_bits, data_bits)
+    holds one sensor reading. Raises ValueError naming an argument that is
+    not finite or is out of range, or for a figure that overflows a float."""
+    for name, value in (("current_a", current_a), ("voltage_v", voltage_v),
+                        ("header_bits", header_bits), ("data_bits", data_bits)):
+        least = ">= 0" if name.endswith("_bits") else "> 0"
+        try:  # an int too large for a float overflows; NaN fails both tests
+            fits = 0 <= float(value) < float("inf") and (value > 0 or least == ">= 0")
+        except OverflowError:
+            fits = False
+        if not fits:
+            raise ValueError(f"{name} must be finite and {least}")
+    joules = current_a * voltage_v * packet_time(header_bits, data_bits)
+    if not joules < float("inf"):
+        raise ValueError(f"{current_a!r} A at {voltage_v!r} V over {header_bits!r}"
+                         f" + {data_bits!r} bits overflows a float")
+    return joules

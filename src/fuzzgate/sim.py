@@ -307,7 +307,7 @@ class SimulationResult:
     apparent_temperature: np.ndarray
     appliance_usage_time: np.ndarray
     score: np.ndarray
-    cumulative: np.ndarray  # (n, 2): joules so far, always-send then gated
+    cumulative: np.ndarray  # (n, 2): packets so far * J, always-send then gated
 
 
 def run_fuzzy(telemetry: Telemetry, cascade: Cascade,
@@ -316,9 +316,10 @@ def run_fuzzy(telemetry: Telemetry, cascade: Cascade,
 
     Every transmission costs joules_per_packet, which must be finite and
     > 0. Always-send, which transmits every record, is priced in the same
-    pass. Out-of-universe readings are clamped to the nearest universe bound
-    and counted. When no rule fires at some node the record is sent anyway
-    and counted as a fail-safe send: monitoring must not silently drop data.
+    pass; k packets cost k * joules_per_packet, in a total or so far.
+    Out-of-universe readings are clamped to the nearest universe bound and
+    counted. When no rule fires at some node the record is sent anyway and
+    counted as a fail-safe send: monitoring must not silently drop data.
     The records are evaluated as columns by `Cascade.evaluate_columns`, which
     gives the same bits as `Cascade.evaluate(..., clamp=True)` per record and
     a NaN score where no rule fired, the one mark of a fail-safe send.
@@ -332,12 +333,9 @@ def run_fuzzy(telemetry: Telemetry, cascade: Cascade,
     failsafe = np.isnan(score)
     send = failsafe | sends(score, cascade.threshold)
     clamped &= ~failsafe
-    # cumsum adds in sequence, as a running total would.
-    with np.errstate(over="ignore"):
-        always = np.cumsum(np.full(n, joules_per_packet))
-        gated = np.cumsum(np.where(send, joules_per_packet, 0.0))
+    # The largest product: rounding is monotone, so no other overflows.
     traditional_joules = n * joules_per_packet
-    if math.isinf(max(always[-1] if n else 0.0, traditional_joules)):
+    if math.isinf(traditional_joules):
         raise ValueError(f"{n} packets of {joules_per_packet!r} J "
                          f"overflow a float")
     transmissions = int(send.sum())
@@ -361,5 +359,6 @@ def run_fuzzy(telemetry: Telemetry, cascade: Cascade,
         apparent_temperature=apparent,
         appliance_usage_time=usage,
         score=score,
-        cumulative=np.column_stack((always, gated)),
+        cumulative=np.column_stack((np.arange(1, n + 1), np.cumsum(send)))
+        * joules_per_packet,
     )

@@ -14,7 +14,7 @@ def write_reports_rowwise(out_dir, records, result):
             result.score, result.decisions, result.clamped, result.failsafe)))
         for i, (r, apparent, usage, score, send, clamped, failsafe) in enumerate(rows):
             outputs = ",," if failsafe else f"{apparent!r},{usage!r},{score!r}"
-            fh.write(f"{i},{r.timestamp:%Y-%m-%d %H:%M:%S},{r.temperature!r},"
+            fh.write(f"{i},{r.timestamp.isoformat(' ')},{r.temperature!r},"
                      f"{r.humidity!r},{r.appliance_energy!r},{r.time_of_day!r},"
                      f"{outputs},{SEND if send else NOT_SEND},{int(clamped)},"
                      f"{int(failsafe)}\n")

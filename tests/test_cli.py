@@ -297,8 +297,8 @@ class TestSimulate:
             "3,0.1941252875732694,0.14559396567995206"]
 
     def test_negative_zero_and_three_digit_year(self, capsys, tmp_path):
-        # -0.0 keeps its sign, and a year below 1000 is written without a
-        # leading zero, as strftime's %Y writes it.
+        # -0.0 keeps its sign, and a year below 1000 is written as loaded,
+        # padded to four digits.
         dataset = tmp_path / "t.csv"
         dataset.write_text("date,T1,RH_1,Appliances\n"
                            "0999-01-02 03:04:05,20,40,-0.0\n"
@@ -309,7 +309,7 @@ class TestSimulate:
         assert code == 0
         decisions = (out_dir / "decisions.csv").read_text().splitlines()
         assert decisions[1:] == [
-            "0,999-01-02 03:04:05,20.0,0.4,-0.0,3.068055555555556,55.0,"
+            "0,0999-01-02 03:04:05,20.0,0.4,-0.0,3.068055555555556,55.0,"
             "15.529617304492511,27.056243756243752,send,0,0",
             "1,2016-01-11 17:00:00,-0.0,0.4,0.0,17.0,23.922152120574832,"
             "18.358690234635656,27.056243756243752,send,0,0"]

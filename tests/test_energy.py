@@ -48,6 +48,15 @@ class TestPacketEnergy:
                 packet_energy(voltage_v=value)
         with pytest.raises(ValueError):
             packet_energy(header_bits=-1, data_bits=0)
+        for name, value in (("current_a", float("inf")),
+                            ("voltage_v", float("inf")),
+                            ("header_bits", float("nan")),
+                            ("header_bits", float("inf")),
+                            ("data_bits", 10**400)):
+            with pytest.raises(ValueError, match=name):
+                packet_energy(**{name: value})
+        with pytest.raises(ValueError, match="overflows a float"):
+            packet_energy(current_a=1e200, voltage_v=1e200)
         for joules in (0.0, -1.0, float("nan"), float("inf"), float("-inf")):
             with pytest.raises(ValueError, match="finite and > 0"):
                 run_fuzzy(telemetry_of([]), cascade, joules)

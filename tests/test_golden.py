@@ -12,7 +12,7 @@ from test_telemetry import gen
 GOLDEN_SHA256 = {
     "decisions.csv": "4032448d867a5b4a491e679c16f6a3f78df884e310b3472195dc3dd4b4c5bbf2",
     "summary.json": "af5681c96561ff24b9c8776d4ddacf5b531e1609f536c9725cb5ae0704f86981",
-    "cumulative.csv": "26831f98ea73eff2280cc0472af9e40269dbe2cb7b05132b3580e6b2556721dc",
+    "cumulative.csv": "58b5add24d6438165b722ccfb281ee8046646e7e349574d88c7c36197e2b9143",
 }
 
 
@@ -33,12 +33,12 @@ FULL_SIZE_SHA256 = {
     ("replay_paper", 3, ()): {
         "decisions.csv": "02279c7a5c741540f5e2d0286c92ad6793439f84cdb3e1ba21d4eae01bbdb945",
         "summary.json": "f49fef1b41e1e2c538dbccbc1ecbe20b4c843d3b8f5d497d55023f814f6ff95b",
-        "cumulative.csv": "9fad27808e9ecedb69c92edf08e862c59289d89d3256f016df7e875f6ec19c91",
+        "cumulative.csv": "cd09488b786015f39cfe32ff2ce5abe7848c52968d3a5e11249fd60dd6745969",
     },
     ("replay_unique", 3, ("--skip-bad",)): {
         "decisions.csv": "a06bb8d136a96970e6c62f7e1a906ac2cee9d2a2631867483e05d90afeb3b835",
         "summary.json": "ef95d5ccda027bc7d17223e562364a877f6ceb2ad99ebe080d64de6517ad496c",
-        "cumulative.csv": "b9f0921989437bd564a32d282ae135f7956ce74bc321a81d5c376863dc337b4f",
+        "cumulative.csv": "ed3875035c3b12a9752cb194faf78a530ed0ff9fc6126415ea7ee7f9c7c807c4",
     },
 }
 

@@ -32,9 +32,11 @@ def test_fixture_in_blocks_of_seven(monkeypatch, capsys, tmp_path, fixture_csv):
     assert blocked["decisions.csv"].count(b"\n") == 51
 
 
-def test_generated_rows_over_three_blocks(monkeypatch, capsys, tmp_path, cascade):
-    # FS1 keeps only its rules on a low temperature, so warmer readings fire
-    # no FS1 rule and are sent as fail-safes.
+def generated_dataset(tmp_path, cascade):
+    """A dataset of generated readings over three report blocks, with
+    humidity as a fraction, and a manifest whose FS1 keeps only its rules on
+    a low temperature, so that warmer readings fire no FS1 rule and are sent
+    as fail-safes. Also the number of rows."""
     bundled = (bundled_fis_dir() / FIS_FILES["fs1"]).read_text()
     fs1 = tmp_path / "fs1.fis.txt"
     fs1.write_text("".join(
@@ -54,6 +56,11 @@ def test_generated_rows_over_three_blocks(monkeypatch, capsys, tmp_path, cascade
                      f"{energy!r}")
     dataset = tmp_path / "generated.csv"
     dataset.write_text("\n".join(lines) + "\n")
+    return dataset, manifest, n
+
+
+def test_generated_rows_over_three_blocks(monkeypatch, capsys, tmp_path, cascade):
+    dataset, manifest, n = generated_dataset(tmp_path, cascade)
     blocked, rowwise = reports_both_ways(
         monkeypatch, capsys, tmp_path,
         ["--dataset", str(dataset), "--manifest", str(manifest),
@@ -63,7 +70,7 @@ def test_generated_rows_over_three_blocks(monkeypatch, capsys, tmp_path, cascade
             blocked["decisions.csv"].decode().splitlines()[1:]]
     assert len(rows) == n
     assert {"-0.0"} <= {row[2] for row in rows} & {row[4] for row in rows}
-    assert any(row[1].startswith("999-") for row in rows)
+    assert any(row[1].startswith("0999-") for row in rows)
     clamped, failsafe = ([row[k] == "1" for row in rows] for k in (10, 11))
     assert any(clamped) and any(failsafe) and not all(failsafe)
     assert len({row[3] for row in rows}) < 0.9 * n  # humidity repeats
@@ -108,10 +115,63 @@ def test_timestamps_of_every_origin_in_small_blocks(monkeypatch, capsys,
                blocked["decisions.csv"].decode().splitlines()[1:]]
     assert [row[1] for row in written[:5]] == [
         "2016-01-01 09:30:00", "2016-01-02 09:30:00", "2016-01-03 09:30:00",
-        "999-01-04 09:30:00", "999-01-05 09:30:00"]
+        "0999-01-04 09:30:00", "0999-01-05 09:30:00"]
     assert [row[9] for row in written] == [NOT_SEND] * 10 + [SEND] * 17
     cumulative = [line.split(",") for line in
                   blocked["cumulative.csv"].decode().splitlines()[1:]]
     assert [gated for _, _, gated in cumulative[:10]] == ["0.0"] * 10
     assert [gated for _, _, gated in cumulative[10:]] == \
         [always for _, always, _ in cumulative[:17]]
+
+
+#: `simulate`'s mapping flags that read its own decisions.csv as a dataset.
+DECISIONS_AS_DATASET = [
+    "--map-timestamp", "timestamp", "--map-temp", "temperature",
+    "--map-humidity", "humidity", "--map-energy", "appliance_energy",
+    "--humidity-scale", "fraction"]
+
+
+def assert_round_trip(capsys, tmp_path, dataset, first_flags=(), flags=()):
+    """`simulate` on the decisions.csv that it wrote for `dataset` rewrites
+    that file, and cumulative.csv, byte for byte. `flags` go to both runs,
+    `first_flags` to the first only. Returns the decisions.csv rows."""
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert cli.main(["simulate", "--dataset", str(dataset), *first_flags,
+                     *flags, "--out", str(first)]) == 0
+    assert cli.main(["simulate", "--dataset", str(first / "decisions.csv"),
+                     *DECISIONS_AS_DATASET, *flags, "--out", str(second)]) == 0
+    capsys.readouterr()
+    for report in ("decisions.csv", "cumulative.csv"):
+        assert (second / report).read_bytes() == (first / report).read_bytes()
+    return [line.split(",") for line in
+            (first / "decisions.csv").read_text().splitlines()[1:]]
+
+
+def test_fixture_decisions_round_trip(capsys, tmp_path, fixture_csv):
+    assert len(assert_round_trip(capsys, tmp_path, fixture_csv)) == 50
+
+
+def test_generated_decisions_round_trip(capsys, tmp_path, cascade):
+    dataset, manifest, n = generated_dataset(tmp_path, cascade)
+    rows = assert_round_trip(capsys, tmp_path, dataset,
+                             ["--humidity-scale", "fraction"],
+                             ["--manifest", str(manifest)])
+    assert len(rows) == n
+    assert any(row[11] == "1" for row in rows)  # fail-safe: empty outputs
+
+
+def test_year_999_decisions_round_trip(capsys, tmp_path):
+    # The column pass takes the first two timestamps (the CSV reader drops
+    # the quotes); `_parse_row` takes the one with a single-digit hour and
+    # the one quoted after a space.
+    dataset = tmp_path / "years.csv"
+    dataset.write_text("date,T1,RH_1,Appliances\n"
+                       "0999-01-02 03:04:05,20,40,60\n"
+                       '"0999-01-02 03:14:05",20,40,60\n'
+                       "0999-01-02 3:24:05,61.5,72.5,25\n"
+                       "2016-01-11 17:00:00,20,40,60\n"
+                       ' "0999-12-31 23:59:59",9.25,15,600\n')
+    rows = assert_round_trip(capsys, tmp_path, dataset)
+    assert [row[1] for row in rows] == [
+        "0999-01-02 03:04:05", "0999-01-02 03:14:05", "0999-01-02 03:24:05",
+        "2016-01-11 17:00:00", "0999-12-31 23:59:59"]

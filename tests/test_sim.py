@@ -5,6 +5,7 @@ from datetime import datetime, timedelta
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from fuzzgate.energy import REFERENCE_JOULES_PER_PACKET, packet_energy
 from fuzzgate.sim import (ColumnMapping, MissingColumnError, RowError,
@@ -13,6 +14,11 @@ from fuzzgate.sim import (ColumnMapping, MissingColumnError, RowError,
 from telemetry import telemetry_of
 
 CALIBRATED = REFERENCE_JOULES_PER_PACKET
+
+#: A reading that is sent (hot apparent temperature, low usage) and one that
+#: is not (cool apparent temperature, v.high usage).
+SENT = TelemetryRecord(datetime(2016, 1, 11, 3), 61.5, 0.725, 25.0)
+SUPPRESSED = TelemetryRecord(datetime(2016, 1, 11, 9, 30), 9.25, 0.15, 600.0)
 
 
 def make_records(n, temperature=20.0, humidity=0.35, energy=60.0, hour=3):
@@ -169,7 +175,8 @@ class TestRunTraditional:
         result = run_fuzzy(records, cascade, CALIBRATED)
         assert result.traditional_joules == 10 * CALIBRATED
         assert len(result.cumulative) == 10
-        assert result.cumulative[-1][0] == pytest.approx(result.traditional_joules)
+        assert result.cumulative[-1].tolist() == [result.traditional_joules,
+                                                  result.total_joules]
         assert result.transmissions + result.suppressed == 10
 
     def test_empty_run(self, cascade):
@@ -219,6 +226,21 @@ class TestRunFuzzy:
         cumulative = run_fuzzy(records, cascade, CALIBRATED).cumulative
         for series in zip(*cumulative):  # always-send, then gated
             assert all(a <= b for a, b in zip(series, series[1:]))
+
+    @given(st.lists(st.booleans(), max_size=50),
+           st.sampled_from([CALIBRATED, packet_energy(), 0.123])
+           | st.floats(min_value=0.0, max_value=1e300, exclude_min=True))
+    def test_cumulative_is_packets_so_far_times_joules(self, cascade, mask,
+                                                       joules):
+        result = run_fuzzy(telemetry_of(SENT if send else SUPPRESSED
+                                        for send in mask), cascade, joules)
+        assert result.decisions.tolist() == mask
+        expected, sent = [], 0
+        for i, send in enumerate(mask):
+            sent += send
+            expected.append([(i + 1) * joules, sent * joules])
+        assert result.cumulative.shape == (len(mask), 2)
+        assert result.cumulative.tolist() == expected
 
     def test_out_of_universe_clamped_and_counted(self, cascade):
         records = [TelemetryRecord(datetime(2016, 1, 11, 3, 0, 0),
@@ -298,6 +320,8 @@ class TestCompare:
         assert result.reduction_pct == pytest.approx(
             result.count_reduction_pct, abs=1e-9)
         assert len(result.cumulative) == 50
+        assert result.cumulative[-1].tolist() == [result.traditional_joules,
+                                                  result.total_joules]
 
     def test_identical_results_zero_reduction(self, cascade):
         # hot apparent temperature with low usage: every record transmits
