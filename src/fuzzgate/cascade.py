@@ -184,8 +184,8 @@ class Cascade:
         `FuzzySubsystem.centroids`), the intermediates and the score are NaN,
         so a NaN score is the row's one fail-safe mark. Every other row is
         bit-identical to `evaluate`. Each node runs its grid stage once per
-        distinct row of rule strengths. A NaN reading, or an intermediate
-        outside FS3's universe, raises OutOfUniverseError.
+        distinct row of rule strengths. A NaN reading raises
+        OutOfUniverseError.
         """
         clamped = np.zeros(len(columns[0]), dtype=bool)
         node_columns = []

@@ -17,7 +17,7 @@ from .cascade import (BUNDLED_MANIFEST, DEFAULT_EXTERNALS, FIS_KEYS, NOT_SEND,
                       SEND, CascadeBuildError, load_manifest, parse_manifest)
 from .core import FuzzyError
 from .dsl import load_subsystem
-from .energy import REFERENCE_JOULES_PER_PACKET, packet_energy
+from .energy import REFERENCE_JOULES_PER_PACKET
 from .sim import (ColumnMapping, SimulationResult, Telemetry, TelemetryError,
                   load_telemetry, run_fuzzy)
 
@@ -49,16 +49,6 @@ def _add_fis_options(parser: argparse.ArgumentParser):
                         help="send/not-send decision threshold (default 50)")
 
 
-def _add_energy_options(parser: argparse.ArgumentParser):
-    parser.add_argument("--energy-mode", choices=["physical", "calibrated"],
-                        default="calibrated", help="physical: the paper's "
-                        "packet, packet_energy(); calibrated (the default): "
-                        "--per-packet-joules, else the reference run's figure")
-    parser.add_argument("--per-packet-joules", type=float, default=None,
-                        help="calibrated mode: joules per packet, such as "
-                        "another radio's packet_energy(...)")
-
-
 def _add_mapping_options(parser: argparse.ArgumentParser):
     parser.add_argument("--map-timestamp", default="date")
     parser.add_argument("--map-temp", default="T1")
@@ -66,18 +56,6 @@ def _add_mapping_options(parser: argparse.ArgumentParser):
     parser.add_argument("--map-energy", default="Appliances")
     parser.add_argument("--humidity-scale", choices=["percent", "fraction"],
                         default="percent")
-
-
-def _joules_per_packet(args) -> float:
-    """Joules per packet of the energy mode; physical mode refuses
-    --per-packet-joules, so that the flag is never ignored."""
-    if args.energy_mode == "physical":
-        if args.per_packet_joules is not None:
-            raise ValueError("physical energy mode does not read --per-packet-joules")
-        return packet_energy()
-    if args.per_packet_joules is not None:
-        return args.per_packet_joules
-    return REFERENCE_JOULES_PER_PACKET
 
 
 def _load_cascade(args):
@@ -226,10 +204,9 @@ def cmd_simulate(args) -> int:
     c = _load_cascade(args)
     policy = "strict" if args.strict else "skip-bad"
     try:
-        joules_per_packet = _joules_per_packet(args)
         telemetry, report = load_telemetry(args.dataset, _build_mapping(args),
                                            policy)
-        result = run_fuzzy(telemetry, c, joules_per_packet)
+        result = run_fuzzy(telemetry, c, args.per_packet_joules)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
@@ -260,7 +237,7 @@ def cmd_simulate(args) -> int:
             "clamped_records": result.clamped_records,
             "total_joules": result.total_joules,
         },
-        "joules_per_packet": joules_per_packet,
+        "joules_per_packet": args.per_packet_joules,
         "energy_reduction_pct": result.reduction_pct,
         "transmission_reduction_pct": result.count_reduction_pct,
     }
@@ -316,7 +293,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate",
                            help="replay a telemetry CSV and compare approaches")
     _add_fis_options(p_sim)
-    _add_energy_options(p_sim)
+    p_sim.add_argument("--per-packet-joules", type=float,
+                       default=REFERENCE_JOULES_PER_PACKET,
+                       help="joules per packet (default: the reference run's "
+                            "figure); packet_energy() gives the paper's packet")
     _add_mapping_options(p_sim)
     p_sim.add_argument("--dataset", required=True, help="telemetry CSV path")
     strictness = p_sim.add_mutually_exclusive_group()

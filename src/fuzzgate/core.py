@@ -399,7 +399,8 @@ class FuzzySubsystem:
         fired row is bit-identical to `infer`: min and max only select values,
         a term clips to 0 outside its runs, a term of strength 0 clips to 0
         everywhere, the aggregate depends on the strength row alone, and a
-        block's row-wise sums add each row as `infer` does. Raises
+        block's row-wise sums add each row as `infer` does, and each centroid
+        is clamped as `infer`'s is. Raises
         OutOfUniverseError on the first value outside its input's universe.
         """
         columns = [np.asarray(xs, dtype=float) for xs in columns]
@@ -446,6 +447,7 @@ class FuzzySubsystem:
                 weighted = np.sum(np.multiply(self._grid, block, out=clipped),
                                   axis=1)
                 np.divide(weighted, total, out=centroid[rows], where=total > 0.0)
+        np.clip(centroid, self._grid[0], self._grid[-1], out=centroid)
         return centroid[inverse]
 
     def _strengths(self, columns: list[np.ndarray], n: int
@@ -470,15 +472,17 @@ def _centroid_memo(grid: np.ndarray, samples: tuple[np.ndarray, ...],
     """`infer`'s centroid of a strength row, one per output term, through an
     LRU memo of CENTROID_MEMO rows. It clips each fired term's consequent at
     its strength, combines by max and takes the centroid over the grid,
-    summed in ascending-x order. The same bits as clipping once per rule:
-    min and max only select values, so min(max(a, b), s) is max(min(a, s),
-    min(b, s)) at every point. A hit gives the bits of a miss: equal rows
-    are equal floats, all >= +0.0, so they clip the same terms at the same
-    heights. Raises NoRuleFiredError, on every call, when the aggregate is
-    0 everywhere: the memo keeps no exception.
+    summed in ascending-x order, clamped to the grid's ends: the exact one
+    lies between them, and the quotient may round past. The same bits as
+    clipping once per rule: min and max only select values, so min(max(a,
+    b), s) is max(min(a, s), min(b, s)) at every point. A hit gives the bits
+    of a miss: equal rows are equal floats, all >= +0.0, so they clip the
+    same terms at the same heights. Raises NoRuleFiredError, on every call,
+    when the aggregate is 0 everywhere: the memo keeps no exception.
 
     A closure over the subsystem's arrays, not its bound method, so the
     memo does not keep alive the subsystem that holds it."""
+    lo, hi = float(grid[0]), float(grid[-1])
     @functools.lru_cache(maxsize=CENTROID_MEMO)
     def centroid(strength: tuple[float, ...]) -> float:
         aggregate = np.zeros(GRID_POINTS)
@@ -491,7 +495,7 @@ def _centroid_memo(grid: np.ndarray, samples: tuple[np.ndarray, ...],
         if total <= 0.0:
             raise NoRuleFiredError(variable)
         weighted = np.add.reduce(np.multiply(grid, aggregate, out=clipped))
-        return float(weighted) / total
+        return min(max(float(weighted) / total, lo), hi)
     return centroid
 
 

@@ -19,10 +19,10 @@ from .cascade import Cascade, sends
 
 TIMESTAMP_FORMAT = "%Y-%m-%d %H:%M:%S"
 
-#: ASCII timestamps of exactly TIMESTAMP_FORMAT's shape. `datetime.fromisoformat`
-#: accepts and rejects these as `strptime` does, and is much faster; every
-#: other string goes to `strptime`, which also accepts shapes such as
-#: unpadded fields and non-ASCII digits.
+#: ASCII timestamps of exactly TIMESTAMP_FORMAT's shape. The column pass parses
+#: these with `datetime.fromisoformat`, which is much faster than `strptime` and
+#: takes and refuses them as it does; `_parse_row` uses `strptime`, which also
+#: takes shapes such as unpadded fields and non-ASCII digits.
 FIXED_TIMESTAMP = r"\d{4}-\d\d-\d\d ([01]\d|2[0-3]):\d\d:\d\d"
 _fixed_timestamp = re.compile(FIXED_TIMESTAMP, re.ASCII).fullmatch
 
@@ -267,8 +267,7 @@ def _parse_row(fields: tuple[str, ...], names: tuple[str, ...], path,
     """Parse a row's fields of the columns `names` (ColumnMapping order)."""
     raw = [field.strip().strip('"') for field in fields]
     try:
-        timestamp = (datetime.fromisoformat(raw[0]) if _fixed_timestamp(raw[0])
-                     else datetime.strptime(raw[0], TIMESTAMP_FORMAT))
+        timestamp = datetime.strptime(raw[0], TIMESTAMP_FORMAT)
     except ValueError:
         raise RowError(path, line, names[0],
                        f"not a timestamp: {raw[0]!r}") from None

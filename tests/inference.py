@@ -38,9 +38,10 @@ def fire_per_rule(fs, crisp_inputs):
 
 def infer_per_rule(fs, crisp_inputs):
     """Clip each consequent at its rule's activation, combine by max and
-    take the centroid over the grid, summed in ascending-x order. Returns
-    the fired rules with the centroid, as `infer` does. Raises
-    NoRuleFiredError when no rule fired; fail-safe is the caller's policy."""
+    take the centroid over the grid, summed in ascending-x order and clamped
+    to the grid's ends, where the exact centroid lies. Returns the fired
+    rules with the centroid, as `infer` does. Raises NoRuleFiredError when
+    no rule fired; fail-safe is the caller's policy."""
     fired = fire_per_rule(fs, crisp_inputs)
     samples = dict(zip([term for term, _ in fs.output.terms],
                        fs._consequent_samples))
@@ -51,4 +52,6 @@ def infer_per_rule(fs, crisp_inputs):
     total = float(np.sum(aggregate))
     if total <= 0.0:
         raise NoRuleFiredError(fs.output.name)
-    return AggregatedOutput(fired, float(np.sum(fs._grid * aggregate)) / total)
+    centroid = float(np.sum(fs._grid * aggregate)) / total
+    lo, hi = float(fs._grid[0]), float(fs._grid[-1])
+    return AggregatedOutput(fired, min(max(centroid, lo), hi))

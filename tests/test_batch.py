@@ -14,13 +14,16 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from fuzzgate.cascade import DEFAULT_EXTERNALS, NOT_SEND, SEND, Cascade
-from fuzzgate.core import FuzzySubsystem, NoRuleFiredError
+from fuzzgate.cascade import (DEFAULT_EXTERNALS, NOT_SEND, SEND, Cascade,
+                              WiringMismatchError)
+from fuzzgate.core import FuzzyRule, FuzzySubsystem, NoRuleFiredError
 from fuzzgate.energy import REFERENCE_JOULES_PER_PACKET
-from fuzzgate.sim import TelemetryRecord, load_telemetry, run_fuzzy
+from fuzzgate.sim import Telemetry, TelemetryRecord, load_telemetry, run_fuzzy
 from exact import ExactSubsystem, centroid_bound, tiny
 from telemetry import telemetry_of
+from test_inference import cascades, readings
 
 MIDNIGHT = datetime(2016, 1, 11)
 
@@ -28,12 +31,6 @@ MIDNIGHT = datetime(2016, 1, 11)
 def bits(value):
     """A float by its bits (so -0.0 != 0.0); anything else as it is."""
     return value.hex() if isinstance(value, float) else value
-
-
-def readings(record):
-    return dict(zip(DEFAULT_EXTERNALS, (record.temperature, record.humidity,
-                                        record.appliance_energy,
-                                        record.time_of_day)))
 
 
 def scalar_decision(cascade, inputs, failed_nodes=None):
@@ -50,16 +47,36 @@ def scalar_decision(cascade, inputs, failed_nodes=None):
             trace.score, trace.label == SEND, bool(trace.clamped), False)
 
 
-def assert_paths_agree(cascade, records, failed_nodes=None):
-    result = run_fuzzy(telemetry_of(records), cascade,
-                       REFERENCE_JOULES_PER_PACKET)
-    assert len(result.decisions) == len(records)
+def assert_paths_agree(cascade, telemetry, failed_nodes=None):
+    """`run_fuzzy` against `scalar_decision` record by record."""
+    result = run_fuzzy(telemetry, cascade, REFERENCE_JOULES_PER_PACKET)
+    assert len(result.decisions) == len(telemetry)
     columns = (result.apparent_temperature, result.appliance_usage_time,
                result.score, result.decisions, result.clamped, result.failsafe)
-    for record, batch in zip(records, zip(*(c.tolist() for c in columns))):
-        expected = scalar_decision(cascade, readings(record), failed_nodes)
-        assert tuple(map(bits, batch)) == tuple(map(bits, expected)), record
+    for values, batch in zip(telemetry.readings.tolist(),
+                             zip(*(c.tolist() for c in columns))):
+        inputs = dict(zip(DEFAULT_EXTERNALS, values))
+        expected = scalar_decision(cascade, inputs, failed_nodes)
+        assert tuple(map(bits, batch)) == tuple(map(bits, expected)), inputs
     return result
+
+
+def assert_columns_agree(cascade, columns):
+    """`evaluate_columns` against `evaluate(clamp=True)` row by row: the same
+    bits of both intermediates and the score, NaN in all three where some
+    node fired no rule, and a clamped mark exactly where a reading is
+    outside its universe. Returns the four columns."""
+    outputs = cascade.evaluate_columns(columns)
+    clamped, *crisp = outputs
+    variables = cascade.fs1.inputs + cascade.fs2.inputs
+    for row, values in enumerate(zip(*(c.tolist() for c in columns))):
+        inputs = dict(zip(DEFAULT_EXTERNALS, values))
+        expected = scalar_decision(cascade, inputs)
+        got = tuple(float(c[row]) for c in crisp)
+        assert tuple(map(bits, got)) == tuple(map(bits, expected[:3])), inputs
+        assert bool(clamped[row]) == any(
+            not var.contains(x) for var, x in zip(variables, values)), inputs
+    return outputs
 
 
 def probes(var):
@@ -120,28 +137,28 @@ def with_node(cascade, index, fs):
 
 class TestPathsAgree:
     def test_fixture(self, cascade, fixture_csv):
-        records, _ = load_telemetry(fixture_csv)
-        assert_paths_agree(cascade, records)
+        telemetry, _ = load_telemetry(fixture_csv)
+        assert_paths_agree(cascade, telemetry)
 
     @pytest.mark.parametrize("below, label", [(False, SEND), (True, NOT_SEND)],
                              ids=["at-the-score", "one-float-below"])
     def test_threshold_tie(self, cascade, fixture_csv, below, label):
         """A threshold exactly at a record's score sends it, on both paths;
         one float below that score does not."""
-        records, _ = load_telemetry(fixture_csv)
-        first = readings(next(iter(records)))
+        telemetry, _ = load_telemetry(fixture_csv)
+        first = dict(zip(DEFAULT_EXTERNALS, telemetry.readings[0].tolist()))
         score = cascade.evaluate(first, clamp=True).score
         threshold = math.nextafter(score, -math.inf) if below else score
         tied = dataclasses.replace(cascade, threshold=threshold)
         assert tied.evaluate(first, clamp=True).label == label
-        result = assert_paths_agree(tied, records)
+        result = assert_paths_agree(tied, telemetry)
         assert bool(result.decisions[0]) == (label == SEND)
 
     def test_generated_records(self, cascade):
         records = generated_records(cascade, 3000)
         pairs = {(r.appliance_energy, r.time_of_day) for r in records}
         assert len(pairs) < 0.7 * len(records)
-        result = assert_paths_agree(cascade, records)
+        result = assert_paths_agree(cascade, telemetry_of(records))
         assert 0.1 < result.clamped_records / len(records) < 0.9
         assert 0 < result.transmissions < len(records)
 
@@ -152,24 +169,16 @@ class TestPathsAgree:
         values = [probes(var) for var in variables]
         n = max(map(len, values)) * 7
         columns = [np.resize(v, n) for v in values]
-        clamped, apparent, usage, score = cascade.evaluate_columns(columns)
+        *_, score = assert_columns_agree(cascade, columns)
         assert not np.isnan(score).any()
-        for row in range(n):
-            inputs = dict(zip(DEFAULT_EXTERNALS,
-                              (float(c[row]) for c in columns)))
-            expected = scalar_decision(cascade, inputs)
-            got = (apparent[row], usage[row], score[row])
-            assert tuple(map(bits, map(float, got))) == \
-                tuple(map(bits, expected[:3])), inputs
-            assert bool(clamped[row]) == expected[4]
 
     @pytest.mark.parametrize("node", [0, 1, 2], ids=["fs1", "fs2", "fs3"])
     def test_no_rule_fired_at_one_node(self, cascade, node):
         nodes = (cascade.fs1, cascade.fs2, cascade.fs3)
         partial = with_node(cascade, node, only_first_term_rules(nodes[node]))
         failed = set()
-        result = assert_paths_agree(partial, generated_records(cascade, 1000),
-                                    failed)
+        result = assert_paths_agree(
+            partial, telemetry_of(generated_records(cascade, 1000)), failed)
         assert failed == {f"fs{node + 1}"}
         assert 0 < result.failsafe_sends < len(result.decisions)
         assert result.decisions[result.failsafe].all()
@@ -178,7 +187,7 @@ class TestPathsAgree:
     def test_empty_rule_bank(self, cascade, node):
         fs = (cascade.fs1, cascade.fs2, cascade.fs3)[node]
         empty = FuzzySubsystem(fs.name, fs.inputs, fs.output, ())
-        records = generated_records(cascade, 100)
+        records = telemetry_of(generated_records(cascade, 100))
         result = assert_paths_agree(with_node(cascade, node, empty), records)
         assert result.failsafe_sends == result.transmissions == 100
         assert result.clamped_records == 0
@@ -192,28 +201,44 @@ class TestPathsAgree:
         assert [len(column) for column in empty] == [0] * 4
 
 
-def exact_centroid(exact, fs, values):
-    """The exact centroid of `fs` at these input values, in input order, or
-    None where no rule fires."""
-    fired = exact.fire(dict(zip((var.name for var in fs.inputs), values)))
-    assert not tiny(fired), values
-    return exact.centroid(fired)
-
-
 def assert_near(got, want, fs):
-    """`got` is NaN exactly where `want` is None, else within the bound."""
-    if want is None:
-        assert math.isnan(got)
-    else:
-        assert abs(Fraction(got) - want) <= centroid_bound(fs), (got, want)
+    """`got` is within `centroid_bound` of the exact `want`."""
+    assert abs(Fraction(got) - want) <= centroid_bound(fs), (got, want)
+
+
+def compare_with_exact(cascade, exact, values, got):
+    """One row of `evaluate_columns`, `got` (FS1's and FS2's centroids and
+    the score), node by node against exact arithmetic: FS1 and FS2 on the
+    clamped readings `values`, FS3 on the engine's own intermediates, which
+    the row holds unless some node fired no rule. Returns whether it
+    compared every node: it stops at a node with an exact activation below
+    the smallest normal float, where the engine may fire less (see
+    `exact.py`)."""
+    fs1, fs2, fs3 = cascade.fs1, cascade.fs2, cascade.fs3
+    crisp = {var.name: var.clamp(x)
+             for var, x in zip(fs1.inputs + fs2.inputs, values)}
+    for node, fs in (("fs1", fs1), ("fs2", fs2), ("fs3", fs3)):
+        fired = exact[node].fire(crisp)
+        if tiny(fired):
+            return False
+        centroid = exact[node].centroid(fired)
+        if centroid is None:
+            assert all(map(math.isnan, got)), values
+            return True
+        engine = float(fs.centroids([np.array([crisp[var.name]])
+                                     for var in fs.inputs])[0])
+        assert_near(engine, centroid, fs)
+        crisp[fs.output.name] = engine
+    intermediates = (crisp[fs1.output.name], crisp[fs2.output.name])
+    assert list(map(bits, got)) == list(map(bits, intermediates + (engine,)))
+    return True
 
 
 def test_columns_against_exact_reference(cascade):
-    """`evaluate_columns` node by node against exact arithmetic: FS1 and FS2
-    on the clamped readings, FS3 on the engine's own intermediates. The rows
-    are each external's term corners, in turn and reversed, then seeded
-    readings drawn across its universe and a tenth of its span past each
-    end."""
+    """`evaluate_columns` node by node against exact arithmetic
+    (`compare_with_exact`). The rows are each external's term corners, in
+    turn and reversed, then seeded readings drawn across its universe and a
+    tenth of its span past each end."""
     variables = cascade.fs1.inputs + cascade.fs2.inputs
     corners = [sorted({p for _, mf in var.terms for p in mf.corners})
                for var in variables]
@@ -225,21 +250,88 @@ def test_columns_against_exact_reference(cascade):
         columns.append(np.concatenate([
             np.resize(points, n), np.resize(points[::-1], n),
             rng.uniform(var.lo - 0.1 * span, var.hi + 0.1 * span, 74)]))
-    _, apparent, usage, score = cascade.evaluate_columns(columns)
+    _, *crisp = cascade.evaluate_columns(columns)
     exact = {node: ExactSubsystem(fs) for node, fs in cascade.nodes.items()}
-    fs1, fs2, fs3 = cascade.fs1, cascade.fs2, cascade.fs3
-    for row in range(len(score)):
-        readings = [min(max(float(xs[row]), var.lo), var.hi)
-                    for xs, var in zip(columns, variables)]
-        stage_one = (exact_centroid(exact["fs1"], fs1, readings[:2]),
-                     exact_centroid(exact["fs2"], fs2, readings[2:]))
-        if None in stage_one:
-            assert np.isnan([apparent[row], usage[row], score[row]]).all()
-            continue
-        assert_near(float(apparent[row]), stage_one[0], fs1)
-        assert_near(float(usage[row]), stage_one[1], fs2)
-        intermediates = {fs1.output.name: float(apparent[row]),
-                         fs2.output.name: float(usage[row])}
-        assert_near(float(score[row]), exact_centroid(
-            exact["fs3"], fs3, [intermediates[var.name] for var in fs3.inputs]),
-            fs3)
+    for values, got in zip(zip(*(c.tolist() for c in columns)),
+                           zip(*(c.tolist() for c in crisp))):
+        assert compare_with_exact(cascade, exact, values, got), values
+
+
+def drawn_columns(data, cascade, n):
+    """One column per external of a drawn cascade: two rows of `readings()`
+    of FS1 and FS2, then n seeded rows. In those, each external takes one of
+    its probe values or a uniform draw up to a tenth of its span past each
+    end of its universe. Then, in half of them, one rule of FS1 and one of
+    FS2 are picked, and each input that such a rule reads takes a point
+    inside the support of the term it reads there, as `readings()` aims."""
+    fs1, fs2 = cascade.fs1, cascade.fs2
+    rows = [{**data.draw(readings(fs1)), **data.draw(readings(fs2))}
+            for _ in range(2)]
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    variables = fs1.inputs + fs2.inputs
+    choices = [(var, probes(var), 0.1 * (var.hi - var.lo)) for var in variables]
+    for _ in range(n):
+        row = {var.name: float(rng.choice(points)) if rng.random() < 0.5
+               else rng.uniform(var.lo - past, var.hi + past)
+               for var, points, past in choices}
+        if rng.random() < 0.5:
+            for fs in (fs1, fs2):
+                rule = fs.rules[rng.integers(len(fs.rules))]
+                for name, term in rule.antecedents:
+                    mf = fs.input_variable(name).term(term)
+                    x = rng.uniform(mf.corners[0], mf.corners[3])
+                    row[name] = x if mf(x) > 0.0 else mf.corners[1]
+        rows.append(row)
+    return [np.array([row[var.name] for row in rows]) for var in variables]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_drawn_cascades(data):
+    """Drawn cascades (`cascades()`), 150 rows each (`drawn_columns`),
+    through both paths: `evaluate_columns` and `run_fuzzy` agree with
+    `evaluate(clamp=True)` bit for bit, row by row."""
+    cascade = data.draw(cascades())
+    columns = drawn_columns(data, cascade, 148)
+    assert_columns_agree(cascade, columns)
+    assert_paths_agree(cascade, Telemetry(
+        [MIDNIGHT.isoformat(" ")] * len(columns[0]), np.column_stack(columns)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_drawn_cascades_against_exact_reference(data):
+    """Drawn cascades, three rows each (`drawn_columns`): each node of
+    `evaluate_columns` against exact arithmetic (`compare_with_exact`)."""
+    cascade = data.draw(cascades())
+    columns = drawn_columns(data, cascade, 1)
+    _, *crisp = cascade.evaluate_columns(columns)
+    exact = {node: ExactSubsystem(fs) for node, fs in cascade.nodes.items()}
+    for values, got in zip(zip(*(c.tolist() for c in columns)),
+                           zip(*(c.tolist() for c in crisp))):
+        compare_with_exact(cascade, exact, values, got)
+
+
+@settings(max_examples=100, deadline=None)
+@given(cascades(), st.sampled_from([None, 0, 1]), st.sampled_from([None, 0, 1]))
+def test_drawn_wiring(cascade, rename, widen):
+    """FS3 of a drawn cascade with one input renamed, one input's universe
+    widened, both or neither: `Cascade` raises WiringMismatchError exactly
+    when a name or a universe disagrees with its producer's output."""
+    fs3 = cascade.fs3
+    inputs, rules = list(fs3.inputs), fs3.rules
+    if widen is not None:
+        var = inputs[widen]
+        inputs[widen] = dataclasses.replace(var, hi=var.hi + (var.hi - var.lo))
+    if rename is not None:
+        old = inputs[rename].name
+        inputs[rename] = dataclasses.replace(inputs[rename], name="z")
+        rules = tuple(FuzzyRule(tuple(("z" if v == old else v, t)
+                                      for v, t in rule.antecedents),
+                                rule.consequent) for rule in rules)
+    rewired = FuzzySubsystem(fs3.name, tuple(inputs), fs3.output, rules)
+    if rename is None and widen is None:
+        Cascade(cascade.fs1, cascade.fs2, rewired, cascade.threshold)
+    else:
+        with pytest.raises(WiringMismatchError):
+            Cascade(cascade.fs1, cascade.fs2, rewired, cascade.threshold)

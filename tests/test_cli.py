@@ -130,6 +130,25 @@ class TestEval:
         assert code == 0
         assert "clamped" in out
 
+    def test_centroid_at_a_universe_end(self, capsys, tmp_path):
+        """FS1 whose `hot` is narrower than a grid step at the top of its
+        universe, where only the top grid point carries mass: the centroid
+        stays at the top rather than round one float past it, so FS3 takes
+        it and `eval` scores the reading of a file that `check` accepts."""
+        bundled = (bundled_fis_dir() / FIS_FILES["fs1"]).read_text()
+        narrow = tmp_path / "fs1.fis.txt"
+        narrow.write_text(bundled.replace("term hot trapezoid 70 80 100 100",
+                                          "term hot trapezoid 99.95 100 100 100"))
+        code, out, _ = run(capsys, ["check", str(narrow)])
+        assert code == 0 and out.startswith(f"{narrow}: ok")
+        code, out, err = run(capsys, ["eval", "--fis1", str(narrow), "--temp",
+                                      "30", "--humidity", "0.404", "--energy",
+                                      "60", "--time", "3", "--json"])
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        assert payload["intermediates"]["apparent_temperature"] == 100.0
+        assert payload["label"] == "send"
+
     # SHA-256 of the exact stdout of `eval` (text, then --json) for the two
     # README readings, a clamped humidity, and a reading that fires 12 rules
     # across the three nodes. Update only for an intended change to a score
@@ -206,9 +225,11 @@ class TestSimulate:
             assert values == sorted(values)
 
     def test_physical_mode_flags(self, capsys, tmp_path, fixture_csv):
-        """Physical mode alone prices each packet at the paper's packet."""
+        """The paper's packet, passed as --per-packet-joules, prices each
+        packet at `packet_energy()`."""
         code, *_, out_dir = self.simulate(
-            capsys, tmp_path, fixture_csv, "--energy-mode", "physical")
+            capsys, tmp_path, fixture_csv, "--per-packet-joules",
+            repr(packet_energy()))
         assert code == 0
         summary = json.loads((out_dir / "summary.json").read_text())
         assert summary["joules_per_packet"] == packet_energy()
@@ -495,9 +516,6 @@ class TestBadInput:
         (["--per-packet-joules", "nan"], None, "finite and > 0"),
         (["--per-packet-joules", "inf"], None, "finite and > 0"),
         (["--per-packet-joules", "1e307"], None, "overflow a float"),
-        # A flag that the energy mode does not read is refused, not ignored.
-        (["--energy-mode", "physical", "--per-packet-joules", "2"], None,
-         "physical energy mode does not read --per-packet-joules"),
         (["--map-temp", "date"], None, None),
         ([], b"date,T1,RH_1,Appliances\n2016-01-11 17:00:00,20,40,caf\xe9\n",
          "bad.csv: "),
@@ -507,7 +525,7 @@ class TestBadInput:
          + b"2016-01-11 17:10:00,20,40,60\n" * 5000,
          "bad.csv: record starting at line 2: "),
     ], ids=["zero-joules", "nan-joules", "inf-joules", "total-overflow",
-            "joules-in-physical", "duplicate-column", "non-utf8-csv", "stray-quote"])
+            "duplicate-column", "non-utf8-csv", "stray-quote"])
     def test_bad_simulate_input(self, tmp_path, fixture_csv, options, csv_bytes,
                                 where):
         # A separate process, so the assertion sees what a shell user sees.
@@ -544,13 +562,15 @@ class TestBadInput:
             f"error: argument {flag}: expected one argument\n")
 
     def test_packet_flag_is_unknown(self, capsys):
-        """simulate reads no packet layout: a flag such as --current is
-        refused as any unknown flag is."""
-        with pytest.raises(SystemExit) as exc:
-            main(["simulate", "--dataset", "x.csv", "--current", "2"])
-        assert exc.value.code == 2
-        assert capsys.readouterr().err.endswith(
-            "error: unrecognized arguments: --current 2\n")
+        """simulate reads no packet layout and no energy mode, only joules per
+        packet: a flag such as --current or --energy-mode is refused as any
+        unknown flag is."""
+        for flag in (["--current", "2"], ["--energy-mode", "physical"]):
+            with pytest.raises(SystemExit) as exc:
+                main(["simulate", "--dataset", "x.csv", *flag])
+            assert exc.value.code == 2
+            assert capsys.readouterr().err.endswith(
+                f"error: unrecognized arguments: {' '.join(flag)}\n")
 
     def test_out_dir_under_a_file(self, capsys, tmp_path, fixture_csv):
         blocker = tmp_path / "file"
@@ -571,16 +591,13 @@ ENERGY_FLOATS = st.one_of(
 
 
 @settings(max_examples=60, deadline=None)
-@given(mode=st.sampled_from(["calibrated", "physical"]),
-       joules=st.none() | ENERGY_FLOATS)
-def test_simulate_energy_flags_never_crash(fixture_csv, mode, joules):
-    """In calibrated mode, any value of --per-packet-joules either prices the
-    replay with valid JSON (exit 0) or is refused with an error line (exit
-    1). Physical mode reads no flag, and always refuses that one."""
+@given(joules=st.none() | ENERGY_FLOATS)
+def test_simulate_energy_flags_never_crash(fixture_csv, joules):
+    """Any value of --per-packet-joules, or none, either prices the replay
+    with valid JSON (exit 0) or is refused with an error line (exit 1)."""
     with tempfile.TemporaryDirectory() as tmp:
         # --flag=value, so that argparse reads "-inf" as a value.
-        argv = ["simulate", "--dataset", str(fixture_csv), "--out", tmp,
-                f"--energy-mode={mode}"]
+        argv = ["simulate", "--dataset", str(fixture_csv), "--out", tmp]
         if joules is not None:
             argv.append(f"--per-packet-joules={joules!r}")
         err = io.StringIO()
@@ -589,8 +606,6 @@ def test_simulate_energy_flags_never_crash(fixture_csv, mode, joules):
             code = main(argv)
         assert code in (0, 1)
         assert "Traceback" not in err.getvalue()
-        if mode == "physical" and joules is not None:
-            assert code == 1 and "--per-packet-joules" in err.getvalue()
         if code == 0:
             json.loads((Path(tmp) / "summary.json").read_text(),
                        parse_constant=_reject_constant)

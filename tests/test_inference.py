@@ -13,14 +13,14 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from conftest import load_bundled
 from exact import ExactSubsystem, centroid_bound, tiny
 from fuzzgate import core
-from fuzzgate.cascade import DEFAULT_EXTERNALS
-from fuzzgate.core import (CENTROID_MEMO, CHUNK_ROWS, FuzzyRule, FuzzySubsystem,
-                           LinguisticVariable, NoRuleFiredError)
+from fuzzgate.cascade import DEFAULT_EXTERNALS, Cascade
+from fuzzgate.core import (CENTROID_MEMO, CHUNK_ROWS, GRID_POINTS, FuzzyRule,
+                           FuzzySubsystem, LinguisticVariable, NoRuleFiredError)
 from inference import activations_per_rule, fire_per_rule, infer_per_rule
 from oracle import DenseOracle
 from tables import TRAP, TRI
@@ -62,9 +62,14 @@ def probe_points(var):
 
 
 @st.composite
-def variables(draw, name):
-    lo = draw(st.sampled_from([-5.0, 0.0, 0.1, 18.5]))
-    hi = lo + draw(st.sampled_from([0.3, 1.0, 24.0, 1000.0]))
+def variables(draw, name, universe=None):
+    """1-4 triangles and trapezoids on `universe`, (lo, hi), or on a drawn
+    one; each corner is an end of the universe or any point of it."""
+    if universe is None:
+        lo = draw(st.sampled_from([-5.0, 0.0, 0.1, 18.5]))
+        hi = lo + draw(st.sampled_from([0.3, 1.0, 24.0, 1000.0]))
+    else:
+        lo, hi = universe
     point = st.one_of(st.sampled_from([lo, hi]),
                       st.floats(lo, hi, allow_subnormal=False))
     terms = []
@@ -75,27 +80,59 @@ def variables(draw, name):
     return LinguisticVariable(name, lo, hi, tuple(terms))
 
 
+def rule_banks(inputs, output, names, max_antecedents):
+    """1-8 rules that conclude the output terms `names`, each of 1 to
+    `max_antecedents` antecedents drawn with replacement, so a rule may name
+    a variable twice and several rules share a consequent."""
+    antecedent = st.sampled_from([(var.name, term) for var in inputs
+                                  for term, _ in var.terms])
+    rule = st.builds(
+        lambda ifs, term: FuzzyRule(tuple(ifs), (output.name, term)),
+        st.lists(antecedent, min_size=1, max_size=max_antecedents),
+        st.sampled_from(names))
+    return st.lists(rule, min_size=1, max_size=8).map(tuple)
+
+
 @st.composite
 def subsystems(draw):
     """1-3 inputs; 1-8 rules (or, in a few examples, none) of 1-3
-    antecedents drawn with replacement, so a rule may name a variable twice
-    and several rules share a consequent; and, in about half the examples,
-    an output term that no rule names."""
+    antecedents; and, in about half the examples, an output term that no
+    rule names."""
     inputs = tuple(draw(variables(f"x{i}")) for i in range(draw(st.integers(1, 3))))
     output = draw(variables("y"))
     names = [term for term, _ in output.terms]
     if len(names) > 1 and draw(st.booleans()):
         names.pop()
-    antecedent = st.sampled_from([(var.name, term) for var in inputs
-                                  for term, _ in var.terms])
-    rule = st.builds(
-        lambda antecedents, term: FuzzyRule(tuple(antecedents), ("y", term)),
-        st.lists(antecedent, min_size=1, max_size=3), st.sampled_from(names))
     # An empty rule bank, which no reading fires, in a few draws: the top of
     # the range, since Hypothesis draws its low end far more often.
     empty = draw(st.integers(0, 9)) == 9
-    rules = [] if empty else draw(st.lists(rule, min_size=1, max_size=8))
-    return FuzzySubsystem("drawn", inputs, output, tuple(rules))
+    rules = () if empty else draw(rule_banks(inputs, output, names, 3))
+    return FuzzySubsystem("drawn", inputs, output, rules)
+
+
+@st.composite
+def cascades(draw):
+    """FS1 and FS2 of two drawn inputs each, and FS3 whose two inputs, in
+    either order, are drawn on their producers' output universes; each node
+    with 1-8 rules of 1-2 antecedents, and a threshold inside FS3's
+    universe. A draw in which some node has an output term that no grid
+    point sees, which `Cascade` refuses, is rejected."""
+    def node(name, inputs, output):
+        names = [term for term, _ in output.terms]
+        return FuzzySubsystem(name, inputs, output,
+                              draw(rule_banks(inputs, output, names, 2)))
+
+    fs1 = node("fs1", (draw(variables("t")), draw(variables("h"))),
+               draw(variables("a")))
+    fs2 = node("fs2", (draw(variables("e")), draw(variables("d"))),
+               draw(variables("u")))
+    consumed = [draw(variables(fs.output.name, (fs.output.lo, fs.output.hi)))
+                for fs in (fs1, fs2)]
+    if draw(st.booleans()):
+        consumed.reverse()
+    fs3 = node("fs3", tuple(consumed), draw(variables("s")))
+    assume(not any(fs.unseen_output_terms() for fs in (fs1, fs2, fs3)))
+    return Cascade(fs1, fs2, fs3, draw(st.floats(fs3.output.lo, fs3.output.hi)))
 
 
 def in_support(mf):
@@ -133,6 +170,46 @@ def test_drawn_subsystems(data):
     fs = data.draw(subsystems())
     for _ in range(5):
         assert_same(fs, data.draw(readings(fs)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_centroids_stay_in_the_output_universe(data):
+    """On drawn subsystems, every centroid of `infer` and of `centroids` lies
+    in the output universe, as the exact one does. Where only an end grid
+    point x carries mass s, the quotient of the grid sums is (x * s) / s,
+    which may round one float past x. So in about half the examples the
+    output's first term, which some rule concludes, is made narrower than a
+    grid step at an end of the universe."""
+    fs = data.draw(subsystems())
+    if data.draw(st.booleans()):
+        lo, hi = fs.output.lo, fs.output.hi
+        width = data.draw(st.floats(0, (hi - lo) / (GRID_POINTS - 1),
+                                    exclude_max=True))
+        sliver = data.draw(st.sampled_from([TRAP(hi - width, hi, hi, hi),
+                                            TRAP(lo, lo, lo, lo + width)]))
+        (name, _), *rest = fs.output.terms
+        fs = dataclasses.replace(fs, output=dataclasses.replace(
+            fs.output, terms=((name, sliver), *rest)))
+    rows = [data.draw(readings(fs)) for _ in range(5)]
+    lo, hi = fs.output.lo, fs.output.hi
+    for crisp in rows:
+        try:
+            centroid = fs.infer(crisp).centroid
+        except NoRuleFiredError:
+            continue
+        assert lo <= centroid <= hi, crisp
+    # Many activations on the batch path: the drawn readings, each input's
+    # probe points, cycled to the longest list of them, and seeded uniform
+    # readings.
+    probes = [probe_points(var) for var in fs.inputs]
+    n = max(map(len, probes))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    batch = fs.centroids([np.concatenate([
+        [crisp[var.name] for crisp in rows], np.resize(points, n),
+        rng.uniform(var.lo, var.hi, 4 * CHUNK_ROWS)])
+        for var, points in zip(fs.inputs, probes)])
+    assert all(lo <= c <= hi for c in batch[~np.isnan(batch)].tolist())
 
 
 def poisoned(empty):

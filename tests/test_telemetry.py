@@ -251,16 +251,23 @@ def test_fixed_timestamps_are_iso_texts(moment, text):
     """The loader keeps timestamps as ISO text in one form. It keeps the
     text of a timestamp that the column pass takes, which must be the
     `isoformat(" ")` of its value; and it keeps the `isoformat(" ")` of one
-    that `_parse_row` takes, which must have FIXED_TIMESTAMP's shape."""
+    that `_parse_row` takes, which must have FIXED_TIMESTAMP's shape. On
+    texts of that shape, `_parse_row`'s `strptime` takes and refuses what
+    the column pass's `fromisoformat` does, with the same value."""
     iso = moment.isoformat(" ")
     assert sim._fixed_timestamp(iso)
     assert datetime.fromisoformat(iso) == moment
     assert sim._fixed_timestamp(text)
-    try:
-        parsed = datetime.fromisoformat(text)
-    except ValueError:
-        return
-    assert parsed.isoformat(" ") == text
+    parsed = []
+    for parse in (datetime.fromisoformat,
+                  lambda t: datetime.strptime(t, sim.TIMESTAMP_FORMAT)):
+        try:
+            parsed.append(parse(text))
+        except ValueError:
+            parsed.append(None)
+    assert parsed[0] == parsed[1], text
+    if parsed[0] is not None:
+        assert parsed[0].isoformat(" ") == text
 
 
 STAMP = "2016-01-11 17:00:00"
