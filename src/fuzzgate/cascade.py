@@ -198,13 +198,15 @@ class Cascade:
         usage = self.fs2.centroids(node_columns[2:])
         apparent = self.fs1.centroids(node_columns[:2])
         del node_columns  # so that FS3 reuses their memory
-        # FS3 reads NaN (no rule fired) as its lower bound; the row is masked.
+        # FS3 runs on the rows where both producers fired; a row's bits do
+        # not depend on the other rows.
+        both = ~(np.isnan(apparent) | np.isnan(usage))
         crisp = {self.fs1.output.name: apparent, self.fs2.output.name: usage}
-        score = self.fs3.centroids(
-            [np.nan_to_num(crisp[v.name], nan=v.lo) for v in self.fs3.inputs])
-        no_rule_fired = np.isnan(apparent) | np.isnan(usage) | np.isnan(score)
+        score = np.full(len(both), np.nan)
+        score[both] = self.fs3.centroids(
+            [crisp[v.name][both] for v in self.fs3.inputs])
+        no_rule_fired = np.isnan(score)
         apparent[no_rule_fired] = usage[no_rule_fired] = np.nan
-        score[no_rule_fired] = np.nan
         return clamped, apparent, usage, score
 
 

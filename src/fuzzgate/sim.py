@@ -6,10 +6,10 @@ from __future__ import annotations
 
 import csv
 import math
-import re
 from collections.abc import Iterator
 from dataclasses import dataclass
 from datetime import datetime
+from itertools import chain, islice
 from operator import itemgetter
 from pathlib import Path
 
@@ -19,16 +19,20 @@ from .cascade import Cascade, sends
 
 TIMESTAMP_FORMAT = "%Y-%m-%d %H:%M:%S"
 
-#: ASCII timestamps of exactly TIMESTAMP_FORMAT's shape. The column pass parses
-#: these with `datetime.fromisoformat`, which is much faster than `strptime` and
-#: takes and refuses them as it does; `_parse_row` uses `strptime`, which also
-#: takes shapes such as unpadded fields and non-ASCII digits.
+#: ASCII timestamps of exactly TIMESTAMP_FORMAT's shape. The column pass finds
+#: these from their characters, in `_fixed_timestamps`, and checks their dates
+#: with `datetime.fromisoformat`, which takes and refuses them as `strptime`
+#: does; `_parse_row` uses `strptime`, which also takes shapes such as
+#: unpadded fields and non-ASCII digits.
 FIXED_TIMESTAMP = r"\d{4}-\d\d-\d\d ([01]\d|2[0-3]):\d\d:\d\d"
-_fixed_timestamp = re.compile(FIXED_TIMESTAMP, re.ASCII).fullmatch
+#: The code points each character of such a text lies between.
+_FIXED_RANGE = np.array([[*map(ord, "0000-00-00 00:00:00")],
+                         [*map(ord, "9999-99-99 99:99:99")]], dtype=np.uint32)
 
-#: Data rows read before their mapped fields are converted. The block bounds
-#: the field text held at once.
+#: Physical lines read at once. The block bounds the field text held at once.
 LOAD_BLOCK = 4096
+
+_BLANK_LINES = ("\n", "\r", "\r\n")
 
 
 class TelemetryError(Exception):
@@ -92,8 +96,9 @@ class Telemetry:
     them back into `TelemetryRecord`s.
 
     `readings` is `(n, 4)`, in DEFAULT_EXTERNALS order: temperature,
-    humidity as a fraction, appliance energy in Wh, and time of day as
-    `TelemetryRecord.time_of_day` computes it from the timestamp.
+    humidity as a fraction, appliance energy in Wh, and time of day by
+    `TelemetryRecord.time_of_day`'s expression on the timestamp's hour,
+    minute and second, which gives the same bits as that property.
     """
 
     timestamps: list[str]
@@ -123,17 +128,20 @@ def load_telemetry(path: str | Path, mapping: ColumnMapping | None = None,
     file line a row starts on. Humidity is divided by 100 under the percent
     scale.
 
-    The mapped fields of LOAD_BLOCK rows at a time are converted a column at
-    a time. Only the rows with a field that this does not take, such as a
-    bad number or a timestamp of another shape, are then parsed one by one,
-    in file order, by `_parse_row`, which takes every field the column pass
-    takes with the same value.
+    The file is read LOAD_BLOCK lines at a time. numpy's C tokenizer reads
+    a block's mapped fields alone, where `_tokenized` finds that it reads
+    them as `csv.reader` would; `csv.reader` reads the other blocks, and
+    finishes a record that such a block leaves open. The mapped fields of a
+    block are then converted a column at a time. Only the rows with a field
+    that this does not take, such as a bad number or a timestamp of another
+    shape, are then parsed one by one, in file order, by `_parse_row`, which
+    takes every field the column pass takes with the same value.
 
     Timestamps are kept as text, not as datetimes: a field that the column
     pass takes is kept as read, since it already equals the `isoformat(" ")`
     of its value, and a row that `_parse_row` takes gets that text made
-    once. The datetimes of a block are dropped once its time of day is
-    computed.
+    once. The time of day of a field the column pass takes comes from its
+    digits.
     """
     if policy not in ("strict", "skip-bad"):
         raise ValueError(f"unknown policy {policy!r}")
@@ -144,35 +152,46 @@ def load_telemetry(path: str | Path, mapping: ColumnMapping | None = None,
     timestamps: list[str] = []
     blocks: list[np.ndarray] = []  # (4, m) readings of each block
     skipped_rows: list[int] = []
-    rows: list[tuple[str, ...]] = []  # the mapped fields of the block's rows
-    lines: list[int] = []  # file line each of those rows starts on
 
-    def convert_block():
-        if not rows:
+    def convert_block(table: np.ndarray, lines) -> None:
+        """Convert `table`, the (m, 4) mapped fields of rows that start on
+        file lines `lines`. A row is marked by a timestamp not of
+        FIXED_TIMESTAMP's shape or that `datetime.fromisoformat` rejects, a
+        number that `float` rejects, or a value that is not finite;
+        `_parse_row` gives a marked row's values, or rejects it. What the
+        column pass takes, `_parse_row` takes with the same value: a
+        timestamp of exactly FIXED_TIMESTAMP's shape has no space or quote
+        to strip, and when `float(raw)` takes a field, it equals
+        `float(raw.strip().strip('"'))`. Such a timestamp text is also the
+        `isoformat(" ")` of its value, which writes the same fixed-width
+        fields back."""
+        if not len(table):
             return
-        texts, stamps, values, marked = _convert_columns(rows)
+        texts, *numbers = table.T.tolist()
+        # Shapes and times of day from the characters; dates by fromisoformat.
+        fixed, hours = _fixed_timestamps(texts)
+        fixed[_convert(datetime.fromisoformat, texts, None)[1]] = False
+        values = np.array([_convert(float, column, math.nan)[0]
+                           for column in numbers])
         dropped = []
-        for i in marked:
+        for i in np.flatnonzero(~fixed | ~np.isfinite(values).all(axis=0)):
             try:
-                stamps[i], *numbers = _parse_row(rows[i], wanted, path, lines[i])
+                t, *row = _parse_row(table[i], wanted, path, lines[i])
             except RowError:
                 if policy == "strict":
                     raise
                 skipped_rows.append(lines[i])
                 dropped.append(i)
             else:
-                texts[i] = stamps[i].isoformat(" ")
-                values[:, i] = numbers
+                texts[i] = t.isoformat(" ")
+                values[:, i] = row
+                # The expression of TelemetryRecord.time_of_day.
+                hours[i] = t.hour + t.minute / 60 + t.second / 3600
         for i in reversed(dropped):
-            del texts[i], stamps[i]
-        values = np.delete(values, dropped, axis=1)
+            del texts[i]
         values[1] /= humidity_unit
-        # The expression of TelemetryRecord.time_of_day.
-        hours = [t.hour + t.minute / 60 + t.second / 3600 for t in stamps]
         timestamps.extend(texts)
-        blocks.append(np.vstack((values, hours)))
-        rows.clear()
-        lines.clear()
+        blocks.append(np.delete(np.vstack((values, hours)), dropped, axis=1))
 
     line = 1  # first file line of the record being read
     try:
@@ -189,23 +208,45 @@ def load_telemetry(path: str | Path, mapping: ColumnMapping | None = None,
             pick = itemgetter(*columns)
             width = max(columns) + 1
             line = reader.line_num + 1
-            try:
-                for fields in reader:
-                    if fields:
-                        if len(fields) < width:
-                            row = dict(zip(header, fields))
-                            fields = [row.get(name, "") for name in header]
-                        rows.append(pick(fields))
-                        lines.append(line)
-                        if len(rows) == LOAD_BLOCK:
-                            convert_block()
-                    line = reader.line_num + 1
-            except (csv.Error, UnicodeDecodeError):
-                # Rows read before the error are converted first: under
-                # "strict", a bad row among them is the error reported.
-                convert_block()
-                raise
-            convert_block()
+            while True:
+                # The last block's fields go before the next block is read.
+                block, error, table = [], None, None
+                try:  # keeps the lines read before an undecodable one
+                    block.extend(islice(fh, LOAD_BLOCK))
+                except UnicodeDecodeError as exc:
+                    error = exc
+                table = _tokenized(block, columns)
+                if table is not None:  # a row on each non-blank line
+                    convert_block(table, range(line, line + len(block))
+                                  if len(table) == len(block) else
+                                  [line + i for i, text in enumerate(block)
+                                   if text not in _BLANK_LINES])
+                    line += len(block)
+                else:
+                    reader = csv.reader(chain(
+                        block, fh if error is None else _raising(error)))
+                    first, rows, lines = line, [], []
+                    try:
+                        while reader.line_num < len(block):
+                            fields = next(reader)
+                            if fields:
+                                if len(fields) < width:
+                                    row = dict(zip(header, fields))
+                                    fields = [row.get(name, "")
+                                              for name in header]
+                                rows.append(pick(fields))
+                                lines.append(line)
+                            line = first + reader.line_num
+                    finally:
+                        # Rows read before an error are converted first:
+                        # under "strict", a bad row among them is the
+                        # error reported.
+                        convert_block(np.array(rows, dtype=object)
+                                      .reshape(-1, 4), lines)
+                if error is not None:
+                    raise error
+                if len(block) < LOAD_BLOCK:
+                    break
     except UnicodeDecodeError as exc:
         raise TelemetryError(f"{path}: {exc}") from None
     except csv.Error as exc:
@@ -217,31 +258,48 @@ def load_telemetry(path: str | Path, mapping: ColumnMapping | None = None,
             LoadReport(len(timestamps), len(skipped_rows), tuple(skipped_rows)))
 
 
-def _convert_columns(rows: list[tuple[str, ...]]
-                     ) -> tuple[list[str], list[datetime], np.ndarray, list[int]]:
-    """The timestamp texts, the timestamps and the (3, m) numbers of rows of
-    mapped fields, each column converted in one pass, and the indexes of the
-    rows, in order, that some field marks: a timestamp not of
-    FIXED_TIMESTAMP's shape or that `datetime.fromisoformat` rejects, a
-    number that `float` rejects, or a value that is not finite. A marked
-    row's entries are not its values: `_parse_row` gives those, or rejects
-    the row.
+def _tokenized(block: list[str], columns: list[int]) -> np.ndarray | None:
+    """The (m, 4) fields of `columns` in the rows of `block`, physical lines
+    of a CSV, as numpy's C tokenizer reads them; or None where `csv.reader`
+    might read them otherwise. numpy raises on a short row and on a line of
+    spaces, which csv reads as rows of "" fields. numpy has no field size
+    limit. A record that spans lines gives fewer rows than non-blank lines;
+    one left open by the block's last line numpy closes there, where csv
+    reads on."""
+    blank = sum(map(block.count, _BLANK_LINES))
+    if blank == len(block):  # loadtxt warns on no data
+        return np.empty((0, 4), dtype=object)
+    if max(map(len, block)) > csv.field_size_limit():
+        return None
+    try:
+        table = np.loadtxt(block, dtype=object, delimiter=",", quotechar='"',
+                           comments=None, usecols=columns, ndmin=2)
+    except ValueError:
+        return None
+    last = next(text for text in reversed(block) if text not in _BLANK_LINES)
+    if len(table) + blank != len(block) or any(
+            "\r" in field or "\n" in field for field in next(csv.reader([last]))):
+        return None
+    return table
 
-    What this takes, `_parse_row` takes with the same value: a timestamp of
-    exactly FIXED_TIMESTAMP's shape has no space or quote to strip, and when
-    `float(raw)` takes a field, it equals `float(raw.strip().strip('"'))`.
-    A timestamp text this takes is also the `isoformat(" ")` of its value,
-    which writes the same fixed-width fields back.
-    """
-    texts, *numbers = zip(*rows)
-    stamps, rejected = _convert(datetime.fromisoformat, texts, None)
-    values = np.array([_convert(float, column, math.nan)[0]
-                       for column in numbers])
-    nonfinite = np.flatnonzero(~np.isfinite(values).all(axis=0)).tolist()
-    misshapen = [i for i, fixed in enumerate(map(_fixed_timestamp, texts))
-                 if not fixed]
-    return (list(texts), stamps, values,
-            sorted({*misshapen, *rejected, *nonfinite}))
+
+def _raising(exc: Exception) -> Iterator:
+    """An iterator whose first item raises `exc`."""
+    raise exc
+    yield
+
+
+def _fixed_timestamps(texts: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """The mask of `texts` of FIXED_TIMESTAMP's shape, from their code
+    points, and the time of day each would give, as
+    `TelemetryRecord.time_of_day` computes it from the digits."""
+    codes = np.array(texts, dtype="<U19").view(np.uint32).reshape(len(texts), 19)
+    hours, minutes, seconds = (  # garbage where a character is no digit
+        10 * codes[:, k].astype(np.int64) + codes[:, k + 1] - 11 * ord("0")
+        for k in (11, 14, 17))
+    fixed = ((_FIXED_RANGE[0] <= codes) & (codes <= _FIXED_RANGE[1])).all(axis=1)
+    fixed &= (np.fromiter(map(len, texts), int, len(texts)) == 19) & (hours <= 23)
+    return fixed, hours + minutes / 60 + seconds / 3600
 
 
 def _convert(convert, texts, failed) -> tuple[list, list[int]]:

@@ -11,6 +11,7 @@ import math
 import random
 from datetime import datetime, timedelta
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -182,6 +183,28 @@ class TestPathsAgree:
         assert failed == {f"fs{node + 1}"}
         assert 0 < result.failsafe_sends < len(result.decisions)
         assert result.decisions[result.failsafe].all()
+
+    @pytest.mark.parametrize("node", [0, 1], ids=["fs1", "fs2"])
+    def test_fs3_runs_where_both_producers_fired(self, cascade, node):
+        """`evaluate_columns` gives FS3 only the rows where FS1 and FS2 both
+        fired, and still agrees with `evaluate` row by row."""
+        nodes = (cascade.fs1, cascade.fs2, cascade.fs3)
+        partial = with_node(cascade, node, only_first_term_rules(nodes[node]))
+        calls = {}  # rows and centroids of each node's call
+        centroids = FuzzySubsystem.centroids
+
+        def spy(fs, columns):
+            calls[id(fs)] = len(columns[0]), centroids(fs, columns)
+            return calls[id(fs)][1]
+
+        records = generated_records(cascade, 1000)
+        with mock.patch.object(FuzzySubsystem, "centroids", spy):
+            assert_columns_agree(partial, telemetry_of(records).readings.T)
+        (_, apparent), (_, usage), (rows, _) = (
+            calls[id(fs)] for fs in (partial.fs1, partial.fs2, partial.fs3))
+        both = int((~np.isnan(apparent) & ~np.isnan(usage)).sum())
+        assert rows == both
+        assert 0 < both < len(records)
 
     @pytest.mark.parametrize("node", [0, 1, 2], ids=["fs1", "fs2", "fs3"])
     def test_empty_rule_bank(self, cascade, node):

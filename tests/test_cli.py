@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
@@ -334,6 +335,19 @@ class TestSimulate:
             "15.529617304492511,27.056243756243752,send,0,0",
             "1,2016-01-11 17:00:00,-0.0,0.4,0.0,17.0,23.922152120574832,"
             "18.358690234635656,27.056243756243752,send,0,0"]
+
+    @pytest.mark.parametrize("body", ["", "\n\n\n"], ids=["header", "blank-lines"])
+    def test_header_only(self, capsys, tmp_path, body):
+        """A file with no data rows replays 0 records, silently."""
+        dataset = tmp_path / "t.csv"
+        dataset.write_text("date,T1,RH_1,Appliances\n" + body)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, ["simulate", "--dataset", str(dataset),
+                                          "--out", str(tmp_path / "out")])
+        assert (code, err) == (0, "")
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert summary["records"] == 0
 
     @pytest.mark.parametrize("bad_rows, shown", [
         (3, "lines 3, 5, 7\n"),

@@ -1,6 +1,7 @@
 """The blocked loader against the row-wise reference loader in
 `telemetry.py`: the same file must give the same timestamps, the same
 readings bit for bit, the same load report, or the same error."""
+import csv
 import importlib.util
 import re
 import tempfile
@@ -52,11 +53,19 @@ def loaders_agree(path, **kwargs):
 POLICIES = ["strict", "skip-bad"]
 
 
+#: Lines on which numpy's tokenizer and `csv.reader` could part: blank or
+#: spaces alone, and quotes that open, close, double or sit inside a field,
+#: also around a line end.
+ODD_LINES = st.lists(st.sampled_from(
+    [b",", b'"', b'""', b"\n", b"\r", b"\r\n", b" ", b"\t", b"x", b"20",
+     b"2016-01-11 17:00:00"]), max_size=8).map(b"".join)
+
+
 @settings(max_examples=150, deadline=None)
-@given(header=CSV_HEADERS, rows=st.lists(CSV_ROWS, max_size=12),
+@given(header=CSV_HEADERS, rows=st.lists(CSV_ROWS | ODD_LINES, max_size=12),
        last=st.just(b"") | st.text(max_size=24).map(str.encode)
        | st.binary(max_size=24),
-       newline=st.sampled_from([b"\n", b"\r\n"]),
+       newline=st.sampled_from([b"\n", b"\r\n", b"\r"]),
        policy=st.sampled_from(POLICIES),
        scale=st.sampled_from(["percent", "fraction"]),
        block=st.sampled_from([1, 2, 3, LOAD_BLOCK]))
@@ -99,14 +108,15 @@ def good_row(i):
             f"{20 + i % 50 / 10},{40 + i % 7},{60 + 10 * i % 50}")
 
 
-def replay(tmp_path, traps, policy, mapping=None):
+def replay(tmp_path, traps, policy, mapping=None, newline="\n",
+           header="date,T1,RH_1,Appliances"):
     """Load ROWS good rows, data row k (1-based) replaced by the lines of
     `traps[k]`, with both loaders; return what the blocked one gave."""
-    lines = ["date,T1,RH_1,Appliances"]
+    lines = [header]
     for i in range(1, ROWS + 1):
         lines.extend(traps.get(i, [good_row(i)]))
     dataset = tmp_path / "data.csv"
-    dataset.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    dataset.write_bytes((newline.join(lines) + newline).encode())
     return loaders_agree(dataset, mapping=mapping, policy=policy)
 
 
@@ -235,6 +245,11 @@ def test_convert_resumes_after_each_failure(bad):
     assert failures == list(bad)
 
 
+def fixed_shape(text):
+    """Whether the column pass finds `text` of FIXED_TIMESTAMP's shape."""
+    return bool(sim._fixed_timestamps([text])[0][0])
+
+
 #: Texts of FIXED_TIMESTAMP's shape: any, and with each field near its range.
 FIXED_TEXTS = (st.from_regex(re.compile(sim.FIXED_TIMESTAMP, re.ASCII),
                              fullmatch=True)
@@ -255,9 +270,9 @@ def test_fixed_timestamps_are_iso_texts(moment, text):
     texts of that shape, `_parse_row`'s `strptime` takes and refuses what
     the column pass's `fromisoformat` does, with the same value."""
     iso = moment.isoformat(" ")
-    assert sim._fixed_timestamp(iso)
+    assert fixed_shape(iso)
     assert datetime.fromisoformat(iso) == moment
-    assert sim._fixed_timestamp(text)
+    assert fixed_shape(text)
     parsed = []
     for parse in (datetime.fromisoformat,
                   lambda t: datetime.strptime(t, sim.TIMESTAMP_FORMAT)):
@@ -307,3 +322,58 @@ def test_traps_in_one_block(tmp_path, policy, traps, error, skipped, parsed,
     for row, record in kept.items():
         assert (telemetry.timestamps[row - 1],
                 *telemetry.readings[row - 1, :3].tolist()) == record
+
+
+@pytest.mark.parametrize("block", [1, 2, LOAD_BLOCK])
+@pytest.mark.parametrize("policy", POLICIES)
+@pytest.mark.parametrize("lines, newline", [
+    (['2016-01-11 17:00:00,20,"40', '",60'], "\n"),
+    (['2016-01-11 17:00:00,20,40,60,"a', "", 'b"'], "\n"),
+    ([f"2016-01-11 17:00:00,20,40,60,{'x' * (csv.field_size_limit() + 1)}"],
+     "\n"),
+    (["   "], "\n"),
+    (["", "2016-01-11 17:00:00,20,40,60", "", ""], "\r\n"),
+    ([""] * (LOAD_BLOCK + 1), "\n"),
+    (["2016-01-11 17:00:00,20,40,60,1,2,3"], "\n"),
+], ids=["open-quote-ends-block", "quoted-newline-across-blocks",
+        "field-limit-in-lights", "spaces-alone", "crlf-blank-lines",
+        "blank-block", "more-fields-than-header"])
+def test_tokenizers_part(tmp_path, block, policy, lines, newline):
+    """Lines on which numpy's tokenizer and `csv.reader` part, from the last
+    line of a block on (of every block size here), and then a bad row: each
+    loader reads them as csv does, and names the bad row's file line."""
+    with mock.patch.object(sim, "LOAD_BLOCK", block):
+        got = replay(tmp_path, {LOAD_BLOCK: lines, LOAD_BLOCK + 2: [BAD_ROW]},
+                     policy, newline=newline,
+                     header="date,T1,RH_1,Appliances,lights")
+    if len(lines[0]) > csv.field_size_limit():
+        assert "field larger than field limit" in str(got)
+    elif policy == "skip-bad":
+        assert got[1].skipped_rows[-1] == LOAD_BLOCK + len(lines) + 2
+
+
+#: Characters of near misses of FIXED_TIMESTAMP's shape: digits that are not
+#: ASCII, other separators, and NUL, which a '<U19' array drops at the end.
+NEAR_CHARS = st.sampled_from("0123456789-: T/\u0663\uff10\xb2x\x00")
+
+
+@settings(max_examples=500, deadline=None)
+@given(texts=st.lists(
+    FIXED_TEXTS
+    | st.tuples(*(st.integers(0, 99) for _ in range(6))).map(
+        lambda f: "%04d-%02d-%02d %02d:%02d:%02d" % f)
+    | st.tuples(FIXED_TEXTS, st.integers(0, 19),
+                st.text(NEAR_CHARS, max_size=2)).map(
+        lambda t: t[0][:t[1]] + t[2] + t[0][t[1] + 1:])
+    | st.text(NEAR_CHARS, min_size=18, max_size=20),
+    min_size=1, max_size=6))
+def test_shape_check_is_the_regex(texts):
+    """The column pass's shape check, from code points, takes exactly the
+    texts that FIXED_TIMESTAMP's regex takes, and its time of day is
+    `TelemetryRecord.time_of_day`'s expression on their fields."""
+    fixed, hours = sim._fixed_timestamps(texts)
+    for text, takes, time_of_day in zip(texts, fixed.tolist(), hours.tolist()):
+        assert takes == bool(re.fullmatch(sim.FIXED_TIMESTAMP, text, re.ASCII))
+        if takes:
+            h, m, s = int(text[11:13]), int(text[14:16]), int(text[17:])
+            assert time_of_day.hex() == (h + m / 60 + s / 3600).hex()
