@@ -9,8 +9,8 @@ import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 from datetime import datetime
-from itertools import chain, islice
-from operator import itemgetter
+from itertools import chain, islice, repeat
+from operator import contains, itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +29,8 @@ FIXED_TIMESTAMP = r"\d{4}-\d\d-\d\d ([01]\d|2[0-3]):\d\d:\d\d"
 _FIXED_RANGE = np.array([[*map(ord, "0000-00-00 00:00:00")],
                          [*map(ord, "9999-99-99 99:99:99")]], dtype=np.uint32)
 
-#: Physical lines read at once. The block bounds the field text held at once.
+#: Physical lines, or csv rows, read at once. The block bounds the field
+#: text held at once.
 LOAD_BLOCK = 4096
 
 _BLANK_LINES = ("\n", "\r", "\r\n")
@@ -129,13 +130,14 @@ def load_telemetry(path: str | Path, mapping: ColumnMapping | None = None,
     scale.
 
     The file is read LOAD_BLOCK lines at a time. numpy's C tokenizer reads
-    a block's mapped fields alone, where `_tokenized` finds that it reads
-    them as `csv.reader` would; `csv.reader` reads the other blocks, and
-    finishes a record that such a block leaves open. The mapped fields of a
-    block are then converted a column at a time. Only the rows with a field
-    that this does not take, such as a bad number or a timestamp of another
-    shape, are then parsed one by one, in file order, by `_parse_row`, which
-    takes every field the column pass takes with the same value.
+    a block's mapped fields alone, as long as `_tokenized` finds that it
+    reads them as `csv.reader` would. From the first block where it might
+    not, `csv.reader` reads the rest of the file, LOAD_BLOCK rows at a time.
+    The mapped fields of a block are then converted a column at a time.
+    Only the rows with a field that this does not take, such as a bad
+    number or a timestamp of another shape, are then parsed one by one, in
+    file order, by `_parse_row`, which takes every field the column pass
+    takes with the same value.
 
     Timestamps are kept as text, not as datetimes: a field that the column
     pass takes is kept as read, since it already equals the `isoformat(" ")`
@@ -153,21 +155,21 @@ def load_telemetry(path: str | Path, mapping: ColumnMapping | None = None,
     blocks: list[np.ndarray] = []  # (4, m) readings of each block
     skipped_rows: list[int] = []
 
-    def convert_block(table: np.ndarray, lines) -> None:
-        """Convert `table`, the (m, 4) mapped fields of rows that start on
-        file lines `lines`. A row is marked by a timestamp not of
-        FIXED_TIMESTAMP's shape or that `datetime.fromisoformat` rejects, a
-        number that `float` rejects, or a value that is not finite;
-        `_parse_row` gives a marked row's values, or rejects it. What the
-        column pass takes, `_parse_row` takes with the same value: a
-        timestamp of exactly FIXED_TIMESTAMP's shape has no space or quote
-        to strip, and when `float(raw)` takes a field, it equals
-        `float(raw.strip().strip('"'))`. Such a timestamp text is also the
-        `isoformat(" ")` of its value, which writes the same fixed-width
-        fields back."""
-        if not len(table):
+    def convert_block(columns: list[list[str]], lines) -> None:
+        """Convert `columns`, the mapped fields (ColumnMapping order) of the
+        rows that start on file lines `lines`. A row is marked by a
+        timestamp not of FIXED_TIMESTAMP's shape or that
+        `datetime.fromisoformat` rejects, a number that `float` rejects, or
+        a value that is not finite; `_parse_row` gives a marked row's
+        values, or rejects it. What the column pass takes, `_parse_row`
+        takes with the same value: a timestamp of exactly FIXED_TIMESTAMP's
+        shape has no space or quote to strip, and when `float(raw)` takes a
+        field, it equals `float(raw.strip().strip('"'))`. Such a timestamp
+        text is also the `isoformat(" ")` of its value, which writes the
+        same fixed-width fields back."""
+        if not lines:
             return
-        texts, *numbers = table.T.tolist()
+        texts, *numbers = columns
         # Shapes and times of day from the characters; dates by fromisoformat.
         fixed, hours = _fixed_timestamps(texts)
         fixed[_convert(datetime.fromisoformat, texts, None)[1]] = False
@@ -176,7 +178,8 @@ def load_telemetry(path: str | Path, mapping: ColumnMapping | None = None,
         dropped = []
         for i in np.flatnonzero(~fixed | ~np.isfinite(values).all(axis=0)):
             try:
-                t, *row = _parse_row(table[i], wanted, path, lines[i])
+                t, *row = _parse_row([column[i] for column in columns],
+                                     wanted, path, lines[i])
             except RowError:
                 if policy == "strict":
                     raise
@@ -216,37 +219,38 @@ def load_telemetry(path: str | Path, mapping: ColumnMapping | None = None,
                 except UnicodeDecodeError as exc:
                     error = exc
                 table = _tokenized(block, columns)
-                if table is not None:  # a row on each non-blank line
-                    convert_block(table, range(line, line + len(block))
-                                  if len(table) == len(block) else
-                                  [line + i for i, text in enumerate(block)
-                                   if text not in _BLANK_LINES])
-                    line += len(block)
-                else:
-                    reader = csv.reader(chain(
-                        block, fh if error is None else _raising(error)))
-                    first, rows, lines = line, [], []
-                    try:
-                        while reader.line_num < len(block):
-                            fields = next(reader)
-                            if fields:
-                                if len(fields) < width:
-                                    row = dict(zip(header, fields))
-                                    fields = [row.get(name, "")
-                                              for name in header]
-                                rows.append(pick(fields))
-                                lines.append(line)
-                            line = first + reader.line_num
-                    finally:
-                        # Rows read before an error are converted first:
-                        # under "strict", a bad row among them is the
-                        # error reported.
-                        convert_block(np.array(rows, dtype=object)
-                                      .reshape(-1, 4), lines)
-                if error is not None:
-                    raise error
-                if len(block) < LOAD_BLOCK:
+                if table is None:
                     break
+                # A row on each non-blank line.
+                convert_block(table.T.tolist(),
+                              range(line, line + len(block))
+                              if len(table) == len(block) else
+                              [line + i for i, text in enumerate(block)
+                               if text not in _BLANK_LINES])
+                line += len(block)
+                if len(block) < LOAD_BLOCK:  # at the end, or at `error`
+                    block = []  # csv reads no more lines, or raises `error`
+                    break
+            # csv reads the rest of the file, from the block numpy left.
+            reader = csv.reader(
+                chain(block, fh if error is None else _raising(error)))
+            first, rows, lines = line, [], []
+            try:
+                for fields in reader:
+                    if fields:
+                        if len(fields) < width:
+                            row = dict(zip(header, fields))
+                            fields = [row.get(name, "") for name in header]
+                        rows.append(pick(fields))
+                        lines.append(line)
+                        if len(rows) == LOAD_BLOCK:
+                            convert_block([*map(list, zip(*rows))], lines)
+                            rows, lines = [], []
+                    line = first + reader.line_num
+            finally:
+                # Rows read before an error are converted first: under
+                # "strict", a bad row among them is the error reported.
+                convert_block([*map(list, zip(*rows))], lines)
     except UnicodeDecodeError as exc:
         raise TelemetryError(f"{path}: {exc}") from None
     except csv.Error as exc:
@@ -263,13 +267,15 @@ def _tokenized(block: list[str], columns: list[int]) -> np.ndarray | None:
     of a CSV, as numpy's C tokenizer reads them; or None where `csv.reader`
     might read them otherwise. numpy raises on a short row and on a line of
     spaces, which csv reads as rows of "" fields. numpy has no field size
-    limit. A record that spans lines gives fewer rows than non-blank lines;
-    one left open by the block's last line numpy closes there, where csv
-    reads on."""
+    limit, and reads NUL as any other character, which csv refuses before
+    Python 3.11. A record that spans lines gives fewer rows than non-blank
+    lines; one left open by the block's last line numpy closes there, where
+    csv reads on."""
     blank = sum(map(block.count, _BLANK_LINES))
     if blank == len(block):  # loadtxt warns on no data
         return np.empty((0, 4), dtype=object)
-    if max(map(len, block)) > csv.field_size_limit():
+    if max(map(len, block)) > csv.field_size_limit() or any(
+            map(contains, block, repeat("\0"))):
         return None
     try:
         table = np.loadtxt(block, dtype=object, delimiter=",", quotechar='"',

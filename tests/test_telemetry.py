@@ -4,6 +4,7 @@ readings bit for bit, the same load report, or the same error."""
 import csv
 import importlib.util
 import re
+import sys
 import tempfile
 from datetime import datetime, timedelta
 from pathlib import Path
@@ -52,6 +53,20 @@ def loaders_agree(path, **kwargs):
 
 POLICIES = ["strict", "skip-bad"]
 
+_csv_reader = csv.reader
+
+
+def reader_refusing_nul(lines, *args, **kwargs):
+    """`csv.reader` as Python 3.10 has it: a line that holds NUL raises
+    `csv.Error`. Patched in for `csv.reader`, it shows on any Python what
+    both loaders do there."""
+    def checked():
+        for text in lines:
+            if "\0" in text:
+                raise csv.Error("line contains NUL")
+            yield text
+    return _csv_reader(checked(), *args, **kwargs)
+
 
 #: Lines on which numpy's tokenizer and `csv.reader` could part: blank or
 #: spaces alone, and quotes that open, close, double or sit inside a field,
@@ -68,10 +83,12 @@ ODD_LINES = st.lists(st.sampled_from(
        newline=st.sampled_from([b"\n", b"\r\n", b"\r"]),
        policy=st.sampled_from(POLICIES),
        scale=st.sampled_from(["percent", "fraction"]),
-       block=st.sampled_from([1, 2, 3, LOAD_BLOCK]))
-def test_csv_bytes(header, rows, last, newline, policy, scale, block):
+       block=st.sampled_from([1, 2, 3, LOAD_BLOCK]),
+       reader=st.sampled_from([csv.reader, reader_refusing_nul]))
+def test_csv_bytes(header, rows, last, newline, policy, scale, block, reader):
     with tempfile.TemporaryDirectory() as tmp, \
-            mock.patch.object(sim, "LOAD_BLOCK", block):
+            mock.patch.object(sim, "LOAD_BLOCK", block), \
+            mock.patch.object(csv, "reader", reader):
         dataset = Path(tmp) / "data.csv"
         dataset.write_bytes(newline.join([header, *rows, last]))
         loaders_agree(dataset, mapping=ColumnMapping(humidity_scale=scale),
@@ -326,28 +343,42 @@ def test_traps_in_one_block(tmp_path, policy, traps, error, skipped, parsed,
 
 @pytest.mark.parametrize("block", [1, 2, LOAD_BLOCK])
 @pytest.mark.parametrize("policy", POLICIES)
-@pytest.mark.parametrize("lines, newline", [
-    (['2016-01-11 17:00:00,20,"40', '",60'], "\n"),
-    (['2016-01-11 17:00:00,20,40,60,"a', "", 'b"'], "\n"),
+@pytest.mark.parametrize("lines, newline, reader", [
+    (['2016-01-11 17:00:00,20,"40', '",60'], "\n", csv.reader),
+    (['2016-01-11 17:00:00,20,40,60,"a', "", 'b"'], "\n", csv.reader),
     ([f"2016-01-11 17:00:00,20,40,60,{'x' * (csv.field_size_limit() + 1)}"],
-     "\n"),
-    (["   "], "\n"),
-    (["", "2016-01-11 17:00:00,20,40,60", "", ""], "\r\n"),
-    ([""] * (LOAD_BLOCK + 1), "\n"),
-    (["2016-01-11 17:00:00,20,40,60,1,2,3"], "\n"),
+     "\n", csv.reader),
+    (["   "], "\n", csv.reader),
+    (["", "2016-01-11 17:00:00,20,40,60", "", ""], "\r\n", csv.reader),
+    ([""] * (LOAD_BLOCK + 1), "\n", csv.reader),
+    (["2016-01-11 17:00:00,20,40,60,1,2,3"], "\n", csv.reader),
+    *((lines, "\n", reader)
+      for reader in (csv.reader, reader_refusing_nul)
+      for lines in (["2016-01-11 17:00:00,20,40,60,a\0b"],
+                    [good_row(0), "2016-01-11 17:00:00,20,40,60,a\0b",
+                     good_row(0)])),
 ], ids=["open-quote-ends-block", "quoted-newline-across-blocks",
         "field-limit-in-lights", "spaces-alone", "crlf-blank-lines",
-        "blank-block", "more-fields-than-header"])
-def test_tokenizers_part(tmp_path, block, policy, lines, newline):
+        "blank-block", "more-fields-than-header", "nul-ends-block",
+        "nul-in-lights", "nul-ends-block-refused", "nul-in-lights-refused"])
+def test_tokenizers_part(tmp_path, block, policy, lines, newline, reader):
     """Lines on which numpy's tokenizer and `csv.reader` part, from the last
     line of a block on (of every block size here), and then a bad row: each
-    loader reads them as csv does, and names the bad row's file line."""
-    with mock.patch.object(sim, "LOAD_BLOCK", block):
+    loader reads them as csv does, and names the bad row's file line. A line
+    with NUL is also read by a csv that refuses it, as Python 3.10's does:
+    each loader names that record's file line."""
+    with mock.patch.object(sim, "LOAD_BLOCK", block), \
+            mock.patch.object(csv, "reader", reader):
         got = replay(tmp_path, {LOAD_BLOCK: lines, LOAD_BLOCK + 2: [BAD_ROW]},
                      policy, newline=newline,
                      header="date,T1,RH_1,Appliances,lights")
     if len(lines[0]) > csv.field_size_limit():
         assert "field larger than field limit" in str(got)
+    elif reader is reader_refusing_nul or (
+            sys.version_info < (3, 11) and "\0" in "".join(lines)):
+        nul = next(i for i, text in enumerate(lines) if "\0" in text)
+        assert (f"record starting at line {LOAD_BLOCK + 1 + nul}: "
+                "line contains NUL") in str(got)
     elif policy == "skip-bad":
         assert got[1].skipped_rows[-1] == LOAD_BLOCK + len(lines) + 2
 
