@@ -52,7 +52,7 @@ class DecisionTrace:
     fired: tuple[FiredRule, ...]
 
 
-def sends(score, threshold: float = DEFAULT_THRESHOLD):
+def sends(score, threshold: float):
     """Whether a crisp decision score, or each score of an array, is sent:
     at or below the threshold. A score exactly at the threshold is sent, the
     fail-safe tie policy (monitoring continuity wins); a NaN score is not."""

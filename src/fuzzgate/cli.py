@@ -46,16 +46,17 @@ def _add_fis_options(parser: argparse.ArgumentParser):
     parser.add_argument("--manifest", help="cascade manifest file (default: "
                         "the bundled one); --fisN and --threshold override it")
     parser.add_argument("--threshold", type=float, default=None,
-                        help="send/not-send decision threshold (default 50)")
+                        help="send/not-send decision threshold (default: "
+                        "the threshold of the manifest in use)")
 
 
 def _add_mapping_options(parser: argparse.ArgumentParser):
-    parser.add_argument("--map-timestamp", default="date")
-    parser.add_argument("--map-temp", default="T1")
-    parser.add_argument("--map-humidity", default="RH_1")
-    parser.add_argument("--map-energy", default="Appliances")
+    parser.add_argument("--map-timestamp", default=ColumnMapping.timestamp)
+    parser.add_argument("--map-temp", default=ColumnMapping.temperature)
+    parser.add_argument("--map-humidity", default=ColumnMapping.humidity)
+    parser.add_argument("--map-energy", default=ColumnMapping.appliance_energy)
     parser.add_argument("--humidity-scale", choices=["percent", "fraction"],
-                        default="percent")
+                        default=ColumnMapping.humidity_scale)
 
 
 def _load_cascade(args):

@@ -79,12 +79,7 @@ class TelemetryRecord:
     temperature: float
     humidity: float  # relative humidity as a fraction in [0, 1]
     appliance_energy: float  # Wh for the interval
-
-    @property
-    def time_of_day(self) -> float:
-        """Fractional hours since midnight, on [0, 24)."""
-        t = self.timestamp
-        return t.hour + t.minute / 60 + t.second / 3600
+    time_of_day: float  # fractional hours since midnight, on [0, 24)
 
 
 @dataclass(frozen=True, eq=False)  # a generated == fails on array fields
@@ -97,9 +92,8 @@ class Telemetry:
     them back into `TelemetryRecord`s.
 
     `readings` is `(n, 4)`, in DEFAULT_EXTERNALS order: temperature,
-    humidity as a fraction, appliance energy in Wh, and time of day by
-    `TelemetryRecord.time_of_day`'s expression on the timestamp's hour,
-    minute and second, which gives the same bits as that property.
+    humidity as a fraction, appliance energy in Wh, and time of day as
+    `_fixed_timestamps` computes it from the timestamp text.
     """
 
     timestamps: list[str]
@@ -110,7 +104,7 @@ class Telemetry:
 
     def __iter__(self) -> Iterator[TelemetryRecord]:
         return map(TelemetryRecord, map(datetime.fromisoformat, self.timestamps),
-                   *self.readings[:, :3].T.tolist())
+                   *self.readings.T.tolist())
 
 
 @dataclass(frozen=True)
@@ -142,8 +136,7 @@ def load_telemetry(path: str | Path, mapping: ColumnMapping | None = None,
     Timestamps are kept as text, not as datetimes: a field that the column
     pass takes is kept as read, since it already equals the `isoformat(" ")`
     of its value, and a row that `_parse_row` takes gets that text made
-    once. The time of day of a field the column pass takes comes from its
-    digits.
+    once. Every time of day comes from the digits of the kept text.
     """
     if policy not in ("strict", "skip-bad"):
         raise ValueError(f"unknown policy {policy!r}")
@@ -166,7 +159,8 @@ def load_telemetry(path: str | Path, mapping: ColumnMapping | None = None,
         shape has no space or quote to strip, and when `float(raw)` takes a
         field, it equals `float(raw.strip().strip('"'))`. Such a timestamp
         text is also the `isoformat(" ")` of its value, which writes the
-        same fixed-width fields back."""
+        same fixed-width fields back, so a marked row that `_parse_row`
+        takes gets that text and its time of day from `_fixed_timestamps`."""
         if not lines:
             return
         texts, *numbers = columns
@@ -175,7 +169,7 @@ def load_telemetry(path: str | Path, mapping: ColumnMapping | None = None,
         fixed[_convert(datetime.fromisoformat, texts, None)[1]] = False
         values = np.array([_convert(float, column, math.nan)[0]
                            for column in numbers])
-        dropped = []
+        taken, dropped = [], []
         for i in np.flatnonzero(~fixed | ~np.isfinite(values).all(axis=0)):
             try:
                 t, *row = _parse_row([column[i] for column in columns],
@@ -188,8 +182,8 @@ def load_telemetry(path: str | Path, mapping: ColumnMapping | None = None,
             else:
                 texts[i] = t.isoformat(" ")
                 values[:, i] = row
-                # The expression of TelemetryRecord.time_of_day.
-                hours[i] = t.hour + t.minute / 60 + t.second / 3600
+                taken.append(i)
+        hours[taken] = _fixed_timestamps([texts[i] for i in taken])[1]
         for i in reversed(dropped):
             del texts[i]
         values[1] /= humidity_unit
@@ -297,8 +291,9 @@ def _raising(exc: Exception) -> Iterator:
 
 def _fixed_timestamps(texts: list[str]) -> tuple[np.ndarray, np.ndarray]:
     """The mask of `texts` of FIXED_TIMESTAMP's shape, from their code
-    points, and the time of day each would give, as
-    `TelemetryRecord.time_of_day` computes it from the digits."""
+    points, and the time of day each would give, in fractional hours since
+    midnight from its digits: the one definition of a reading's time of
+    day."""
     codes = np.array(texts, dtype="<U19").view(np.uint32).reshape(len(texts), 19)
     hours, minutes, seconds = (  # garbage where a character is no digit
         10 * codes[:, k].astype(np.int64) + codes[:, k + 1] - 11 * ord("0")

@@ -1,8 +1,9 @@
 """Reference telemetry loader: `load_telemetry` before rows were converted in
 blocks, one `_parse_row` and one `TelemetryRecord` per row. The blocked
 loader in `fuzzgate.sim` must give the same timestamps, readings, report
-and errors. Also `telemetry_of`, which puts hand-built records in the
-`Telemetry` that `run_fuzzy` reads.
+and errors. Also `record`, which builds a `TelemetryRecord` with the
+reference time of day, and `telemetry_of`, which puts hand-built records in
+the `Telemetry` that `run_fuzzy` reads.
 """
 import csv
 import math
@@ -14,6 +15,15 @@ import numpy as np
 from fuzzgate.sim import (FIXED_TIMESTAMP, TIMESTAMP_FORMAT, ColumnMapping,
                           LoadReport, MissingColumnError, RowError, Telemetry,
                           TelemetryError, TelemetryRecord)
+
+
+def record(timestamp: datetime, temperature, humidity,
+           appliance_energy) -> TelemetryRecord:
+    """A record whose time of day is the timestamp's fractional hours since
+    midnight, computed here apart from the loader."""
+    t = timestamp
+    return TelemetryRecord(t, temperature, humidity, appliance_energy,
+                           t.hour + t.minute / 60 + t.second / 3600)
 
 
 def telemetry_of(records) -> Telemetry:
@@ -91,5 +101,4 @@ def _parse_row(fields, names, fixed_timestamp, humidity_unit, path, line):
                            f"not a number: {raw[k]!r}") from None
         if not math.isfinite(values[k]):
             raise RowError(path, line, names[k], f"not finite: {raw[k]!r}")
-    return TelemetryRecord(timestamp, values[1], values[2] / humidity_unit,
-                           values[3])
+    return record(timestamp, values[1], values[2] / humidity_unit, values[3])

@@ -21,9 +21,9 @@ from fuzzgate.cascade import (DEFAULT_EXTERNALS, NOT_SEND, SEND, Cascade,
                               WiringMismatchError)
 from fuzzgate.core import FuzzyRule, FuzzySubsystem, NoRuleFiredError
 from fuzzgate.energy import REFERENCE_JOULES_PER_PACKET
-from fuzzgate.sim import Telemetry, TelemetryRecord, load_telemetry, run_fuzzy
+from fuzzgate.sim import Telemetry, load_telemetry, run_fuzzy
 from exact import ExactSubsystem, centroid_bound, tiny
-from telemetry import telemetry_of
+from telemetry import record, telemetry_of
 from test_inference import cascades, readings
 
 MIDNIGHT = datetime(2016, 1, 11)
@@ -117,8 +117,7 @@ def generated_records(cascade, n, seed=11):
     for _ in range(n):
         e, stamp = rng.choice(pool) if rng.random() < 0.5 else (draw(energy),
                                                                  clock())
-        records.append(TelemetryRecord(stamp, draw(temperature),
-                                       draw(humidity), e))
+        records.append(record(stamp, draw(temperature), draw(humidity), e))
     return records
 
 

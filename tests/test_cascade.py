@@ -80,7 +80,6 @@ class TestDecide:
 
     def test_tie_policy_defaults_to_send(self):
         assert sends(50.0, 50.0) is True
-        assert sends(50.0) is True
 
     def test_array_of_scores(self):
         """One rule for a column of scores: a NaN score is not sent by it

@@ -17,8 +17,9 @@ import fuzzgate
 from conftest import FIS_FILES, write_manifest
 from fuzzgate.cascade import (BUNDLED_MANIFEST, FIS_KEYS, bundled_fis_dir,
                               parse_manifest)
-from fuzzgate.cli import main
+from fuzzgate.cli import _build_mapping, build_parser, main
 from fuzzgate.energy import packet_energy
+from fuzzgate.sim import ColumnMapping
 
 READING = ["--temp", "20", "--humidity", "0.35", "--energy", "60", "--time", "3"]
 
@@ -368,6 +369,10 @@ class TestSimulate:
         assert f"Skipped rows: {bad_rows}\n" in out and "lines 3" not in out
         summary = json.loads((out_dir / "summary.json").read_text())
         assert (summary["records"], summary["skipped_rows"]) == (bad_rows, bad_rows)
+
+    def test_mapping_defaults_are_the_loaders(self):
+        args = build_parser().parse_args(["simulate", "--dataset", "x"])
+        assert _build_mapping(args) == ColumnMapping()
 
 
 def eval_json(capsys, *extra):

@@ -9,22 +9,21 @@ from hypothesis import given, strategies as st
 
 from fuzzgate.energy import REFERENCE_JOULES_PER_PACKET, packet_energy
 from fuzzgate.sim import (ColumnMapping, MissingColumnError, RowError,
-                          TelemetryError, TelemetryRecord, load_telemetry,
-                          run_fuzzy)
-from telemetry import telemetry_of
+                          TelemetryError, load_telemetry, run_fuzzy)
+from telemetry import record, telemetry_of
 
 CALIBRATED = REFERENCE_JOULES_PER_PACKET
 
 #: A reading that is sent (hot apparent temperature, low usage) and one that
 #: is not (cool apparent temperature, v.high usage).
-SENT = TelemetryRecord(datetime(2016, 1, 11, 3), 61.5, 0.725, 25.0)
-SUPPRESSED = TelemetryRecord(datetime(2016, 1, 11, 9, 30), 9.25, 0.15, 600.0)
+SENT = record(datetime(2016, 1, 11, 3), 61.5, 0.725, 25.0)
+SUPPRESSED = record(datetime(2016, 1, 11, 9, 30), 9.25, 0.15, 600.0)
 
 
 def make_records(n, temperature=20.0, humidity=0.35, energy=60.0, hour=3):
     start = datetime(2016, 1, 11, hour, 0, 0)
-    return telemetry_of(TelemetryRecord(start + timedelta(minutes=10 * i),
-                                        temperature, humidity, energy)
+    return telemetry_of(record(start + timedelta(minutes=10 * i),
+                               temperature, humidity, energy)
                         for i in range(n))
 
 
@@ -162,9 +161,12 @@ class TestLoadTelemetry:
         assert set(report.skipped_rows) == \
             set(range(2, 2 + len(self.TIMESTAMP_SHAPES))) - set(expected)
 
-    def test_time_of_day_fractional_hours(self):
-        r = TelemetryRecord(datetime(2016, 1, 11, 13, 30, 36), 20, 0.4, 60)
-        assert r.time_of_day == pytest.approx(13.51)
+    def test_time_of_day_fractional_hours(self, tmp_path):
+        p = tmp_path / "d.csv"
+        p.write_text("date,T1,RH_1,Appliances\n2016-01-11 13:30:36,20,40,60\n")
+        telemetry, _ = load_telemetry(p)
+        assert telemetry.readings[0, 3] == pytest.approx(13.51)
+        assert next(iter(telemetry)).time_of_day == telemetry.readings[0, 3]
 
 
 class TestRunTraditional:
@@ -207,9 +209,9 @@ class TestRunFuzzy:
         # cool apparent temperature with v.high usage: nothing transmits
         records = make_records(20, temperature=9.25, humidity=0.15,
                                energy=600.0, hour=9)
-        records = [TelemetryRecord(r.timestamp.replace(hour=9, minute=30),
-                                   r.temperature, r.humidity,
-                                   r.appliance_energy) for r in records]
+        records = [record(r.timestamp.replace(hour=9, minute=30),
+                          r.temperature, r.humidity, r.appliance_energy)
+                   for r in records]
         result = run_fuzzy(telemetry_of(records), cascade, CALIBRATED)
         assert result.transmissions == 0
         assert result.suppressed == 20
@@ -243,8 +245,7 @@ class TestRunFuzzy:
         assert result.cumulative.tolist() == expected
 
     def test_out_of_universe_clamped_and_counted(self, cascade):
-        records = [TelemetryRecord(datetime(2016, 1, 11, 3, 0, 0),
-                                   20.0, 1.4, 60.0)]
+        records = [record(datetime(2016, 1, 11, 3, 0, 0), 20.0, 1.4, 60.0)]
         result = run_fuzzy(telemetry_of(records), cascade, CALIBRATED)
         assert result.clamped_records == 1
         assert result.clamped[0]
@@ -290,9 +291,9 @@ class TestFullScaleReplay:
         rng = random.Random(1)
         start_ts = datetime(2016, 1, 11, 17, 0, 0)
         records = [
-            TelemetryRecord(start_ts + timedelta(minutes=10 * i),
-                            rng.uniform(16.0, 27.0), rng.uniform(0.30, 0.55),
-                            rng.choice([30, 50, 70, 100, 150, 200, 300, 500]))
+            record(start_ts + timedelta(minutes=10 * i),
+                   rng.uniform(16.0, 27.0), rng.uniform(0.30, 0.55),
+                   rng.choice([30, 50, 70, 100, 150, 200, 300, 500]))
             for i in range(19735)]
         t0 = time.perf_counter()
         fuzzy = run_fuzzy(telemetry_of(records), cascade, CALIBRATED)

@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 from fuzzgate import cli, sim
 from fuzzgate.sim import (LOAD_BLOCK, ColumnMapping, RowError, TelemetryError,
                           load_telemetry)
-from telemetry import load_telemetry_rowwise, telemetry_of
+from telemetry import load_telemetry_rowwise, record, telemetry_of
 from test_cli import CSV_HEADERS, CSV_ROWS
 
 _spec = importlib.util.spec_from_file_location(
@@ -76,8 +76,17 @@ ODD_LINES = st.lists(st.sampled_from(
      b"2016-01-11 17:00:00"]), max_size=8).map(b"".join)
 
 
+#: Mostly headers that name every mapped column, so that most examples
+#: reach the blocks; one draw in five is one of `CSV_HEADERS`, which may lack
+#: a column or be a data row.
+HEADERS = st.sampled_from([
+    b"date,T1,RH_1,Appliances", b"\xef\xbb\xbfdate,T1,RH_1,Appliances",
+    b"date,T1,RH_1,Appliances,T1", b"date,T1,Appliances,RH_1,RH_1", None,
+]).flatmap(lambda header: CSV_HEADERS if header is None else st.just(header))
+
+
 @settings(max_examples=150, deadline=None)
-@given(header=CSV_HEADERS, rows=st.lists(CSV_ROWS | ODD_LINES, max_size=12),
+@given(header=HEADERS, rows=st.lists(CSV_ROWS | ODD_LINES, max_size=12),
        last=st.just(b"") | st.text(max_size=24).map(str.encode)
        | st.binary(max_size=24),
        newline=st.sampled_from([b"\n", b"\r\n", b"\r"]),
@@ -106,6 +115,24 @@ def test_generated_files(tmp_path, writer, seed):
     assert report.skipped == expected.count(None)
     if report.skipped:
         assert isinstance(loaders_agree(dataset, policy="strict"), RowError)
+
+
+@pytest.mark.parametrize("source", ["fixture", *sorted(gen.WRITERS)])
+def test_iteration_is_the_loaded_rows(tmp_path, fixture_csv, source):
+    """Iterating a `Telemetry` gives the rows of its loaded columns, time of
+    day included, and each time of day has the bits of the reference one on
+    the record's timestamp."""
+    dataset = fixture_csv
+    if source != "fixture":
+        dataset = tmp_path / "data.csv"
+        gen.WRITERS[source](dataset, seed=3)
+    telemetry, _ = load_telemetry(dataset, policy="skip-bad")
+    records = list(telemetry)
+    assert [[r.temperature, r.humidity, r.appliance_energy, r.time_of_day]
+            for r in records] == telemetry.readings.tolist()
+    assert [r.time_of_day.hex() for r in records] == [
+        record(r.timestamp, r.temperature, r.humidity,
+               r.appliance_energy).time_of_day.hex() for r in records]
 
 
 @pytest.mark.parametrize("policy", POLICIES)
@@ -400,8 +427,8 @@ NEAR_CHARS = st.sampled_from("0123456789-: T/\u0663\uff10\xb2x\x00")
     min_size=1, max_size=6))
 def test_shape_check_is_the_regex(texts):
     """The column pass's shape check, from code points, takes exactly the
-    texts that FIXED_TIMESTAMP's regex takes, and its time of day is
-    `TelemetryRecord.time_of_day`'s expression on their fields."""
+    texts that FIXED_TIMESTAMP's regex takes, and its time of day is the
+    reference `h + m / 60 + s / 3600` on their fields."""
     fixed, hours = sim._fixed_timestamps(texts)
     for text, takes, time_of_day in zip(texts, fixed.tolist(), hours.tolist()):
         assert takes == bool(re.fullmatch(sim.FIXED_TIMESTAMP, text, re.ASCII))
