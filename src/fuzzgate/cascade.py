@@ -237,6 +237,7 @@ def parse_manifest(path: str | Path) -> tuple[dict[str, Path], float]:
     path = Path(path)
     fis_paths: dict[str, Path] = {}
     threshold = DEFAULT_THRESHOLD
+    key_lines: dict[str, int] = {}
     try:
         text = path.read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
@@ -248,6 +249,10 @@ def parse_manifest(path: str | Path) -> tuple[dict[str, Path], float]:
         if "=" not in line:
             raise CascadeBuildError(f"{path}:{lineno}: expected 'key = value'")
         key, value = (part.strip() for part in line.split("=", 1))
+        if key in key_lines:
+            raise CascadeBuildError(f"{path}:{lineno}: {key} given twice, "
+                                    f"first on line {key_lines[key]}")
+        key_lines[key] = lineno
         if key in FIS_KEYS:
             if "\0" in value:  # open() would raise ValueError
                 raise CascadeBuildError(

@@ -273,7 +273,11 @@ class FuzzySubsystem:
             # The centroid's weighted grid sum, at most this product, would be inf.
             raise ValueError(f"output universe of '{self.output.name}' [{lo}, {hi}] "
                              f"is too large: its centroid sum would overflow a float")
-        inputs = {v.name: v for v in self.inputs}
+        inputs = {}
+        for var in self.inputs:
+            if var.name in inputs:  # rules and readings would see the last
+                raise ValueError(f"'{self.name}' has two inputs named '{var.name}'")
+            inputs[var.name] = var
         output = {self.output.name: self.output}
         for number, rule in enumerate(self.rules, 1):
             if not rule.antecedents:

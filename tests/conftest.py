@@ -23,10 +23,13 @@ def load_bundled(key):
 
 def write_manifest(path, extra=""):
     """Write a manifest naming the bundled definition files by absolute
-    path, followed by `extra` lines; return its path."""
+    path, followed by `extra` lines; return its path. A bundled entry whose
+    key a line of `extra` gives is commented out, since a manifest refuses
+    a key given twice; so `extra` starts on line 4 either way."""
     fis_paths, _ = parse_manifest(BUNDLED_MANIFEST)
-    path.write_text("".join(f"{key} = {fis}\n" for key, fis in fis_paths.items())
-                    + extra)
+    given = {line.split("=")[0].strip() for line in extra.splitlines()}
+    path.write_text("".join(f"{'# ' * (key in given)}{key} = {fis}\n"
+                            for key, fis in fis_paths.items()) + extra)
     return path
 
 

@@ -301,6 +301,18 @@ class TestManifest:
                      "60", "--time", "3", "--manifest", str(manifest)]) == 1
         assert "'50#x'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", ["fis2", "threshold"])
+    def test_key_given_twice_names_both_lines(self, tmp_path, capsys, key):
+        manifest = write_manifest(tmp_path / "m.manifest",
+                                  f"{key} = 40\n# again:\n{key} = 60\n")
+        message = f"{manifest}:6: {key} given twice, first on line 4"
+        with pytest.raises(CascadeBuildError) as exc:
+            parse_manifest(manifest)
+        assert str(exc.value) == message
+        assert main(["eval", "--temp", "20", "--humidity", "0.35", "--energy",
+                     "60", "--time", "3", "--manifest", str(manifest)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_non_utf8_definition_file(self, tmp_path):
         latin1 = tmp_path / "latin1.fis.txt"
         latin1.write_bytes(b"system caf\xe9\n")

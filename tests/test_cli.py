@@ -37,6 +37,38 @@ class TestCheck:
         assert "16/20/16 rules" in out
         assert "warning" not in out
 
+    def test_unicode_indents_and_trailing_notes(self, capsys, tmp_path):
+        """The bundled files, each indent made of ideographic spaces (U+3000)
+        and each declaration line ending in a `# note` comment, check as
+        the originals do, apart from their paths."""
+        for source in sorted(bundled_fis_dir().glob("*.fis.txt")):
+            lines = []
+            for line in source.read_text(encoding="utf-8").splitlines():
+                body = line.lstrip(" ")
+                indent = "\u3000" * (len(line) - len(body))
+                if body and not body.startswith("#"):
+                    body += " # note"
+                lines.append(indent + body)
+            (tmp_path / source.name).write_text("\n".join(lines) + "\n",
+                                                encoding="utf-8")
+        code, bundled, _ = run(capsys, ["check"])
+        assert code == 0
+        spaced = run(capsys, ["check", *map(str, sorted(
+            tmp_path.glob("*.fis.txt")))])
+        assert spaced == (0, bundled.replace(str(bundled_fis_dir()),
+                                             str(tmp_path)), "")
+
+    def test_reversed_triangle_fails_at_its_term(self, capsys, tmp_path):
+        bundled = (bundled_fis_dir() / FIS_FILES["fs1"]).read_text()
+        bad = tmp_path / "reversed.fis.txt"
+        bad.write_text(bundled.replace("term medium triangle 18.5 20 21.5",
+                                       "term medium triangle 21.5 20 18.5"))
+        code, out, _ = run(capsys, ["check", str(bad)])
+        assert code == 1
+        assert out.startswith(
+            f"{bad}:8:3: error: non-monotone corners (21.5, 20.0, 20.0, "
+            f"18.5): each must be <= the next\n")
+
     def test_coverage_gap_warns(self, capsys, tmp_path):
         gap = tmp_path / "gap.fis.txt"
         gap.write_text("system s\ninput x universe 0 10\n"
@@ -209,6 +241,11 @@ class TestSimulate:
                       / summary["traditional"]["transmissions"]) * 100
         assert summary["transmission_reduction_pct"] == pytest.approx(
             recomputed, abs=1e-9)
+        # The last cumulative.csv row is the totals, bit for bit.
+        last = (out_dir / "cumulative.csv").read_text().splitlines()[-1]
+        assert [float(x) for x in last.split(",")[1:]] == [
+            summary["traditional"]["total_joules"],
+            summary["fuzzy"]["total_joules"]]
 
     def test_decisions_rows_and_labels(self, capsys, tmp_path, fixture_csv):
         *_, out_dir = self.simulate(capsys, tmp_path, fixture_csv)
@@ -634,7 +671,7 @@ def test_simulate_energy_flags_never_crash(fixture_csv, joules):
 
 CSV_NUMBERS = st.sampled_from([b"20", b"35.5", b"0.35", b"90", b"900"]) | \
     st.sampled_from([b"-40", b"1e308", b"nan", b"inf", b"-inf", b"", b'"',
-                     b'"20"', b"caf\xe9", b"\x00", b"T1"])
+                     b'"20"', "café".encode(), b"\x00", b"T1"])
 CSV_TIMESTAMPS = st.sampled_from([
     b"2016-01-11 17:00:00", b"2016-01-11 23:50:00", b"2016-1-11 7:0:0",
     b"2016-01-11T17:00:00", b"not-a-date", b""])

@@ -443,6 +443,15 @@ class TestRuleActivation:
                             FuzzyRule((), ("z", "c"))))
         assert str(exc.value) == "rule 2 of 'bad' has no antecedent"
 
+    def test_two_inputs_with_one_name_rejected(self):
+        # The DSL cannot write them; built in Python, the rules and each
+        # reading's dict would see the second input alone.
+        out = LinguisticVariable("z", 0, 1, (("c", TRI(0, 0.5, 1)),))
+        with pytest.raises(ValueError) as exc:
+            FuzzySubsystem("twice", (ramp_variable("x"), ramp_variable("x")),
+                           out, (FuzzyRule((("x", "ramp"),), ("z", "c")),))
+        assert str(exc.value) == "'twice' has two inputs named 'x'"
+
 
 def tiny_subsystem():
     """One input, one output, one rule; used for controlled activations."""

@@ -32,6 +32,28 @@ def test_fixture_in_blocks_of_seven(monkeypatch, capsys, tmp_path, fixture_csv):
     assert blocked["decisions.csv"].count(b"\n") == 51
 
 
+def test_fixture_with_crlf_blank_line_and_two_line_field(capsys, tmp_path,
+                                                         fixture_csv):
+    """The fixture with CRLF line ends, a blank line and a quoted two-line
+    text in the unmapped lights field of one row, which the loader reads
+    with its csv branch: its reports are the plain fixture's, byte for byte."""
+    lines = fixture_csv.read_text().splitlines()
+    date, appliances, lights, *rest = lines[5].split(",")
+    lines[5] = ",".join([date, appliances, '"on\r\noff"', *rest])
+    lines.insert(20, "")
+    odd = tmp_path / "odd.csv"
+    odd.write_bytes("".join(line + "\r\n" for line in lines).encode())
+    written = []
+    for dataset in (fixture_csv, odd):
+        out_dir = tmp_path / dataset.stem
+        assert cli.main(["simulate", "--dataset", str(dataset), "--strict",
+                         "--out", str(out_dir)]) == 0
+        written.append([(out_dir / report).read_bytes()
+                        for report in ("decisions.csv", "cumulative.csv")])
+    capsys.readouterr()
+    assert written[0] == written[1]
+
+
 def generated_dataset(tmp_path, cascade):
     """A dataset of generated readings over three report blocks, with
     humidity as a fraction, and a manifest whose FS1 keeps only its rules on

@@ -85,10 +85,18 @@ HEADERS = st.sampled_from([
 ]).flatmap(lambda header: CSV_HEADERS if header is None else st.just(header))
 
 
+#: Mostly text; one draw in ten is any bytes, which are mostly not UTF-8.
+#: The files are shorter than the first chunk that csv decodes for the
+#: header, so such bytes end an example before any block is read;
+#: `test_bad_row_before_unreadable_record` covers an error past that chunk.
+LAST_LINES = st.integers(0, 9).flatmap(
+    lambda k: st.binary(max_size=24) if k == 0
+    else st.just(b"") | st.text(max_size=24).map(str.encode))
+
+
 @settings(max_examples=150, deadline=None)
 @given(header=HEADERS, rows=st.lists(CSV_ROWS | ODD_LINES, max_size=12),
-       last=st.just(b"") | st.text(max_size=24).map(str.encode)
-       | st.binary(max_size=24),
+       last=LAST_LINES,
        newline=st.sampled_from([b"\n", b"\r\n", b"\r"]),
        policy=st.sampled_from(POLICIES),
        scale=st.sampled_from(["percent", "fraction"]),
