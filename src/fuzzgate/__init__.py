@@ -3,7 +3,7 @@
 from .core import (AggregatedOutput, FuzzyError, FuzzyRule, FuzzySubsystem,
                    LinguisticVariable, MembershipFunction, NoRuleFiredError,
                    OutOfUniverseError, UnknownTermError)
-from .cascade import (Cascade, CascadeBuildError, DecisionTrace,
+from .cascade import (Cascade, CascadeBuildError, DecisionTrace, FiredRule,
                       WiringMismatchError, load_manifest, sends)
 from .energy import REFERENCE_JOULES_PER_PACKET, packet_energy, packet_time
 from .sim import (ColumnMapping, SimulationResult, Telemetry, TelemetryRecord,

@@ -11,6 +11,7 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,8 +35,7 @@ class WiringMismatchError(CascadeBuildError):
     """A produced variable's name or universe differs from the consuming input."""
 
 
-@dataclass(frozen=True)
-class FiredRule:
+class FiredRule(NamedTuple):
     node: str
     antecedents: tuple[tuple[str, str], ...]
     consequent: tuple[str, str]

@@ -24,6 +24,7 @@ import math
 from bisect import bisect_left
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -142,6 +143,12 @@ class LinguisticVariable:
     a <= u and v <= d. Any other term is 0 all over the piece, since its
     open support (a, d) holds no point of it. No point between two corners
     is probed: a midpoint may round onto a corner or overflow.
+
+    Each alive term is kept as a degree row (term, kind, p, w) that gives
+    the bits of mf(x) all over the piece, by the branch of `__call__` that
+    holds there: the constant p (kind 0: mf(c) at a corner c, 1.0 on the
+    core), (x - p) / w on a rising edge (kind 1: p = a, w = b - a), or
+    (p - x) / w on a falling edge (kind -1: p = d, w = d - c).
     """
 
     name: str
@@ -152,9 +159,8 @@ class LinguisticVariable:
     # The distinct corners, ascending, then +inf: the bounds that `piece`
     # bisects.
     _cuts: tuple[float, ...] = field(init=False, repr=False, compare=False)
-    # Per piece, in piece order: the (term, mf) pairs alive on it, in term
-    # order.
-    _alive: tuple[tuple[tuple[str, MembershipFunction], ...], ...] = field(
+    # Per piece, in piece order: its alive terms' degree rows, in term order.
+    _alive: tuple[tuple[tuple[str, int, float, float], ...], ...] = field(
         init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -177,9 +183,10 @@ class LinguisticVariable:
         corners = sorted({p for _, mf in self.terms for p in mf.corners})
         alive = []
         for u, v in zip([-math.inf, *corners], [*corners, math.inf]):
-            alive.append(tuple((t, mf) for t, mf in self.terms
+            alive.append(tuple(_edge_row(t, mf, u, v) for t, mf in self.terms
                                if mf.corners[0] <= u and v <= mf.corners[3]))
-            alive.append(tuple((t, mf) for t, mf in self.terms if mf(v) > 0.0))
+            alive.append(tuple((t, 0, mf(v), 1.0) for t, mf in self.terms
+                               if mf(v) > 0.0))
         object.__setattr__(self, "_cuts", (*corners, math.inf))
         object.__setattr__(self, "_alive", tuple(alive))
 
@@ -223,6 +230,19 @@ class LinguisticVariable:
         return [(float(first), float(last)) for first, last in gaps if first <= last]
 
 
+def _edge_row(term: str, mf: MembershipFunction, u: float, v: float
+              ) -> tuple[str, int, float, float]:
+    """The degree row (see `LinguisticVariable`) of a term alive on the open
+    interval (u, v) between neighbouring cuts: its rising edge, core or
+    falling edge holds all of it, since the term's corners are cuts."""
+    a, b, c, d = mf.corners
+    if v <= b:
+        return term, 1, a, b - a
+    if c <= u:
+        return term, -1, d, d - c
+    return term, 0, 1.0, 1.0
+
+
 @dataclass(frozen=True)
 class FuzzyRule:
     """IF <var> IS <term> [AND ...] THEN <var> IS <term>."""
@@ -231,8 +251,7 @@ class FuzzyRule:
     consequent: tuple[str, str]
 
 
-@dataclass(frozen=True)
-class AggregatedOutput:
+class AggregatedOutput(NamedTuple):
     """One reading's fired rules, the (rule index, activation) pairs that
     `FuzzySubsystem.fire` gives, and the centroid of their aggregate."""
 
@@ -306,7 +325,7 @@ class FuzzySubsystem:
         for var, need in zip(self.inputs, needs):
             per_piece = []
             for alive in var._alive:
-                names = {term for term, _ in alive}
+                names = {term for term, *_ in alive}
                 dead = 0
                 for term, rules in need.items():
                     if term not in names:
@@ -342,17 +361,20 @@ class FuzzySubsystem:
 
         For each input, in input order, it finds the reading's piece (raising
         OutOfUniverseError as `LinguisticVariable.piece` does), evaluates the
-        terms alive on that piece and nothing else, and ANDs that piece's rule
-        mask into the candidates. Only a candidate reads no term that is 0
-        there. Each candidate's min is taken in antecedent order, and one that
-        comes to 0 (an alive edge may underflow to +0.0) is dropped. Every
-        rule left out has activation 0, as a min over a 0 degree is."""
+        degree rows of that piece's alive terms and nothing else, and ANDs
+        its rule mask into the candidates. Only a candidate reads no term
+        that is 0 there. Each candidate's min is taken in antecedent order,
+        and one that comes to 0 (an alive edge may underflow to +0.0) is
+        dropped. Every rule left out has activation 0, as a min over a 0
+        degree is."""
         candidates = (1 << len(self._rule_slots)) - 1
         degrees = []
         for var, masks in zip(self.inputs, self._rule_masks):
             x = crisp_inputs[var.name]
             piece = var.piece(x)
-            degrees.append({term: mf(x) for term, mf in var._alive[piece]})
+            degrees.append({term: (x - p) / w if kind > 0 else
+                            (p - x) / w if kind else p
+                            for term, kind, p, w in var._alive[piece]})
             candidates &= masks[piece]
         fired = []
         slots = self._rule_slots
@@ -481,24 +503,27 @@ def _centroid_memo(grid: np.ndarray, samples: tuple[np.ndarray, ...],
     clipping once per rule: min and max only select values, so min(max(a,
     b), s) is max(min(a, s), min(b, s)) at every point. A hit gives the bits
     of a miss: equal rows are equal floats, all >= +0.0, so they clip the
-    same terms at the same heights. Raises NoRuleFiredError, on every call,
-    when the aggregate is 0 everywhere: the memo keeps no exception.
+    same terms at the same heights. The first fired term's clip starts the
+    aggregate: a max with zeros would give it back, as clips are >= +0.0.
+    Raises NoRuleFiredError, on every call, when no term fired or the
+    aggregate is 0 everywhere: the memo keeps no exception.
 
     A closure over the subsystem's arrays, not its bound method, so the
     memo does not keep alive the subsystem that holds it."""
     lo, hi = float(grid[0]), float(grid[-1])
     @functools.lru_cache(maxsize=CENTROID_MEMO)
     def centroid(strength: tuple[float, ...]) -> float:
-        aggregate = np.zeros(GRID_POINTS)
-        clipped = np.empty(GRID_POINTS)
+        aggregate = clipped = None
         for act, term in zip(strength, samples):
-            if act > 0.0:
-                np.minimum(act, term, out=clipped)
+            if act > 0.0 and aggregate is None:
+                aggregate = np.minimum(act, term)
+            elif act > 0.0:
+                clipped = np.minimum(act, term, out=clipped)
                 np.maximum(aggregate, clipped, out=aggregate)
-        total = float(np.add.reduce(aggregate))
+        total = 0.0 if aggregate is None else float(np.add.reduce(aggregate))
         if total <= 0.0:
             raise NoRuleFiredError(variable)
-        weighted = np.add.reduce(np.multiply(grid, aggregate, out=clipped))
+        weighted = np.add.reduce(np.multiply(grid, aggregate, out=aggregate))
         return min(max(float(weighted) / total, lo), hi)
     return centroid
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import FIS_FILES, write_manifest
+from fuzzgate import FiredRule
 from fuzzgate.cascade import (BUNDLED_MANIFEST, Cascade, CascadeBuildError,
                               DEFAULT_EXTERNALS, FIS_KEYS, WiringMismatchError,
                               SEND, bundled_fis_dir, load_manifest,
@@ -171,6 +172,19 @@ class TestEvaluate:
                 assert f.antecedents == rule.antecedents
                 assert f.consequent == rule.consequent
                 assert f.activation == act
+
+    def test_fired_records_are_immutable_hashable_tuples(self, cascade):
+        trace = cascade.evaluate({"temperature": 20.8, "humidity": 0.37,
+                                  "appliance_energy": 120.0, "time_of_day": 12.5})
+        assert trace.fired and all(type(f) is FiredRule for f in trace.fired)
+        record = trace.fired[0]
+        with pytest.raises(AttributeError):
+            record.activation = 0.0
+        assert len(frozenset(trace.fired)) == len(trace.fired)
+        node, antecedents, consequent, activation = record
+        assert (node, antecedents, consequent, activation) == \
+            (record.node, record.antecedents, record.consequent,
+             record.activation)
 
     def test_determinism_across_runs(self, cascade):
         inputs = {"temperature": 21.1, "humidity": 0.42,

@@ -468,9 +468,9 @@ def assert_pieces(var, x):
         assert x == corners[k]
     else:
         assert (k == 0 or corners[k - 1] < x) and x < corners[k]
-    alive = {term for term, _ in var._alive[piece]}
-    assert list(var._alive[piece]) == [(term, mf) for term, mf in var.terms
-                                       if term in alive]
+    alive = {term for term, *_ in var._alive[piece]}
+    assert [term for term, *_ in var._alive[piece]] == \
+        [term for term, _ in var.terms if term in alive]
     for term, mf in var.terms:
         if term not in alive:
             assert float(mf(x)).hex() == "0x0.0p+0", (term, x)
@@ -486,6 +486,38 @@ def test_piece_tables(data):
         assert_pieces(var, x)
     for _ in range(5):
         assert_pieces(var, data.draw(st.floats(var.lo, var.hi)))
+
+
+def row_degree(row, x):
+    """A degree row's value at x, as `LinguisticVariable` defines it."""
+    _, kind, p, w = row
+    if kind == 0:
+        return p
+    return (x - p) / w if kind == 1 else (p - x) / w
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_degree_rows_give_the_bits_of_mf(data):
+    """On drawn variables, at each corner, the floats on both sides of it,
+    one drawn point inside each interval between neighbouring cuts or a
+    universe end, and -0.0 where 0.0 is a corner: each row of the point's
+    piece gives the bits of its term's mf(x)."""
+    var = data.draw(variables("x"))
+    corners = var._cuts[:-1]
+    points = [p for c in corners for p in
+              (math.nextafter(c, -math.inf), c, math.nextafter(c, math.inf))]
+    if 0.0 in corners:
+        points.append(-0.0)
+    for u, v in zip([var.lo, *corners], [*corners, var.hi]):
+        if math.nextafter(u, math.inf) < v:
+            points.append(data.draw(st.floats(u, v, exclude_min=True,
+                                              exclude_max=True)))
+    mfs = dict(var.terms)
+    for x in filter(var.contains, points):
+        for row in var._alive[var.piece(x)]:
+            assert float(row_degree(row, x)).hex() == \
+                float(mfs[row[0]](x)).hex(), (row, x)
 
 
 @settings(max_examples=300, deadline=None)
@@ -613,7 +645,8 @@ def test_edge_that_underflows_fires_nothing():
     reference does."""
     fs = one_term(0, 2e10, TRI(0, 1e10, 2e10))
     x = 5e-324
-    assert fs.inputs[0]._alive[fs.inputs[0].piece(x)] == fs.inputs[0].terms
+    assert [term for term, *_ in fs.inputs[0]._alive[fs.inputs[0].piece(x)]] == \
+        [term for term, _ in fs.inputs[0].terms]
     assert fs.fire({"x": x}) == []
     assert bits(activations_per_rule(fs, {"x": x})) == ["0x0.0p+0"]
     for infer in (FuzzySubsystem.infer, infer_per_rule):
@@ -640,7 +673,7 @@ def test_tables_take_no_part_in_equality_hash_or_repr():
     narrowed = dataclasses.replace(var, terms=var.terms[1:])
     assert narrowed != var
     assert narrowed._cuts == (2.0, 4.0, 5.0, 6.0, 7.0, 8.0, math.inf)
-    assert [term for term, _ in narrowed._alive[3]] == ["mid"]  # at 4.0
+    assert [term for term, *_ in narrowed._alive[3]] == ["mid"]  # at 4.0
     reversed_rules = dataclasses.replace(GAPPED, rules=GAPPED.rules[::-1])
     at_one = GAPPED.inputs[0].piece(1.0)
     assert GAPPED._rule_masks[0][at_one] == 0b001
@@ -664,6 +697,14 @@ def test_cascade_traces(cascade, writer, seed, tmp_path, monkeypatch):
     inputs = [dict(zip(DEFAULT_EXTERNALS, values))
               for values in expected if values is not None]
     traces = [trace_bits(cascade.evaluate(x, clamp=True)) for x in inputs]
-    monkeypatch.setattr(FuzzySubsystem, "infer", infer_per_rule)
+    calls = []
+
+    def counted(fs, crisp_inputs):
+        calls.append(fs.name)
+        return infer_per_rule(fs, crisp_inputs)
+
+    monkeypatch.setattr(FuzzySubsystem, "infer", counted)
     assert traces == [trace_bits(cascade.evaluate(x, clamp=True))
                       for x in inputs]
+    # The reference ran at every node of every reading.
+    assert calls == [fs.name for fs in cascade.nodes.values()] * len(inputs)
