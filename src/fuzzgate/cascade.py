@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import FuzzySubsystem, NoRuleFiredError, OutOfUniverseError
-from .dsl import _COMMENT_RE, load_subsystem
+from .dsl import _COMMENT_RE, MAX_FILE_BYTES, load_subsystem
 
 SEND = "send"
 NOT_SEND = "not_send"
@@ -233,13 +233,18 @@ def parse_manifest(path: str | Path) -> tuple[dict[str, Path], float]:
     """Read a key/value manifest file: its definition file paths (relative
     to its directory) and threshold. Comments follow the definition
     language's rule: a word that starts with `#` begins one, and a `#`
-    inside a word, as in a path, is part of it."""
+    inside a word, as in a path, is part of it. Refuses a file over
+    MAX_FILE_BYTES."""
     path = Path(path)
     fis_paths: dict[str, Path] = {}
     threshold = DEFAULT_THRESHOLD
     key_lines: dict[str, int] = {}
+    with open(path, "rb") as fh:
+        data = fh.read(MAX_FILE_BYTES + 1)
+    if len(data) > MAX_FILE_BYTES:
+        raise CascadeBuildError(f"{path}: file is over {MAX_FILE_BYTES} bytes")
     try:
-        text = path.read_text(encoding="utf-8")
+        text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise CascadeBuildError(f"{path}: {exc}") from None
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -254,6 +259,8 @@ def parse_manifest(path: str | Path) -> tuple[dict[str, Path], float]:
                                     f"first on line {key_lines[key]}")
         key_lines[key] = lineno
         if key in FIS_KEYS:
+            if not value:  # the manifest's directory would be read
+                raise CascadeBuildError(f"{path}:{lineno}: {key} has no path")
             if "\0" in value:  # open() would raise ValueError
                 raise CascadeBuildError(
                     f"{path}:{lineno}: {key} path contains a NUL byte")

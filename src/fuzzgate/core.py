@@ -278,8 +278,9 @@ class FuzzySubsystem:
     _rule_term: tuple[int, ...] = field(init=False, repr=False, compare=False)
     # Per input, in input order, and per piece of its universe: the bitmask
     # of the rules whose antecedent terms on that input are all alive there
-    # (bit r for rule r). A rule that does not read the input has its bit
-    # set in every piece.
+    # (bit r for rule r), i.e. whose set of terms on the input is a subset of
+    # the piece's alive terms. A rule that reads no term of the input has the
+    # empty set there, so its bit is set in every piece.
     _rule_masks: tuple[tuple[int, ...], ...] = field(
         init=False, repr=False, compare=False)
     # `infer`'s centroid of a strength row: a `_centroid_memo`.
@@ -314,24 +315,12 @@ class FuzzySubsystem:
         rule_slots = tuple(
             tuple((position[var], term) for var, term in rule.antecedents)
             for rule in self.rules)
-        # needs[i][term]: the rules that read `term` on input i.
-        needs = [dict.fromkeys([term for term, _ in var.terms], 0)
-                 for var in self.inputs]
-        for r, slots in enumerate(rule_slots):
-            for i, term in slots:
-                needs[i][term] |= 1 << r
-        every = (1 << len(self.rules)) - 1
         masks = []
-        for var, need in zip(self.inputs, needs):
-            per_piece = []
-            for alive in var._alive:
-                names = {term for term, *_ in alive}
-                dead = 0
-                for term, rules in need.items():
-                    if term not in names:
-                        dead |= rules
-                per_piece.append(every & ~dead)
-            masks.append(tuple(per_piece))
+        for i, var in enumerate(self.inputs):
+            reads = [{term for j, term in slots if j == i} for slots in rule_slots]
+            masks.append(tuple(
+                sum(1 << r for r, terms in enumerate(reads) if terms <= alive)
+                for alive in ({term for term, *_ in row} for row in var._alive)))
         object.__setattr__(self, "_grid", grid)
         object.__setattr__(self, "_consequent_samples", samples)
         object.__setattr__(self, "_rule_slots", rule_slots)

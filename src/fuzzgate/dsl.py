@@ -28,6 +28,8 @@ from .core import (FuzzyRule, FuzzySubsystem, LinguisticVariable,
 KEYWORDS = {"system", "input", "output", "universe", "unit", "term",
             "triangle", "trapezoid", "rule", "if", "is", "and", "then"}
 
+MAX_FILE_BYTES = 1 << 20  # of a definition file or manifest; larger is refused
+
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_.\-]*\Z")
 
 
@@ -346,10 +348,13 @@ def validate(doc: FisDocument) -> tuple[FuzzySubsystem | None, list[Diagnostic]]
 
 
 def load_subsystem(path) -> tuple[FuzzySubsystem | None, list[Diagnostic]]:
-    """Parse + validate a .fis.txt file; bytes that are not UTF-8 give an
-    error diagnostic at the first bad one."""
+    """Parse + validate a .fis.txt file; a file over MAX_FILE_BYTES gives an
+    error diagnostic at 1:1, and bytes that are not UTF-8 one at the first."""
     with open(path, "rb") as fh:
-        data = fh.read()
+        data = fh.read(MAX_FILE_BYTES + 1)
+    if len(data) > MAX_FILE_BYTES:
+        span = SourceSpan(1, 1, 1)
+        return None, [Diagnostic("error", f"file is over {MAX_FILE_BYTES} bytes", span)]
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import csv
 import math
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterator
 from dataclasses import dataclass
 from datetime import datetime
 from itertools import chain, islice, repeat
@@ -148,9 +148,9 @@ def load_telemetry(path: str | Path, mapping: ColumnMapping | None = None,
     blocks: list[np.ndarray] = []  # (4, m) readings of each block
     skipped_rows: list[int] = []
 
-    def convert_block(columns: list[list[str]], lines, first: int = 0) -> None:
+    def convert_block(columns: list[list[str]], lines) -> None:
         """Convert `columns`, the mapped fields (ColumnMapping order) of the
-        rows that start on file lines `first + lines[i]`. A row is marked by a
+        rows that start on file lines `lines[i]`. A row is marked by a
         timestamp not of FIXED_TIMESTAMP's shape or that
         `datetime.fromisoformat` rejects, a number that `float` rejects, or
         a value that is not finite; `_parse_row` gives a marked row's
@@ -173,11 +173,11 @@ def load_telemetry(path: str | Path, mapping: ColumnMapping | None = None,
         for i in np.flatnonzero(~fixed | ~np.isfinite(values).all(axis=0)):
             try:
                 t, *row = _parse_row([column[i] for column in columns],
-                                     wanted, path, first + lines[i])
+                                     wanted, path, lines[i])
             except RowError:
                 if policy == "strict":
                     raise
-                skipped_rows.append(first + lines[i])
+                skipped_rows.append(lines[i])
                 dropped.append(i)
             else:
                 texts[i] = t.isoformat(" ")
@@ -212,11 +212,10 @@ def load_telemetry(path: str | Path, mapping: ColumnMapping | None = None,
                     block.extend(islice(fh, LOAD_BLOCK))
                 except UnicodeDecodeError as exc:
                     error = exc
-                tokenized = _tokenized(block, columns)
-                if tokenized is None:
+                table = _tokenized(block, columns)
+                if table is None:
                     break
-                table, offsets = tokenized
-                convert_block(table.T.tolist(), offsets, line)
+                convert_block(table.T.tolist(), range(line, line + len(block)))
                 line += len(block)
                 if len(block) < LOAD_BLOCK:  # at the end, or at `error`
                     block = []  # csv reads no more lines, or raises `error`
@@ -252,33 +251,29 @@ def load_telemetry(path: str | Path, mapping: ColumnMapping | None = None,
             LoadReport(len(timestamps), len(skipped_rows), tuple(skipped_rows)))
 
 
-def _tokenized(block: list[str], columns: list[int]
-               ) -> tuple[np.ndarray, Sequence[int]] | None:
+def _tokenized(block: list[str], columns: list[int]) -> np.ndarray | None:
     """The (m, 4) fields of `columns` in the rows of `block`, physical lines
-    of a CSV, as numpy's C tokenizer reads them, and the offset in `block`
-    of each row, one on each non-blank line; or None where `csv.reader`
-    might read them otherwise. numpy raises on a short row and on a line of
-    spaces, which csv reads as rows of "" fields. numpy has no field size
-    limit, and reads NUL as any other character, which csv refuses before
-    Python 3.11. A record that spans lines gives fewer rows than non-blank
-    lines; one left open by the block's last line numpy closes there, where
-    csv reads on."""
-    rows = (range(len(block)) if not any(map(block.count, _BLANK_LINES)) else
-            [i for i, text in enumerate(block) if text not in _BLANK_LINES])
-    if not rows:  # loadtxt warns on no data
-        return np.empty((0, 4), dtype=object), rows
-    if max(map(len, block)) > csv.field_size_limit() or any(
-            map(contains, block, repeat("\0"))):
+    of a CSV, as numpy's C tokenizer reads them, one row on each line; or
+    None where a line might not be one row that `csv.reader` reads the same.
+    An empty block gives None, as does one with a blank line, which csv
+    skips. numpy raises on a short row and on a line of spaces, which csv
+    reads as rows of "" fields. numpy has no field size limit, and reads NUL
+    as any other character, which csv refuses before Python 3.11. A record
+    that spans lines gives fewer rows than lines; one left open by the
+    block's last line numpy closes there, where csv reads on."""
+    if (not block or any(map(block.count, _BLANK_LINES))
+            or max(map(len, block)) > csv.field_size_limit()
+            or any(map(contains, block, repeat("\0")))):
         return None
     try:
         table = np.loadtxt(block, dtype=object, delimiter=",", quotechar='"',
                            comments=None, usecols=columns, ndmin=2)
     except ValueError:
         return None
-    if len(table) != len(rows) or any("\r" in field or "\n" in field for field
-                                      in next(csv.reader([block[rows[-1]]]))):
+    if len(table) != len(block) or any("\r" in field or "\n" in field
+                                       for field in next(csv.reader(block[-1:]))):
         return None
-    return table, rows
+    return table
 
 
 def _raising(exc: Exception) -> Iterator:

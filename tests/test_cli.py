@@ -18,6 +18,7 @@ from conftest import FIS_FILES, write_manifest
 from fuzzgate.cascade import (BUNDLED_MANIFEST, FIS_KEYS, bundled_fis_dir,
                               parse_manifest)
 from fuzzgate.cli import _build_mapping, build_parser, main
+from fuzzgate.dsl import MAX_FILE_BYTES
 from fuzzgate.energy import packet_energy
 from fuzzgate.sim import ColumnMapping
 
@@ -550,12 +551,47 @@ class TestBadInput:
         assert code == 1
         assert "invalid UTF-8" in err
 
+    @staticmethod
+    def padded(path, source, extra):
+        """Write `source`'s bytes and then a comment that brings the file to
+        `extra` bytes over MAX_FILE_BYTES; return its path."""
+        text = Path(source).read_bytes()
+        path.write_bytes(text + b"#" * (MAX_FILE_BYTES + extra - len(text)))
+        return path
+
+    @pytest.mark.parametrize("extra", [0, 1], ids=["at-bound", "over-bound"])
+    def test_definition_size_bound(self, capsys, tmp_path, extra):
+        fis = self.padded(tmp_path / "big.fis.txt",
+                          bundled_fis_dir() / FIS_FILES["fs1"], extra)
+        code, out, _ = run(capsys, ["check", str(fis)])
+        assert code == extra
+        over = f"{fis}:1:1: error: file is over {MAX_FILE_BYTES} bytes"
+        assert (over in out) == bool(extra)
+        manifest = write_manifest(tmp_path / "m.manifest", f"fis1 = {fis}\n")
+        for options in (["--fis1", str(fis)], ["--manifest", str(manifest)]):
+            code, out, err = run(capsys, ["eval", *READING, *options])
+            assert code == extra
+            assert err == (f"error: invalid definition file: {over}\n"
+                           if extra else "")
+
+    @pytest.mark.parametrize("extra", [0, 1], ids=["at-bound", "over-bound"])
+    def test_manifest_size_bound(self, capsys, tmp_path, extra):
+        manifest = self.padded(tmp_path / "big.manifest",
+                               write_manifest(tmp_path / "m.manifest"), extra)
+        code, _, err = run(capsys, ["eval", *READING, "--manifest", str(manifest)])
+        assert code == extra
+        assert err == (f"error: {manifest}: file is over {MAX_FILE_BYTES} bytes\n"
+                       if extra else "")
+
     @pytest.mark.parametrize("line, message", [
         # Readings bind by position only; `external` is not a manifest key.
         ("external temperature = fs1.indoor_temperature",
          "unknown key 'external temperature'"),
         ("fis1 = a\0b.fis.txt", "fis1 path contains a NUL byte"),
-    ], ids=["external-key", "nul-byte"])
+        # An empty path would name the manifest's directory.
+        ("fis1 =", "fis1 has no path"),
+        ("fis3 = # comment", "fis3 has no path"),
+    ], ids=["external-key", "nul-byte", "empty-path", "comment-path"])
     @pytest.mark.parametrize("command", ["eval", "simulate"])
     def test_bad_manifest_line(self, capsys, tmp_path, fixture_csv, command,
                                line, message):

@@ -6,6 +6,7 @@ import hashlib
 
 import pytest
 
+from fuzzgate import sim
 from fuzzgate.cli import main
 from test_telemetry import gen
 
@@ -55,3 +56,30 @@ def test_full_size_reports_match_goldens(tmp_path, capsys, writer, seed, flags):
     digests = {name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
                for name in GOLDEN_SHA256}
     assert digests == expected
+
+
+@pytest.mark.parametrize("writer, seed, flags", sorted(FULL_SIZE_SHA256),
+                         ids=[f"{w}-{seed}" for w, seed, _ in sorted(FULL_SIZE_SHA256)])
+def test_full_size_reports_match_goldens_through_csv(tmp_path, capsys, monkeypatch,
+                                                     writer, seed, flags):
+    """The same reports from the loader's csv path: a blank line after the
+    header makes `_tokenized` refuse the first block, so `csv.reader` reads
+    every row, LOAD_BLOCK rows at a time. No benchmark workload reads a file
+    this way, so this is the path's one full-size check."""
+    dataset, out_dir = tmp_path / "data.csv", tmp_path / "out"
+    gen.WRITERS[writer](dataset, seed)
+    dataset.write_bytes(dataset.read_bytes().replace(b"\n", b"\n\n", 1))
+    real, tokenized = sim._tokenized, []
+
+    def spy(*args):
+        tokenized.append(real(*args))
+        return tokenized[-1]
+
+    monkeypatch.setattr(sim, "_tokenized", spy)
+    assert main(["simulate", "--dataset", str(dataset), *flags,
+                 "--out", str(out_dir)]) == 0
+    capsys.readouterr()
+    assert len(tokenized) == 1 and tokenized[0] is None
+    digests = {name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
+               for name in GOLDEN_SHA256}
+    assert digests == FULL_SIZE_SHA256[writer, seed, flags]
