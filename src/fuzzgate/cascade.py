@@ -9,13 +9,12 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
-from .core import FuzzySubsystem, NoRuleFiredError, OutOfUniverseError
+from .core import FiredRule, FuzzySubsystem, NoRuleFiredError, OutOfUniverseError
 from .dsl import _COMMENT_RE, MAX_FILE_BYTES, load_subsystem
 
 SEND = "send"
@@ -33,13 +32,6 @@ class CascadeBuildError(Exception):
 
 class WiringMismatchError(CascadeBuildError):
     """A produced variable's name or universe differs from the consuming input."""
-
-
-class FiredRule(NamedTuple):
-    node: str
-    antecedents: tuple[tuple[str, str], ...]
-    consequent: tuple[str, str]
-    activation: float
 
 
 @dataclass(frozen=True)
@@ -73,6 +65,11 @@ class Cascade:
     fs2: FuzzySubsystem
     fs3: FuzzySubsystem
     threshold: float = DEFAULT_THRESHOLD
+    # Per node, per rule: the (node, antecedents, consequent) of its records.
+    _heads: tuple[tuple[tuple, ...], ...] = field(
+        init=False, repr=False, compare=False)
+    # FS3's inputs, in its input order, as producers: 0 is FS1, 1 is FS2.
+    _fs3_order: tuple[int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         fs1, fs2, fs3 = self.fs1, self.fs2, self.fs3
@@ -110,6 +107,11 @@ class Cascade:
                     f"{', '.join(repr(t) for t in unseen)} of '{fs.output.name}' "
                     f"are 0 at every grid point: rules that conclude them "
                     f"would fire and never move the centroid")
+        object.__setattr__(self, "_heads", tuple(
+            tuple((node, rule.antecedents, rule.consequent) for rule in fs.rules)
+            for node, fs in self.nodes.items()))
+        object.__setattr__(self, "_fs3_order", (0, 1) if fs3.inputs[0].name
+                           == fs1.output.name else (1, 0))
 
     @property
     def nodes(self) -> dict[str, FuzzySubsystem]:
@@ -135,43 +137,42 @@ class Cascade:
         The trace's inputs are the four readings as floats, before clamping,
         in DEFAULT_EXTERNALS order; other keys of `inputs` are not read. Its
         fired rules are those of FS1, FS2 and FS3 in turn, each node's in
-        rule-bank order, built from the pairs that `infer` returns.
+        rule-bank order, as each node's `FuzzySubsystem.activate` gives them.
         """
         missing = set(DEFAULT_EXTERNALS) - set(inputs)
         if missing:
             raise KeyError(f"missing external inputs: {sorted(missing)}")
 
         readings: dict[str, float] = {}
-        node_inputs: tuple[dict[str, float], dict[str, float]] = ({}, {})
+        values: list[float] = []  # FS1's inputs, then FS2's, in input order
         clamped: list[str] = []
-        slots = zip(DEFAULT_EXTERNALS, self.fs1.inputs + self.fs2.inputs)
-        for i, (name, var) in enumerate(slots):
+        for name, var in zip(DEFAULT_EXTERNALS, self.fs1.inputs + self.fs2.inputs):
             value = readings[name] = float(inputs[name])
             if not var.contains(value):
                 if not clamp:
                     raise OutOfUniverseError(var.name, value, var.lo, var.hi)
                 value = var.clamp(value)
                 clamped.append(name)
-            node_inputs[i // 2][var.name] = value  # two readings per node
+            values.append(value)
 
+        fs1, fs2, fs3 = self.fs1, self.fs2, self.fs3
+        heads1, heads2, heads3 = self._heads
         fired: list[FiredRule] = []
-
-        def run(node: str, fs: FuzzySubsystem, crisp: dict[str, float]) -> float:
-            try:
-                agg = fs.infer(crisp)
-            except NoRuleFiredError:
-                raise NoRuleFiredError(f"{node}.{fs.output.name}") from None
-            for r, act in agg.fired:
-                rule = fs.rules[r]
-                fired.append(FiredRule(node, rule.antecedents, rule.consequent, act))
-            return agg.centroid
-
-        intermediates = {self.fs1.output.name: run("fs1", self.fs1, node_inputs[0]),
-                         self.fs2.output.name: run("fs2", self.fs2, node_inputs[1])}
-        score = run("fs3", self.fs3, intermediates)
+        node = "fs1"  # the node that runs: NoRuleFiredError names it
+        try:
+            apparent = fs1._centroid(fs1.activate(values[:2], heads1, fired))
+            node = "fs2"
+            usage = fs2._centroid(fs2.activate(values[2:], heads2, fired))
+            node = "fs3"
+            i, j = self._fs3_order  # the intermediates in FS3's input order
+            crisp = (apparent, usage)
+            score = fs3._centroid(fs3.activate((crisp[i], crisp[j]), heads3, fired))
+        except NoRuleFiredError:
+            raise NoRuleFiredError(f"{node}.{self.nodes[node].output.name}") from None
         label = SEND if sends(score, self.threshold) else NOT_SEND
-        return DecisionTrace(readings, tuple(clamped), intermediates, score,
-                             label, tuple(fired))
+        return DecisionTrace(readings, tuple(clamped),
+                             {fs1.output.name: apparent, fs2.output.name: usage},
+                             score, label, tuple(fired))
 
     def evaluate_columns(self, columns: Sequence[np.ndarray]
                          ) -> tuple[np.ndarray, ...]:

@@ -13,9 +13,10 @@ open interval between neighbouring corners, and a term is either > 0 on the
 whole of a piece (alive there, up to an edge that underflows to 0) or 0 on
 all of it. A subsystem keeps, per input and piece, a bitmask of the rules
 whose antecedent terms on that input are all alive there. Its one firing
-routine, `FuzzySubsystem.fire`, finds each input's piece, evaluates only the
-terms alive on it and ANDs the masks: only the rules left can have an
-activation > 0, and the others are 0, as a min over a 0 degree is.
+routine, `FuzzySubsystem.activate`, finds each input's piece, evaluates only
+the terms alive on it and ANDs the masks: only the rules left can have an
+activation > 0, and the others are 0, as a min over a 0 degree is. One loop
+over those rules gives their records and the strength row.
 """
 from __future__ import annotations
 
@@ -37,7 +38,7 @@ GRID_POINTS = 1001
 #: rows; only the narrow stage's per-term strengths grow with it.
 CHUNK_ROWS = 64
 
-#: Strength rows whose centroid each subsystem keeps for the scalar `infer`,
+#: Strength rows whose centroid each subsystem keeps for the scalar path,
 #: least recently used first out. Over the paper-like replay (seed 1), 256
 #: rows hit 40%, 88% and 57% of FS1, FS2 and FS3 calls; over unique
 #: full-precision readings, 39%, 17% and 49%.
@@ -251,6 +252,13 @@ class FuzzyRule:
     consequent: tuple[str, str]
 
 
+class FiredRule(NamedTuple):
+    node: str
+    antecedents: tuple[tuple[str, str], ...]
+    consequent: tuple[str, str]
+    activation: float
+
+
 class AggregatedOutput(NamedTuple):
     """One reading's fired rules, the (rule index, activation) pairs that
     `FuzzySubsystem.fire` gives, and the centroid of their aggregate."""
@@ -283,7 +291,7 @@ class FuzzySubsystem:
     # empty set there, so its bit is set in every piece.
     _rule_masks: tuple[tuple[int, ...], ...] = field(
         init=False, repr=False, compare=False)
-    # `infer`'s centroid of a strength row: a `_centroid_memo`.
+    # The centroid of a strength row that `activate` gives: a `_centroid_memo`.
     _centroid: Callable[[tuple[float, ...]], float] = field(
         init=False, repr=False, compare=False)
 
@@ -344,29 +352,47 @@ class FuzzySubsystem:
         raise KeyError(name)
 
     def fire(self, crisp_inputs: dict[str, float]) -> list[tuple[int, float]]:
-        """The rules that fire on one reading, as (rule index, activation)
-        pairs in rule-bank order: each rule whose min over its antecedent
-        term degrees (Mamdani AND) is > 0.
+        """`activate` on a reading keyed by input name, as (rule index,
+        activation) pairs."""
+        fired: list[tuple[int, float]] = []
+        self.activate([crisp_inputs[var.name] for var in self.inputs],
+                      [(r,) for r in range(len(self.rules))], fired, tuple)
+        return fired
 
-        For each input, in input order, it finds the reading's piece (raising
+    def infer(self, crisp_inputs: dict[str, float]) -> AggregatedOutput:
+        """`fire`'s pairs and the centroid of their strength row (see
+        `_centroid_memo`). Raises NoRuleFiredError when no rule fired."""
+        fired: list[tuple[int, float]] = []
+        strength = self.activate([crisp_inputs[var.name] for var in self.inputs],
+                                 [(r,) for r in range(len(self.rules))], fired, tuple)
+        return AggregatedOutput(fired, self._centroid(strength))
+
+    def activate(self, xs: Sequence[float], heads: Sequence[tuple],
+                 fired: list, record: type = FiredRule) -> tuple[float, ...]:
+        """Fire the rules on one reading, its crisp values in input order.
+        Appends the `record` tuple `(*heads[r], activation)` to `fired` for
+        each rule r with activation > 0, in rule-bank order, and returns the
+        strength row: per output term, the largest activation among the
+        rules with that consequent, or 0.0.
+
+        For each input it finds the reading's piece (raising
         OutOfUniverseError as `LinguisticVariable.piece` does), evaluates the
         degree rows of that piece's alive terms and nothing else, and ANDs
-        its rule mask into the candidates. Only a candidate reads no term
+        its rule mask into the candidates: only a candidate reads no term
         that is 0 there. Each candidate's min is taken in antecedent order,
         and one that comes to 0 (an alive edge may underflow to +0.0) is
-        dropped. Every rule left out has activation 0, as a min over a 0
-        degree is."""
+        dropped, as is every rule left out, whose min is over a 0 degree."""
         candidates = (1 << len(self._rule_slots)) - 1
         degrees = []
-        for var, masks in zip(self.inputs, self._rule_masks):
-            x = crisp_inputs[var.name]
+        for var, masks, x in zip(self.inputs, self._rule_masks, xs):
             piece = var.piece(x)
-            degrees.append({term: (x - p) / w if kind > 0 else
-                            (p - x) / w if kind else p
-                            for term, kind, p, w in var._alive[piece]})
+            row = {}
+            for term, kind, p, w in var._alive[piece]:
+                row[term] = (x - p) / w if kind > 0 else (p - x) / w if kind else p
+            degrees.append(row)
             candidates &= masks[piece]
-        fired = []
-        slots = self._rule_slots
+        strength = [0.0] * len(self._consequent_samples)
+        slots, rule_term, new = self._rule_slots, self._rule_term, tuple.__new__
         while candidates:
             low = candidates & -candidates  # the lowest set bit
             candidates ^= low
@@ -377,23 +403,11 @@ class FuzzySubsystem:
                 if d < degree:
                     degree = d
             if degree > 0.0:
-                fired.append((r, degree))
-        return fired
-
-    def infer(self, crisp_inputs: dict[str, float]) -> AggregatedOutput:
-        """Fold the rules that `fire` gives into one strength per output term
-        (the largest activation among the rules with that consequent) and
-        take the centroid of that strength row (see `_centroid_memo`).
-        Returns those fired rules with the centroid. Raises NoRuleFiredError
-        when no rule fired; fail-safe is the caller's policy."""
-        fired = self.fire(crisp_inputs)
-        strength = [0.0] * len(self._consequent_samples)
-        rule_term = self._rule_term
-        for r, act in fired:
-            t = rule_term[r]
-            if act > strength[t]:
-                strength[t] = act
-        return AggregatedOutput(fired, self._centroid(tuple(strength)))
+                t = rule_term[r]
+                if degree > strength[t]:
+                    strength[t] = degree
+                fired.append(new(record, (*heads[r], degree)))
+        return tuple(strength)
 
     def centroids(self, columns: Sequence[np.ndarray]) -> np.ndarray:
         """Batch form of `infer`'s centroid: one column of crisp values per

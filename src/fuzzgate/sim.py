@@ -9,6 +9,7 @@ import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 from datetime import datetime
+from functools import partial
 from itertools import chain, islice, repeat
 from operator import contains, itemgetter
 from pathlib import Path
@@ -32,6 +33,10 @@ _FIXED_RANGE = np.array([[*map(ord, "0000-00-00 00:00:00")],
 #: Physical lines, or csv rows, read at once. The block bounds the field
 #: text held at once.
 LOAD_BLOCK = 4096
+
+#: Characters a physical line may hold, its line end included (1 MiB, as
+#: `dsl.MAX_FILE_BYTES`): a file with no line end, such as /dev/zero, is refused.
+MAX_LINE = 1 << 20
 
 _BLANK_LINES = ("\n", "\r", "\r\n")
 
@@ -123,6 +128,8 @@ def load_telemetry(path: str | Path, mapping: ColumnMapping | None = None,
     file line a row starts on. Humidity is divided by 100 under the percent
     scale.
 
+    Each physical line is read with at most MAX_LINE + 1 characters, and a
+    line over MAX_LINE is a TelemetryError naming the file and the line.
     The file is read LOAD_BLOCK lines at a time. numpy's C tokenizer reads
     a block's mapped fields alone, as long as `_tokenized` finds that it
     reads them as `csv.reader` would. From the first block where it might
@@ -193,7 +200,8 @@ def load_telemetry(path: str | Path, mapping: ColumnMapping | None = None,
     line = 1  # first file line of the record being read
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
-            reader = csv.reader(fh)
+            physical = iter(partial(fh.readline, MAX_LINE + 1), "")
+            reader = csv.reader(_bounded(physical, path, 1))
             header = next(reader, [])
             missing = [c for c in wanted if c not in header]
             if missing:
@@ -209,7 +217,7 @@ def load_telemetry(path: str | Path, mapping: ColumnMapping | None = None,
                 # The last block's fields go before the next block is read.
                 block, error, table = [], None, None
                 try:  # keeps the lines read before an undecodable one
-                    block.extend(islice(fh, LOAD_BLOCK))
+                    block.extend(islice(physical, LOAD_BLOCK))
                 except UnicodeDecodeError as exc:
                     error = exc
                 table = _tokenized(block, columns)
@@ -221,8 +229,9 @@ def load_telemetry(path: str | Path, mapping: ColumnMapping | None = None,
                     block = []  # csv reads no more lines, or raises `error`
                     break
             # csv reads the rest of the file, from the block numpy left.
-            reader = csv.reader(
-                chain(block, fh if error is None else _raising(error)))
+            reader = csv.reader(_bounded(
+                chain(block, physical if error is None else _raising(error)),
+                path, line))
             first, rows, lines = line, [], []
             try:
                 for fields in reader:
@@ -258,11 +267,12 @@ def _tokenized(block: list[str], columns: list[int]) -> np.ndarray | None:
     An empty block gives None, as does one with a blank line, which csv
     skips. numpy raises on a short row and on a line of spaces, which csv
     reads as rows of "" fields. numpy has no field size limit, and reads NUL
-    as any other character, which csv refuses before Python 3.11. A record
-    that spans lines gives fewer rows than lines; one left open by the
-    block's last line numpy closes there, where csv reads on."""
+    as any other character, which csv refuses before Python 3.11; a line over
+    MAX_LINE is left to csv's path, which refuses it. A record that spans
+    lines gives fewer rows than lines; one left open by the block's last
+    line numpy closes there, where csv reads on."""
     if (not block or any(map(block.count, _BLANK_LINES))
-            or max(map(len, block)) > csv.field_size_limit()
+            or max(map(len, block)) > min(csv.field_size_limit(), MAX_LINE)
             or any(map(contains, block, repeat("\0")))):
         return None
     try:
@@ -274,6 +284,15 @@ def _tokenized(block: list[str], columns: list[int]) -> np.ndarray | None:
                                        for field in next(csv.reader(block[-1:]))):
         return None
     return table
+
+
+def _bounded(lines: Iterator[str], path, line: int) -> Iterator[str]:
+    """`lines`, the physical lines of `path` from file line `line` on, each
+    checked against MAX_LINE: raises TelemetryError on the first longer one."""
+    for line, text in enumerate(lines, line):
+        if len(text) > MAX_LINE:
+            raise TelemetryError(f"{path}: line {line} is over {MAX_LINE} characters")
+        yield text
 
 
 def _raising(exc: Exception) -> Iterator:

@@ -1,13 +1,14 @@
 """Reference single-reading inference, independent of the subsystem's piece
 tables and rule masks: every term of every input evaluated as mf(x), one
 dict walk per antecedent of every rule and one clip per fired rule. The
-subsystem's `fire` and `infer` must give the same fired rules and centroid
-bits, and raise NoRuleFiredError on the same readings.
+subsystem's `activate`, `fire` and `infer` must give the same fired rules,
+strength rows and centroid bits, and raise NoRuleFiredError on the same
+readings.
 """
 import numpy as np
 
-from fuzzgate.core import (GRID_POINTS, AggregatedOutput, NoRuleFiredError,
-                           OutOfUniverseError)
+from fuzzgate.core import (GRID_POINTS, AggregatedOutput, FiredRule,
+                           NoRuleFiredError, OutOfUniverseError)
 
 
 def activations_per_rule(fs, crisp_inputs):
@@ -34,6 +35,20 @@ def fire_per_rule(fs, crisp_inputs):
     > 0, in rule-bank order: what `fire` must give."""
     return [(r, act) for r, act in enumerate(activations_per_rule(fs, crisp_inputs))
             if act > 0.0]
+
+
+def activate_per_rule(fs, xs, heads, fired, record=FiredRule):
+    """What `activate` must do on a reading given in input order: append a
+    `record` of `(*heads[r], activation)` to `fired` for each rule r that
+    `fire_per_rule` gives, and return each output term's largest activation
+    among its rules, 0.0 where none fired."""
+    terms = [term for term, _ in fs.output.terms]
+    strength = [0.0] * len(terms)
+    for r, act in fire_per_rule(fs, {v.name: x for v, x in zip(fs.inputs, xs)}):
+        fired.append(tuple.__new__(record, (*heads[r], act)))
+        t = terms.index(fs.rules[r].consequent[1])
+        strength[t] = max(strength[t], act)
+    return tuple(strength)
 
 
 def infer_per_rule(fs, crisp_inputs):

@@ -19,10 +19,11 @@ from hypothesis import given, settings, strategies as st
 
 from fuzzgate.cascade import (DEFAULT_EXTERNALS, NOT_SEND, SEND, Cascade,
                               WiringMismatchError)
-from fuzzgate.core import FuzzyRule, FuzzySubsystem, NoRuleFiredError
+from fuzzgate.core import FiredRule, FuzzyRule, FuzzySubsystem, NoRuleFiredError
 from fuzzgate.energy import REFERENCE_JOULES_PER_PACKET
 from fuzzgate.sim import Telemetry, load_telemetry, run_fuzzy
 from exact import ExactSubsystem, centroid_bound, tiny
+from inference import fire_per_rule, infer_per_rule
 from telemetry import record, telemetry_of
 from test_inference import cascades, readings
 
@@ -318,6 +319,52 @@ def test_drawn_cascades(data):
     assert_columns_agree(cascade, columns)
     assert_paths_agree(cascade, Telemetry(
         [MIDNIGHT.isoformat(" ")] * len(columns[0]), np.column_stack(columns)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data(), st.sampled_from([None, "fs1", "fs2", "fs3"]))
+def test_drawn_cascades_fired_records(data, emptied):
+    """Drawn cascades (`cascades()`), 20 rows each (`drawn_columns`), with
+    one node's rule bank emptied in three draws of four: each node's part of
+    `evaluate(clamp=True).fired` is `fire_per_rule` on that node's inputs, as
+    `FiredRule`s with the node's label, activations compared as bits. FS3 is
+    fed the trace's intermediates. Where the reference fires no rule at a
+    node, `evaluate` raises NoRuleFiredError naming it and its output, and
+    an emptied node that runs always does."""
+    cascade = data.draw(cascades())
+    columns = drawn_columns(data, cascade, 18)
+    if emptied is not None:
+        cascade = Cascade(**{**cascade.nodes, emptied: dataclasses.replace(
+            cascade.nodes[emptied], rules=())}, threshold=cascade.threshold)
+    variables = cascade.fs1.inputs + cascade.fs2.inputs
+    for values in zip(*(c.tolist() for c in columns)):
+        clamped = [var.clamp(x) for var, x in zip(variables, values)]
+        crisp = {"fs1": dict(zip([v.name for v in variables[:2]], clamped[:2])),
+                 "fs2": dict(zip([v.name for v in variables[2:]], clamped[2:]))}
+        try:
+            trace = cascade.evaluate(dict(zip(DEFAULT_EXTERNALS, values)),
+                                     clamp=True)
+        except NoRuleFiredError as exc:
+            trace, failed = None, exc.variable
+        expected = []
+        for node, fs in cascade.nodes.items():
+            if node == "fs3":  # from `infer_per_rule` where `evaluate` raised
+                crisp[node] = trace.intermediates if trace else {
+                    producer.output.name: infer_per_rule(producer,
+                                                         crisp[name]).centroid
+                    for name, producer in (("fs1", cascade.fs1),
+                                           ("fs2", cascade.fs2))}
+            pairs = fire_per_rule(fs, crisp[node])
+            if not pairs:
+                assert trace is None and failed == f"{node}.{fs.output.name}"
+                break
+            assert node != emptied
+            expected += [(node, fs.rules[r].antecedents, fs.rules[r].consequent,
+                          act.hex()) for r, act in pairs]
+        else:
+            assert all(type(f) is FiredRule for f in trace.fired)
+            assert [(*f[:3], f.activation.hex()) for f in trace.fired] == \
+                expected, values
 
 
 @settings(max_examples=40, deadline=None)

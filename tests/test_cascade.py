@@ -1,3 +1,4 @@
+import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
@@ -131,14 +132,54 @@ class TestEvaluate:
     def test_out_of_universe_raises_without_clamp(self, cascade):
         inputs = {"temperature": 20.0, "humidity": 1.5,
                   "appliance_energy": 60.0, "time_of_day": 3.0}
-        with pytest.raises(OutOfUniverseError):
+        with pytest.raises(OutOfUniverseError) as info:
             cascade.evaluate(inputs)
+        # The node's input name, not the external one.
+        assert (info.value.variable, info.value.value) == ("indoor_humidity", 1.5)
         trace = cascade.evaluate(inputs, clamp=True)
         assert trace.clamped == ("humidity",)
 
     def test_missing_external_raises(self, cascade):
         with pytest.raises(KeyError):
             cascade.evaluate({"temperature": 20.0})
+
+    def test_missing_externals_are_listed_sorted(self, cascade):
+        with pytest.raises(KeyError) as info:
+            cascade.evaluate({"humidity": 0.4, "station": 3.0})
+        assert info.value.args == (
+            "missing external inputs: "
+            "['appliance_energy', 'temperature', 'time_of_day']",)
+
+    @pytest.mark.parametrize("clamp", [False, True])
+    @pytest.mark.parametrize("external", DEFAULT_EXTERNALS)
+    def test_nan_reading_is_out_of_universe(self, cascade, external, clamp):
+        inputs = {"temperature": 20.0, "humidity": 0.35,
+                  "appliance_energy": 60.0, "time_of_day": 3.0}
+        inputs[external] = float("nan")
+        with pytest.raises(OutOfUniverseError) as info:
+            cascade.evaluate(inputs, clamp=clamp)
+        var = cascade.external_variable(external)
+        assert info.value.variable == var.name
+        assert (info.value.lo, info.value.hi) == (var.lo, var.hi)
+
+    @pytest.mark.parametrize("sign", [-1.0, 1.0])
+    @pytest.mark.parametrize("external", DEFAULT_EXTERNALS)
+    def test_infinite_reading_is_clamped_or_raises(self, cascade, external,
+                                                   sign):
+        inputs = {"temperature": 20.0, "humidity": 0.35,
+                  "appliance_energy": 60.0, "time_of_day": 3.0}
+        inputs[external] = sign * math.inf
+        with pytest.raises(OutOfUniverseError):
+            cascade.evaluate(inputs)
+        var = cascade.external_variable(external)
+        trace = cascade.evaluate(inputs, clamp=True)
+        assert trace.clamped == (external,)
+        assert trace.inputs[external] == sign * math.inf
+        at_bound = cascade.evaluate({**inputs, external: var.hi if sign > 0
+                                     else var.lo})
+        assert (trace.intermediates, trace.score, trace.label, trace.fired) == \
+            (at_bound.intermediates, at_bound.score, at_bound.label,
+             at_bound.fired)
 
     def test_trace_inputs_are_the_four_readings(self, cascade):
         # Other keys are not read; the readings come out as floats, unclamped,
@@ -213,15 +254,15 @@ class TestEvaluate:
         assert traces == expected
 
     def test_activations_computed_once_per_node(self, cascade, monkeypatch):
-        # `fire` is the one routine that computes activations.
+        # `activate` is the one routine that computes activations.
         calls = []
-        original = FuzzySubsystem.fire
+        original = FuzzySubsystem.activate
 
-        def counted(self, crisp_inputs):
+        def counted(self, *args):
             calls.append(self.name)
-            return original(self, crisp_inputs)
+            return original(self, *args)
 
-        monkeypatch.setattr(FuzzySubsystem, "fire", counted)
+        monkeypatch.setattr(FuzzySubsystem, "activate", counted)
         cascade.evaluate({"temperature": 20.5, "humidity": 0.37,
                           "appliance_energy": 90.0, "time_of_day": 7.5})
         assert calls == [cascade.fs1.name, cascade.fs2.name, cascade.fs3.name]

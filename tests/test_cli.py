@@ -20,7 +20,7 @@ from fuzzgate.cascade import (BUNDLED_MANIFEST, FIS_KEYS, bundled_fis_dir,
 from fuzzgate.cli import _build_mapping, build_parser, main
 from fuzzgate.dsl import MAX_FILE_BYTES
 from fuzzgate.energy import packet_energy
-from fuzzgate.sim import ColumnMapping
+from fuzzgate.sim import MAX_LINE, ColumnMapping
 
 READING = ["--temp", "20", "--humidity", "0.35", "--energy", "60", "--time", "3"]
 
@@ -663,6 +663,45 @@ class TestBadInput:
             assert exc.value.code == 2
             assert capsys.readouterr().err.endswith(
                 f"error: unrecognized arguments: {' '.join(flag)}\n")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="no /dev/zero")
+    def test_dataset_with_no_line_end(self, tmp_path):
+        # A separate process, so a read that grows without bound would show
+        # as a MemoryError traceback or a timeout here.
+        env = dict(os.environ, PYTHONPATH=str(Path(fuzzgate.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "fuzzgate.cli", "simulate", "--dataset",
+             "/dev/zero", "--out", str(tmp_path / "out")],
+            capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 1
+        assert proc.stderr == \
+            f"error: /dev/zero: line 1 is over {MAX_LINE} characters\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("past", [0, 1], ids=["at-the-bound", "one-over"])
+    def test_line_length_bound(self, capsys, tmp_path, past):
+        """Line 3 holds MAX_LINE characters, its line end included, or one
+        more, in fields that each stay under csv's field size limit."""
+        pads = 9
+        row = "2016-01-11 17:10:00,20,40,60"
+        fill = MAX_LINE + past - len(row) - pads - 1
+        sizes = [fill // pads + (i < fill % pads) for i in range(pads)]
+        long = row + "".join("," + "x" * n for n in sizes) + "\n"
+        assert len(long) == MAX_LINE + past and max(sizes) < csv.field_size_limit()
+        dataset = tmp_path / "long.csv"
+        dataset.write_text("date,T1,RH_1,Appliances," +
+                           ",".join(f"p{i}" for i in range(pads)) + "\n" +
+                           f"{row}\n{long}{row}\n", newline="")
+        out_dir = tmp_path / "out"
+        code, _, err = run(capsys, ["simulate", "--dataset", str(dataset),
+                                    "--out", str(out_dir)])
+        if past:
+            assert (code, err) == (
+                1, f"error: {dataset}: line 3 is over {MAX_LINE} characters\n")
+        else:
+            assert (code, err) == (0, "")
+            summary = json.loads((out_dir / "summary.json").read_text())
+            assert summary["records"] == 3
 
     def test_out_dir_under_a_file(self, capsys, tmp_path, fixture_csv):
         blocker = tmp_path / "file"

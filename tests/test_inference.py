@@ -19,9 +19,11 @@ from conftest import load_bundled
 from exact import ExactSubsystem, centroid_bound, tiny
 from fuzzgate import core
 from fuzzgate.cascade import DEFAULT_EXTERNALS, Cascade
-from fuzzgate.core import (CENTROID_MEMO, CHUNK_ROWS, GRID_POINTS, FuzzyRule,
-                           FuzzySubsystem, LinguisticVariable, NoRuleFiredError)
-from inference import activations_per_rule, fire_per_rule, infer_per_rule
+from fuzzgate.core import (CENTROID_MEMO, CHUNK_ROWS, GRID_POINTS, FiredRule,
+                           FuzzyRule, FuzzySubsystem, LinguisticVariable,
+                           NoRuleFiredError)
+from inference import (activate_per_rule, activations_per_rule, fire_per_rule,
+                       infer_per_rule)
 from oracle import DenseOracle
 from tables import TRAP, TRI
 from test_telemetry import gen
@@ -562,6 +564,25 @@ def test_fire_gives_the_rules_with_activation_above_zero(data):
 
 @settings(max_examples=200, deadline=None)
 @given(st.data())
+def test_activate_gives_the_records_and_strength_row_of_the_reference(data):
+    """On drawn subsystems, `activate` appends one record per rule of the
+    per-rule reference, made from the rule's head, and returns each output
+    term's largest activation, as `activate_per_rule` does, bit for bit."""
+    fs = data.draw(subsystems())
+    heads = [("n", rule.antecedents, rule.consequent) for rule in fs.rules]
+    for _ in range(5):
+        crisp = data.draw(readings(fs))
+        xs = [crisp[var.name] for var in fs.inputs]
+        got, want = [], []
+        assert bits(fs.activate(xs, heads, got)) == \
+            bits(activate_per_rule(fs, xs, heads, want)), crisp
+        assert all(type(f) is FiredRule for f in got)
+        assert [(*f[:3], f.activation.hex()) for f in got] == \
+            [(*f[:3], f.activation.hex()) for f in want], crisp
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
 def test_exact_reference(data):
     """`infer` and `centroids` against exact arithmetic at the engine's grid
     (`exact.py`): the same rules fire, each activation within the three
@@ -655,10 +676,11 @@ def test_edge_that_underflows_fires_nothing():
     assert fired_where(fs, [0.0, x, 1e-300, 1e10, 2e10]) == [1e-300, 1e10]
 
 
-def test_tables_take_no_part_in_equality_hash_or_repr():
-    """The piece tables and rule masks are built from the other fields: equal
-    fields give equal objects with equal hashes and the same repr as
-    without them, and `dataclasses.replace` builds them again."""
+def test_tables_take_no_part_in_equality_hash_or_repr(cascade):
+    """The piece tables, rule masks, the cascade's per-rule record heads and
+    its FS3 input order are built from the other fields: equal fields give
+    equal objects with equal hashes and the same repr as without them, and
+    `dataclasses.replace` builds them again."""
     var = GAPPED.inputs[0]
     copy = dataclasses.replace(var)
     assert copy == var and hash(copy) == hash(var) == \
@@ -679,6 +701,26 @@ def test_tables_take_no_part_in_equality_hash_or_repr():
     assert GAPPED._rule_masks[0][at_one] == 0b001
     assert reversed_rules._rule_masks[0][at_one] == 0b100
     assert reversed_rules.fire({"x": 1.0}) == [(2, GAPPED.fire({"x": 1.0})[0][1])]
+    copy = dataclasses.replace(cascade)
+    fields = (cascade.fs1, cascade.fs2, cascade.fs3, cascade.threshold)
+    assert copy == cascade and hash(copy) == hash(cascade) == hash(fields)
+    assert repr(cascade) == (f"Cascade(fs1={cascade.fs1!r}, fs2={cascade.fs2!r}, "
+                             f"fs3={cascade.fs3!r}, threshold={cascade.threshold!r})")
+    assert (copy._heads, copy._fs3_order) == (cascade._heads, cascade._fs3_order)
+    assert cascade._fs3_order == (0, 1)
+    assert cascade._heads[2][0] == ("fs3", cascade.fs3.rules[0].antecedents,
+                                    cascade.fs3.rules[0].consequent)
+    fs3 = cascade.fs3
+    swapped = dataclasses.replace(cascade, fs3=dataclasses.replace(
+        fs3, inputs=fs3.inputs[::-1], rules=fs3.rules[::-1]))
+    assert swapped._fs3_order == (1, 0)
+    assert swapped._heads[2] == cascade._heads[2][::-1]
+    assert swapped._heads[:2] == cascade._heads[:2]
+    reading = {"temperature": 20.5, "humidity": 0.37,
+               "appliance_energy": 90.0, "time_of_day": 7.5}
+    trace, other = cascade.evaluate(reading), swapped.evaluate(reading)
+    assert other.score == trace.score
+    assert sorted(other.fired) == sorted(trace.fired)
 
 
 def trace_bits(trace):
@@ -699,11 +741,11 @@ def test_cascade_traces(cascade, writer, seed, tmp_path, monkeypatch):
     traces = [trace_bits(cascade.evaluate(x, clamp=True)) for x in inputs]
     calls = []
 
-    def counted(fs, crisp_inputs):
+    def counted(fs, *args):
         calls.append(fs.name)
-        return infer_per_rule(fs, crisp_inputs)
+        return activate_per_rule(fs, *args)
 
-    monkeypatch.setattr(FuzzySubsystem, "infer", counted)
+    monkeypatch.setattr(FuzzySubsystem, "activate", counted)
     assert traces == [trace_bits(cascade.evaluate(x, clamp=True))
                       for x in inputs]
     # The reference ran at every node of every reading.
