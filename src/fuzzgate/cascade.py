@@ -202,10 +202,9 @@ class Cascade:
         # FS3 runs on the rows where both producers fired; a row's bits do
         # not depend on the other rows.
         both = ~(np.isnan(apparent) | np.isnan(usage))
-        crisp = {self.fs1.output.name: apparent, self.fs2.output.name: usage}
+        crisp = (apparent, usage)  # by producer, as `_fs3_order` counts them
         score = np.full(len(both), np.nan)
-        score[both] = self.fs3.centroids(
-            [crisp[v.name][both] for v in self.fs3.inputs])
+        score[both] = self.fs3.centroids([crisp[i][both] for i in self._fs3_order])
         no_rule_fired = np.isnan(score)
         apparent[no_rule_fired] = usage[no_rule_fired] = np.nan
         return clamped, apparent, usage, score
@@ -273,6 +272,9 @@ def parse_manifest(path: str | Path) -> tuple[dict[str, Path], float]:
                 raise CascadeBuildError(
                     f"{path}:{lineno}: threshold must be a number, got {value!r}"
                 ) from None
+            if not math.isfinite(threshold):  # inf, nan, or 1e400 read as inf
+                raise CascadeBuildError(f"{path}:{lineno}: threshold must be a "
+                                        f"finite number, got {value!r}")
         else:
             raise CascadeBuildError(f"{path}:{lineno}: unknown key {key!r}")
     return fis_paths, threshold

@@ -218,7 +218,7 @@ class LinguisticVariable:
         """The stretches of [lo, hi] where no term is alive, each as its first
         and last float: the maximal runs of pieces (see the class) with no term
         alive that hold a float, so a covered corner keeps two runs apart. As
-        exact as `FuzzySubsystem.fire`: up to an alive edge that underflows."""
+        exact as `FuzzySubsystem.activate`: up to an alive edge that underflows."""
         bounds = [self.lo]
         for c in self._cuts[:-1]:
             bounds += [math.nextafter(c, -math.inf), c, c, math.nextafter(c, math.inf)]
@@ -260,8 +260,8 @@ class FiredRule(NamedTuple):
 
 
 class AggregatedOutput(NamedTuple):
-    """One reading's fired rules, the (rule index, activation) pairs that
-    `FuzzySubsystem.fire` gives, and the centroid of their aggregate."""
+    """Built nowhere in the package: kept while perfbench's tracer names it as
+    the owner of its `core.centroid` span, and looks owners up by getattr."""
 
     fired: list[tuple[int, float]]
     centroid: float
@@ -309,7 +309,7 @@ class FuzzySubsystem:
         output = {self.output.name: self.output}
         for number, rule in enumerate(self.rules, 1):
             if not rule.antecedents:
-                # `infer` would fire it at 1.0 and `centroids` has no min to take.
+                # `activate` would fire it at 1.0 and `centroids` has no min to take.
                 raise ValueError(f"rule {number} of '{self.name}' has no antecedent")
             for (var, term), known in [*((a, inputs) for a in rule.antecedents),
                                        (rule.consequent, output)]:
@@ -351,27 +351,11 @@ class FuzzySubsystem:
                 return var
         raise KeyError(name)
 
-    def fire(self, crisp_inputs: dict[str, float]) -> list[tuple[int, float]]:
-        """`activate` on a reading keyed by input name, as (rule index,
-        activation) pairs."""
-        fired: list[tuple[int, float]] = []
-        self.activate([crisp_inputs[var.name] for var in self.inputs],
-                      [(r,) for r in range(len(self.rules))], fired, tuple)
-        return fired
-
-    def infer(self, crisp_inputs: dict[str, float]) -> AggregatedOutput:
-        """`fire`'s pairs and the centroid of their strength row (see
-        `_centroid_memo`). Raises NoRuleFiredError when no rule fired."""
-        fired: list[tuple[int, float]] = []
-        strength = self.activate([crisp_inputs[var.name] for var in self.inputs],
-                                 [(r,) for r in range(len(self.rules))], fired, tuple)
-        return AggregatedOutput(fired, self._centroid(strength))
-
     def activate(self, xs: Sequence[float], heads: Sequence[tuple],
-                 fired: list, record: type = FiredRule) -> tuple[float, ...]:
+                 fired: list) -> tuple[float, ...]:
         """Fire the rules on one reading, its crisp values in input order.
-        Appends the `record` tuple `(*heads[r], activation)` to `fired` for
-        each rule r with activation > 0, in rule-bank order, and returns the
+        Appends the FiredRule `(*heads[r], activation)` to `fired` for each
+        rule r with activation > 0, in rule-bank order, and returns the
         strength row: per output term, the largest activation among the
         rules with that consequent, or 0.0.
 
@@ -392,7 +376,8 @@ class FuzzySubsystem:
             degrees.append(row)
             candidates &= masks[piece]
         strength = [0.0] * len(self._consequent_samples)
-        slots, rule_term, new = self._rule_slots, self._rule_term, tuple.__new__
+        slots, rule_term = self._rule_slots, self._rule_term
+        new, record = tuple.__new__, FiredRule
         while candidates:
             low = candidates & -candidates  # the lowest set bit
             candidates ^= low
@@ -410,11 +395,11 @@ class FuzzySubsystem:
         return tuple(strength)
 
     def centroids(self, columns: Sequence[np.ndarray]) -> np.ndarray:
-        """Batch form of `infer`'s centroid: one column of crisp values per
-        input, in input order.
+        """Batch form of the centroid of `activate`'s strength row (see
+        `_centroid_memo`): one column of crisp values per input, in input order.
 
         Returns the centroid of each row, NaN where no rule fired (where
-        `infer` raises NoRuleFiredError). A fired row is never NaN: build
+        the memo raises NoRuleFiredError). A fired row is never NaN: build
         refuses an output universe whose weighted sum overflows. The narrow
         stage gives each row its strength per output term: the largest
         activation among the rules with that consequent. The wide stage
@@ -425,11 +410,11 @@ class FuzzySubsystem:
         runs as `_grid_runs` finds them from the samples of the group's terms
         alone: a run with none is 0, and any other run clips only those terms
         and combines them by max. Then it sums the whole grid of each row. Each
-        fired row is bit-identical to `infer`: min and max only select values,
-        a term clips to 0 outside its runs, a term of strength 0 clips to 0
-        everywhere, the aggregate depends on the strength row alone, and a
-        block's row-wise sums add each row as `infer` does, and each centroid
-        is clamped as `infer`'s is. Raises
+        fired row is bit-identical to the memo's: min and max only select
+        values, a term clips to 0 outside its runs, a term of strength 0 clips
+        to 0 everywhere, the aggregate depends on the strength row alone, and a
+        block's row-wise sums add each row as the memo does, and each centroid
+        is clamped as the memo's is. Raises
         OutOfUniverseError on the first value outside its input's universe.
         """
         columns = [np.asarray(xs, dtype=float) for xs in columns]
@@ -498,7 +483,7 @@ class FuzzySubsystem:
 
 def _centroid_memo(grid: np.ndarray, samples: tuple[np.ndarray, ...],
                    variable: str) -> Callable[[tuple[float, ...]], float]:
-    """`infer`'s centroid of a strength row, one per output term, through an
+    """The centroid of `activate`'s strength row, one per output term, through an
     LRU memo of CENTROID_MEMO rows. It clips each fired term's consequent at
     its strength, combines by max and takes the centroid over the grid,
     summed in ascending-x order, clamped to the grid's ends: the exact one

@@ -3,8 +3,9 @@
 Each float the engine starts from (a reading, a corner and each point of
 `np.linspace(lo, hi, POINTS)` over the output universe) is read as the exact
 rational it is. Every degree, min, max and grid sum after that is exact. So
-in a comparison with `infer` or `centroids`, the only rounding left is the
-engine's.
+in a comparison with the subsystem's `activate` and centroid memo (through
+`inference.fire` and `inference.infer`) or with `centroids`, the only
+rounding left is the engine's.
 
 How far the engine may be from it. Let u = 2**-53, the unit roundoff, and
 N = POINTS. Where no degree or activation is below the smallest normal

@@ -19,6 +19,7 @@ from fuzzgate.sim import load_telemetry, run_fuzzy
 
 from conftest import FIS_FILES, load_bundled
 from fis_format import serialize, structurally_equal
+from inference import infer
 from fuzzgate.cascade import NOT_SEND, SEND, bundled_fis_dir, sends
 from oracle import DenseOracle
 from tables import FS1_TABLE, FS2_TABLE, FS3_TABLE, core_point
@@ -52,7 +53,7 @@ class TestAcceptance:
             for (t1, t2), expected in table.items():
                 crisp = {first.name: core_point(first, t1),
                          second.name: core_point(second, t2)}
-                value = fs.infer(crisp).centroid
+                value = infer(fs, crisp).centroid
                 degrees = {term: mf(value) for term, mf in fs.output.terms}
                 argmax = max(degrees, key=degrees.get)
                 if argmax != expected:
@@ -61,7 +62,7 @@ class TestAcceptance:
         for (t1, t2), expected in FS3_TABLE.items():
             crisp = {first.name: core_point(first, t1),
                      second.name: core_point(second, t2)}
-            score = cascade.fs3.infer(crisp).centroid
+            score = infer(cascade.fs3, crisp).centroid
             label = SEND if sends(score, cascade.threshold) else NOT_SEND
             if label != expected:
                 failures.append(("fs3", t1, t2, label, expected))
@@ -79,7 +80,7 @@ class TestAcceptance:
             tolerance = 1e-3 * span
             for _ in range(1000):
                 crisp = {v.name: rng.uniform(v.lo, v.hi) for v in fs.inputs}
-                engine = fs.infer(crisp).centroid
+                engine = infer(fs, crisp).centroid
                 reference = oracle.crisp_output(crisp)
                 delta = abs(engine - reference)
                 worst = max(worst, delta / span)
@@ -201,7 +202,7 @@ class TestAcceptance:
         for fs in (fs1, fs2, cascade.fs3):
             for _ in range(200):
                 crisp = {v.name: rng.uniform(v.lo, v.hi) for v in fs.inputs}
-                value = fs.infer(crisp).centroid
+                value = infer(fs, crisp).centroid
                 if not fs.output.lo <= value <= fs.output.hi:
                     problems.append(f"centroid {fs.name}")
 

@@ -17,6 +17,7 @@ from fuzzgate.core import (FuzzySubsystem, LinguisticVariable,
                            MembershipFunction, NoRuleFiredError,
                            OutOfUniverseError)
 from fuzzgate.sim import load_telemetry
+from inference import fire, infer
 from tables import FS3_TABLE, core_point
 
 
@@ -116,13 +117,13 @@ class TestEvaluate:
         hot = core_point(cascade.fs3.inputs[0], "hot")
         for usage_term in ("low", "medium", "high", "v.high"):
             usage = core_point(cascade.fs3.inputs[1], usage_term)
-            score = cascade.fs3.infer({"apparent_temperature": hot,
-                                       "appliance_usage_time": usage}).centroid
+            score = infer(cascade.fs3, {"apparent_temperature": hot,
+                                        "appliance_usage_time": usage}).centroid
             assert sends(score, cascade.threshold)
 
     def test_fs3_table_at_cores(self, cascade):
         for (app_term, usage_term), expected in FS3_TABLE.items():
-            score = cascade.fs3.infer({
+            score = infer(cascade.fs3, {
                 "apparent_temperature": core_point(cascade.fs3.inputs[0], app_term),
                 "appliance_usage_time": core_point(cascade.fs3.inputs[1], usage_term),
             }).centroid
@@ -206,7 +207,7 @@ class TestEvaluate:
                                    trace.intermediates[cascade.fs1.output.name],
                                cascade.fs2.output.name:
                                    trace.intermediates[cascade.fs2.output.name]})
-            expected = [(fs.rules[r], act) for r, act in fs.fire(node_inputs)]
+            expected = [(fs.rules[r], act) for r, act in fire(fs, node_inputs)]
             fired = [f for f in trace.fired if f.node == node_name]
             assert len(fired) == len(expected)
             for f, (rule, act) in zip(fired, expected):

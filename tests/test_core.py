@@ -9,6 +9,7 @@ from fuzzgate.core import (CHUNK_ROWS, FuzzyRule,
                            MembershipFunction, NoRuleFiredError,
                            OutOfUniverseError, UnknownTermError, _grid_runs)
 from fuzzgate.dsl import parse, validate
+from inference import fire, infer
 from tables import TRAP, TRI
 
 
@@ -163,7 +164,7 @@ class TestCentroids:
         h = np.resize(np.linspace(humidity.lo, humidity.hi, 31), len(t))
         centroid = fs1.centroids((t, h))
         assert not np.isnan(centroid).any()
-        expected = [fs1.infer({temperature.name: a, humidity.name: b}).centroid
+        expected = [infer(fs1, {temperature.name: a, humidity.name: b}).centroid
                     for a, b in zip(t.tolist(), h.tolist())]
         assert centroid.tolist() == expected
 
@@ -172,7 +173,7 @@ class TestCentroids:
         centroid = fs.centroids((np.array([0.25, 1.0, 0.0]),))
         assert np.isnan(centroid).tolist() == [False, True, False]
         assert math.isnan(centroid[1])
-        assert centroid[0] == fs.infer({"x": 0.25}).centroid
+        assert centroid[0] == infer(fs, {"x": 0.25}).centroid
 
     @pytest.mark.parametrize("bad", [1.5, -0.1, math.nan, math.inf])
     def test_out_of_universe_raises(self, bad):
@@ -187,10 +188,10 @@ class TestCentroids:
         centroid = fs.centroids((xs,))
         for x, c in zip(xs.tolist(), centroid.tolist()):
             if not math.isnan(c):
-                assert c == fs.infer({"x": x}).centroid
+                assert c == infer(fs, {"x": x}).centroid
             else:
                 with pytest.raises(NoRuleFiredError):
-                    fs.infer({"x": x}).centroid
+                    infer(fs, {"x": x}).centroid
 
     @staticmethod
     def bits(xs):
@@ -223,7 +224,7 @@ class TestCentroids:
         t, h = (np.ravel(grid) for grid in np.meshgrid(t, h))
         centroid = fs1.centroids((t, h))
         assert not np.isnan(centroid).any()
-        expected = [fs1.infer({temperature.name: a, humidity.name: b}).centroid
+        expected = [infer(fs1, {temperature.name: a, humidity.name: b}).centroid
                     for a, b in zip(t.tolist(), h.tolist())]
         assert self.bits(centroid) == self.bits(expected)
         assert len(set(expected)) < len(expected)
@@ -242,7 +243,7 @@ class TestCentroids:
             FuzzyRule((("y", "low"),), ("z", "right"))))
         xs, ys = np.array([0.2, 0.4, 0.2]), np.array([0.5, 0.5, 0.7])
         centroid = fs.centroids((xs, ys))
-        expected = [fs.infer({"x": a, "y": b}).centroid
+        expected = [infer(fs, {"x": a, "y": b}).centroid
                     for a, b in zip(xs.tolist(), ys.tolist())]
         assert len(set(expected)) == 3
         assert self.bits(centroid) == self.bits(expected)
@@ -274,7 +275,7 @@ class TestCentroids:
         centroid = fs.centroids((np.array([0.2, 0.8]),))
         assert np.isnan(centroid).all()
         with pytest.raises(NoRuleFiredError):
-            fs.infer({"x": 0.2}).centroid
+            infer(fs, {"x": 0.2}).centroid
 
 
 class TestUnseenOutputTerms:
@@ -296,7 +297,7 @@ class TestUnseenOutputTerms:
         assert fs.unseen_output_terms() == []
         # The aggregate is 1 at grid[500] and 0 elsewhere.
         assert fs.centroids((np.array([0.5]),)).tolist() == [grid[500]]
-        assert fs.infer({"x": 0.5}).centroid == grid[500]
+        assert infer(fs, {"x": 0.5}).centroid == grid[500]
 
     def test_term_strictly_between_two_grid_points_is_unseen(self):
         grid = self.fired_at_one()._grid
@@ -312,7 +313,7 @@ class TestUnseenOutputTerms:
         assert fs.unseen_output_terms() == ["gap"]
         assert np.isnan(fs.centroids((np.array([0.5]),))).all()
         with pytest.raises(NoRuleFiredError):
-            fs.infer({"x": 0.5})
+            infer(fs, {"x": 0.5})
 
 
 def degrees(var, x):
@@ -408,7 +409,7 @@ class TestRuleActivation:
         fs = FuzzySubsystem("pair", (ramp_variable("x"), ramp_variable("y")),
                             out, (FuzzyRule((("x", "ramp"), ("y", "ramp")),
                                             ("z", "c")),))
-        return dict(fs.fire({"x": d1, "y": d2})).get(0, 0.0)
+        return dict(fire(fs, {"x": d1, "y": d2})).get(0, 0.0)
 
     def test_min_of_degrees(self):
         assert self.make(0.6, 0.4) == 0.4
@@ -470,7 +471,7 @@ def tiny_subsystem():
 class TestInfer:
     def test_single_full_rule_equals_consequent(self):
         fs = tiny_subsystem()
-        agg = fs.infer({"x": 0.25})
+        agg = infer(fs, {"x": 0.25})
         assert agg.fired == [(0, 1.0)]
         grid = np.linspace(0, 100, GRID_POINTS)
         assert agg.centroid == grid_centroid(0, 100, TRI(40, 55, 70).sample(grid))
@@ -478,11 +479,11 @@ class TestInfer:
     def test_all_zero_activations_give_zero_aggregate(self):
         fs = tiny_subsystem()
         with pytest.raises(NoRuleFiredError) as exc:
-            fs.infer({"x": 1.0})  # "on" degree is 0 at x=1
+            infer(fs, {"x": 1.0})  # "on" degree is 0 at x=1
         assert exc.value.variable == "level"
 
     def test_fs1_cool_cell_fires_fully(self, fs1):
-        agg = fs1.infer({"indoor_temperature": 20.0, "indoor_humidity": 0.35})
+        agg = infer(fs1, {"indoor_temperature": 20.0, "indoor_humidity": 0.35})
         out = fs1.output
         grid = np.linspace(out.lo, out.hi, GRID_POINTS)
         assert agg.centroid == grid_centroid(out.lo, out.hi,
@@ -491,8 +492,8 @@ class TestInfer:
 
     def test_aggregate_carries_activations_in_rule_order(self, fs1):
         crisp = {"indoor_temperature": 20.5, "indoor_humidity": 0.37}
-        agg = fs1.infer(crisp)
-        assert agg.fired == fs1.fire(crisp)
+        agg = infer(fs1, crisp)
+        assert agg.fired == fire(fs1, crisp)
         rules = [r for r, _ in agg.fired]
         assert rules == sorted(set(rules)) and rules[-1] < len(fs1.rules) == 16
         assert all(act > 0.0 for _, act in agg.fired)
@@ -516,19 +517,19 @@ class TestDefuzzify:
     grid = np.linspace(0, 100, GRID_POINTS)
 
     def test_full_symmetric_triangle(self):
-        centroid = one_rule_subsystem(TRI(40, 55, 70)).infer({"x": 1.0}).centroid
+        centroid = infer(one_rule_subsystem(TRI(40, 55, 70)), {"x": 1.0}).centroid
         assert centroid == grid_centroid(0, 100, TRI(40, 55, 70).sample(self.grid))
         assert centroid == pytest.approx(55.0, abs=0.1)
 
     def test_clipped_symmetric_triangle_keeps_centroid(self):
-        centroid = one_rule_subsystem(TRI(40, 55, 70)).infer({"x": 0.5}).centroid
+        centroid = infer(one_rule_subsystem(TRI(40, 55, 70)), {"x": 0.5}).centroid
         clipped = np.minimum(0.5, TRI(40, 55, 70).sample(self.grid))
         assert centroid == grid_centroid(0, 100, clipped)
         assert centroid == pytest.approx(55.0, abs=0.1)
 
     def test_all_zero_raises(self):
         with pytest.raises(NoRuleFiredError):
-            one_rule_subsystem(TRI(40, 55, 70)).infer({"x": 0.0})
+            infer(one_rule_subsystem(TRI(40, 55, 70)), {"x": 0.0})
 
     @given(st.floats(0.01, 1.0), st.floats(0.0, 100.0), st.floats(0.0, 100.0))
     def test_centroid_stays_in_universe(self, height, p1, p2):
@@ -537,28 +538,28 @@ class TestDefuzzify:
             a, c = (a, a + 1e-6) if a < 50 else (c - 1e-6, c)
         mf = TRI(a, (a + c) / 2, c)
         fs = one_rule_subsystem(mf)
-        assert fs.fire({"x": height}) == [(0, height)]
+        assert fire(fs, {"x": height}) == [(0, height)]
         mu = np.minimum(height, mf.sample(self.grid))
         if not np.any(mu):
             with pytest.raises(NoRuleFiredError):
-                fs.infer({"x": height})
+                infer(fs, {"x": height})
             return
-        value = fs.infer({"x": height}).centroid
+        value = infer(fs, {"x": height}).centroid
         assert value == grid_centroid(0, 100, mu)
         assert 0.0 <= value <= 100.0
 
     def test_centroid_within_hull_of_active_supports(self, fs1):
         crisp = {"indoor_temperature": 20.5, "indoor_humidity": 0.37}
         supports = [fs1.output.term(fs1.rules[r].consequent[1]).support
-                    for r, _ in fs1.fire(crisp)]
+                    for r, _ in fire(fs1, crisp)]
         lo = min(s[0] for s in supports)
         hi = max(s[1] for s in supports)
-        value = fs1.infer(crisp).centroid
+        value = infer(fs1, crisp).centroid
         assert lo <= value <= hi
 
 
 class TestDeterminism:
     def test_repeat_evaluations_bit_identical(self, fs1):
         crisp = {"indoor_temperature": 21.3, "indoor_humidity": 0.41}
-        values = {fs1.infer(crisp).centroid for _ in range(5)}
+        values = {infer(fs1, crisp).centroid for _ in range(5)}
         assert len(values) == 1

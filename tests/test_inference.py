@@ -22,8 +22,8 @@ from fuzzgate.cascade import DEFAULT_EXTERNALS, Cascade
 from fuzzgate.core import (CENTROID_MEMO, CHUNK_ROWS, GRID_POINTS, FiredRule,
                            FuzzyRule, FuzzySubsystem, LinguisticVariable,
                            NoRuleFiredError)
-from inference import (activate_per_rule, activations_per_rule, fire_per_rule,
-                       infer_per_rule)
+from inference import (activate_per_rule, activations_per_rule, fire,
+                       fire_per_rule, infer, infer_per_rule)
 from oracle import DenseOracle
 from tables import TRAP, TRI
 from test_telemetry import gen
@@ -38,18 +38,18 @@ def pair_bits(fired):
     return [(r, float(act).hex()) for r, act in fired]
 
 
-def outcome(infer, fs, crisp):
-    """The fired rules and centroid of `infer`, as bits, or the error."""
+def outcome(engine, fs, crisp):
+    """The fired rules and centroid of `engine`, as bits, or the error."""
     try:
-        agg = infer(fs, crisp)
+        agg = engine(fs, crisp)
     except NoRuleFiredError as exc:
         return type(exc), str(exc)
     return pair_bits(agg.fired), float(agg.centroid).hex()
 
 
 def assert_same(fs, crisp):
-    assert pair_bits(fs.fire(crisp)) == pair_bits(fire_per_rule(fs, crisp))
-    assert outcome(FuzzySubsystem.infer, fs, crisp) == \
+    assert pair_bits(fire(fs, crisp)) == pair_bits(fire_per_rule(fs, crisp))
+    assert outcome(infer, fs, crisp) == \
         outcome(infer_per_rule, fs, crisp), crisp
 
 
@@ -197,7 +197,7 @@ def test_centroids_stay_in_the_output_universe(data):
     lo, hi = fs.output.lo, fs.output.hi
     for crisp in rows:
         try:
-            centroid = fs.infer(crisp).centroid
+            centroid = infer(fs, crisp).centroid
         except NoRuleFiredError:
             continue
         assert lo <= centroid <= hi, crisp
@@ -310,14 +310,14 @@ def test_one_clip_per_fired_output_term(request, node):
             strength[rule.consequent[1]] = max(strength[rule.consequent[1]], act)
         fs._centroid.cache_clear()
         with mock.patch.object(np, "minimum", wraps=np.minimum) as clip:
-            fs.infer(crisp)
+            infer(fs, crisp)
         clipped = [args[1] for args, _ in clip.call_args_list]
         expected = [samples for term, samples
                     in zip(terms, fs._consequent_samples) if strength[term] > 0.0]
         assert len(clipped) == len(expected), crisp
         assert all(a is b for a, b in zip(clipped, expected)), crisp
         with mock.patch.object(np, "minimum", wraps=np.minimum) as clip:
-            fs.infer(crisp)
+            infer(fs, crisp)
         assert not clip.called, crisp
 
 
@@ -373,8 +373,8 @@ def cold_and_warm(fs, rows):
     cold = []
     for crisp in rows:
         fs._centroid.cache_clear()
-        cold.append(outcome(FuzzySubsystem.infer, fs, crisp))
-    warm = [[outcome(FuzzySubsystem.infer, fs, crisp) for crisp in rows]
+        cold.append(outcome(infer, fs, crisp))
+    warm = [[outcome(infer, fs, crisp) for crisp in rows]
             for _ in range(2)]
     return cold, warm
 
@@ -423,8 +423,8 @@ def test_no_rule_fired_on_every_repeat():
     each call, before and after a fired reading fills the memo."""
     for _ in range(3):
         with pytest.raises(NoRuleFiredError, match="'y'"):
-            GAPPED.infer({"x": 9.0})
-        GAPPED.infer({"x": 1.0})
+            infer(GAPPED, {"x": 9.0})
+        infer(GAPPED, {"x": 1.0})
 
 
 def test_memo_is_bounded():
@@ -432,14 +432,14 @@ def test_memo_is_bounded():
     and no further; a row evicted and computed again gives the same bits."""
     fs = dataclasses.replace(GAPPED)  # an empty memo
     xs = np.linspace(0.0, 7.5, 2 * CENTROID_MEMO + 1).tolist()
-    first = [fs.infer({"x": x}).centroid for x in xs[:CENTROID_MEMO]]
+    first = [infer(fs, {"x": x}).centroid for x in xs[:CENTROID_MEMO]]
     sizes = []
     for x in xs[CENTROID_MEMO:]:
-        fs.infer({"x": x})
+        infer(fs, {"x": x})
         sizes.append(fs._centroid.cache_info().currsize)
     assert max(sizes) == CENTROID_MEMO
     assert fs._centroid.cache_info().misses == len(xs)  # all distinct rows
-    assert bits(fs.infer({"x": x}).centroid for x in xs[:CENTROID_MEMO]) == \
+    assert bits(infer(fs, {"x": x}).centroid for x in xs[:CENTROID_MEMO]) == \
         bits(first)
 
 
@@ -455,9 +455,9 @@ def test_memo_belongs_to_its_subsystem():
     assert "_centroid" not in repr(GAPPED)
     assert copy._centroid.cache_info().currsize == 0
     for x in (1.0, 3.0, 5.5, 1.0, 3.0):
-        assert bits(fs.infer({"x": x}).centroid for fs in (GAPPED, shifted)) == \
+        assert bits(infer(fs, {"x": x}).centroid for fs in (GAPPED, shifted)) == \
             bits(infer_per_rule(fs, {"x": x}).centroid for fs in (GAPPED, shifted))
-    assert GAPPED.infer({"x": 1.0}).centroid != shifted.infer({"x": 1.0}).centroid
+    assert infer(GAPPED, {"x": 1.0}).centroid != infer(shifted, {"x": 1.0}).centroid
 
 
 def assert_pieces(var, x):
@@ -552,24 +552,15 @@ def test_coverage_gaps_are_exact(var):
 
 @settings(max_examples=200, deadline=None)
 @given(st.data())
-def test_fire_gives_the_rules_with_activation_above_zero(data):
-    """On drawn subsystems, `fire` gives the (rule, activation) pairs of the
-    per-rule reference whose activation is > 0, in rule-bank order."""
-    fs = data.draw(subsystems())
-    for _ in range(5):
-        crisp = data.draw(readings(fs))
-        assert pair_bits(fs.fire(crisp)) == pair_bits(fire_per_rule(fs, crisp)), \
-            crisp
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.data())
 def test_activate_gives_the_records_and_strength_row_of_the_reference(data):
     """On drawn subsystems, `activate` appends one record per rule of the
-    per-rule reference, made from the rule's head, and returns each output
-    term's largest activation, as `activate_per_rule` does, bit for bit."""
+    per-rule reference whose activation is > 0, in rule-bank order, made
+    from the rule's head, and returns each output term's largest
+    activation, as `activate_per_rule` does, bit for bit. Each head carries
+    its rule's index, so the records name the rules that fired."""
     fs = data.draw(subsystems())
-    heads = [("n", rule.antecedents, rule.consequent) for rule in fs.rules]
+    heads = [(r, rule.antecedents, rule.consequent)
+             for r, rule in enumerate(fs.rules)]
     for _ in range(5):
         crisp = data.draw(readings(fs))
         xs = [crisp[var.name] for var in fs.inputs]
@@ -595,7 +586,7 @@ def test_exact_reference(data):
     fired = exact.fire(crisp)
     if tiny(fired):
         return
-    got = fs.fire(crisp)
+    got = fire(fs, crisp)
     assert [r for r, _ in got] == [r for r, _ in fired], crisp
     for (_, act), (_, want) in zip(got, fired):
         assert abs(Fraction(act) - want) <= 3.01 * 2**-53 * want, crisp
@@ -603,11 +594,11 @@ def test_exact_reference(data):
     batch = fs.centroids([np.array([crisp[var.name]]) for var in fs.inputs])
     if centroid is None:
         with pytest.raises(NoRuleFiredError):
-            fs.infer(crisp)
+            infer(fs, crisp)
         assert math.isnan(batch[0])
         return
     bound = centroid_bound(fs)
-    assert abs(Fraction(fs.infer(crisp).centroid) - centroid) <= bound, crisp
+    assert abs(Fraction(infer(fs, crisp).centroid) - centroid) <= bound, crisp
     assert abs(Fraction(float(batch[0])) - centroid) <= bound, crisp
 
 
@@ -625,7 +616,7 @@ def fired_where(fs, xs):
     for x in xs:
         assert_pieces(fs.inputs[0], x)
         assert_same(fs, {"x": x})
-        if fs.fire({"x": x}):
+        if fire(fs, {"x": x}):
             fired.append(x)
     return fired
 
@@ -668,11 +659,11 @@ def test_edge_that_underflows_fires_nothing():
     x = 5e-324
     assert [term for term, *_ in fs.inputs[0]._alive[fs.inputs[0].piece(x)]] == \
         [term for term, _ in fs.inputs[0].terms]
-    assert fs.fire({"x": x}) == []
+    assert fire(fs, {"x": x}) == []
     assert bits(activations_per_rule(fs, {"x": x})) == ["0x0.0p+0"]
-    for infer in (FuzzySubsystem.infer, infer_per_rule):
+    for engine in (infer, infer_per_rule):
         with pytest.raises(NoRuleFiredError):
-            infer(fs, {"x": x})
+            engine(fs, {"x": x})
     assert fired_where(fs, [0.0, x, 1e-300, 1e10, 2e10]) == [1e-300, 1e10]
 
 
@@ -700,7 +691,7 @@ def test_tables_take_no_part_in_equality_hash_or_repr(cascade):
     at_one = GAPPED.inputs[0].piece(1.0)
     assert GAPPED._rule_masks[0][at_one] == 0b001
     assert reversed_rules._rule_masks[0][at_one] == 0b100
-    assert reversed_rules.fire({"x": 1.0}) == [(2, GAPPED.fire({"x": 1.0})[0][1])]
+    assert fire(reversed_rules, {"x": 1.0}) == [(2, fire(GAPPED, {"x": 1.0})[0][1])]
     copy = dataclasses.replace(cascade)
     fields = (cascade.fs1, cascade.fs2, cascade.fs3, cascade.threshold)
     assert copy == cascade and hash(copy) == hash(cascade) == hash(fields)
